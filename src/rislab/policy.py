@@ -13,6 +13,19 @@ computes the exact gradient of weight * sum_heads log pi(selected action)
 through the cached forward pass, including the dropout masks, so central
 finite differences on a fixed-seed forward reproduce it.
 
+Each LSTM layer is one fused kernel. The input projection X W^T + b of all
+H slots is a single (H*S, F) GEMM ahead of the time loop, which then adds
+only the recurrent term h_{t-1} U^T (absent at t = 0, where h = 0). The
+four gates [i | f | g | o] are activated by one tanh over the whole (S, 4h)
+pre-activation: sigmoid(z) = 1/2 + 1/2 tanh(z/2), so the i/f/o rows of W, U
+and b are halved once per call and a fixed per-column affine (x 1/2 + 1/2
+on i/f/o, identity on g) finishes them. tanh saturates instead of
+overflowing, so large pre-activations need no masking. Gates, cell states,
+tanh(c) and hidden states are written in place into (H, S, .) buffers that
+the cache keeps. Backward mirrors this: its reverse loop carries only dh
+and dc and fills one (H, S, 4h) buffer of pre-activation gradients, from
+which dW, dU, db and the input gradient are one GEMM or sum each.
+
 Parameters live in one flat float64 vector with named slices, so the
 optimizer, the checkpoint format, and finite-difference probes all see the
 same layout.
@@ -120,9 +133,9 @@ class PolicyParams:
         if self._offsets is None:
             offsets, pos = {}, 0
             for name, shape in self.layout:
-                size = int(np.prod(shape))
-                offsets[name] = (pos, shape)
-                pos += size
+                end = pos + int(np.prod(shape))
+                offsets[name] = (pos, end, shape)
+                pos = end
             if pos != self.values.size:
                 raise ValueError(f"layout wants {pos} values, got {self.values.size}")
             object.__setattr__(self, "_offsets", offsets)
@@ -132,8 +145,8 @@ class PolicyParams:
         return self.values.size
 
     def view(self, name: str) -> np.ndarray:
-        pos, shape = self._offsets[name]
-        return self.values[pos:pos + int(np.prod(shape))].reshape(shape)
+        start, end, shape = self._offsets[name]
+        return self.values[start:end].reshape(shape)
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(values=self.values.copy(), layout=self.layout,
@@ -167,15 +180,6 @@ def init_params(arch: PolicyArchitecture, rng: np.random.Generator,
 # forward
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _softmax(logits):
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
@@ -184,13 +188,115 @@ def _softmax(logits):
 
 @dataclass
 class _LstmLayerCache:
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tc: np.ndarray
-    h: np.ndarray
+    gates: np.ndarray                  # (H, S, 4h) activated [i | f | g | o]
+    c: np.ndarray                      # (H, S, h) cell state
+    tc: np.ndarray                     # (H, S, h) tanh(c)
+    h: np.ndarray                      # (H, S, h) hidden state
+
+    def _gate(self, k: int) -> np.ndarray:
+        width = self.c.shape[2]
+        return self.gates[:, :, k * width:(k + 1) * width]
+
+    @property
+    def i(self) -> np.ndarray:
+        return self._gate(0)
+
+    @property
+    def f(self) -> np.ndarray:
+        return self._gate(1)
+
+    @property
+    def g(self) -> np.ndarray:
+        return self._gate(2)
+
+    @property
+    def o(self) -> np.ndarray:
+        return self._gate(3)
+
+
+def _lstm_forward(layer_in: np.ndarray, w: np.ndarray, u: np.ndarray,
+                  b: np.ndarray) -> _LstmLayerCache:
+    """One LSTM layer over a (H, S, F) sequence, starting from h = c = 0, in
+    the fused form the module docstring describes."""
+    steps, batch, fan = layer_in.shape
+    h = u.shape[1]
+    # per-row factor over [i | f | g | o]: 1/2 on the sigmoid gates, where
+    # sigmoid(z) = 1/2 + 1/2 tanh(z/2), and 1 on the tanh candidate g
+    half = np.full(4 * h, 0.5)
+    half[2 * h:3 * h] = 1.0
+    shift = 1.0 - half
+    gates = (layer_in.reshape(steps * batch, fan) @ (w * half[:, None]).T
+             + b * half).reshape(steps, batch, 4 * h)
+    u_half_t = (u * half[:, None]).T
+    cache = _LstmLayerCache(gates=gates, c=np.empty((steps, batch, h)),
+                            tc=np.empty((steps, batch, h)),
+                            h=np.empty((steps, batch, h)))
+    i, f, g, o = cache.i, cache.f, cache.g, cache.o
+    c, tc, hs = cache.c, cache.tc, cache.h
+    for t in range(steps):
+        z = gates[t]
+        if t > 0:
+            z += hs[t - 1] @ u_half_t
+        np.tanh(z, out=z)
+        z *= half
+        z += shift
+        np.multiply(i[t], g[t], out=c[t])
+        if t > 0:
+            c[t] += f[t] * c[t - 1]
+        np.tanh(c[t], out=tc[t])
+        np.multiply(o[t], tc[t], out=hs[t])
+    return cache
+
+
+def _lstm_backward(lc: _LstmLayerCache, layer_in: np.ndarray, w: np.ndarray,
+                   u: np.ndarray, dh_out: np.ndarray, d_w: np.ndarray,
+                   d_u: np.ndarray, d_b: np.ndarray, want_dx: bool):
+    """BPTT through one layer given dLoss/dh: an (H, S, h) array for every
+    slot, or an (S, h) array when only the final slot's h feeds forward.
+    Accumulates into d_w, d_u, d_b; returns dLoss/d(layer input) when
+    `want_dx`, else None."""
+    steps, batch, fan = layer_in.shape
+    h = lc.c.shape[2]
+    # dz starts as the coefficient that turns dc (i, f, g rows) or dh (o rows)
+    # into the pre-activation gradient: the gate slope times the gate's partner
+    dz = np.subtract(1.0, lc.gates)
+    dz *= lc.gates
+    dz_i, dz_f, dz_g, dz_o = (dz[:, :, k * h:(k + 1) * h] for k in range(4))
+    np.square(lc.g, out=dz_g)
+    np.subtract(1.0, dz_g, out=dz_g)
+    dz_i *= lc.g
+    dz_f[0] = 0.0
+    dz_f[1:] *= lc.c[:-1]
+    dz_g *= lc.i
+    dz_o *= lc.tc
+    dc_dh = np.square(lc.tc)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= lc.o
+
+    dz_ifg = dz[:, :, :3 * h].reshape(steps, batch, 3, h)
+    f = lc.f
+    per_slot = dh_out.ndim == 3
+    dh = dh_out[-1] if per_slot else dh_out
+    dc = dh * dc_dh[-1]
+    for t in range(steps - 1, -1, -1):
+        dz_ifg[t] *= dc[:, None, :]
+        dz_o[t] *= dh
+        if t == 0:
+            break
+        dh = dz[t] @ u
+        if per_slot:
+            dh += dh_out[t - 1]
+        dc_carry = dc * f[t]
+        dc = dh * dc_dh[t - 1]
+        dc += dc_carry
+
+    rows = dz.reshape(steps * batch, 4 * h)
+    d_w += rows.T @ layer_in.reshape(steps * batch, fan)
+    d_u += dz[1:].reshape(-1, 4 * h).T @ lc.h[:-1].reshape(-1, h)
+    d_b += rows.sum(axis=0)
+    if want_dx:
+        return (rows @ w).reshape(steps, batch, fan)
+    return None
 
 
 @dataclass
@@ -229,31 +335,13 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
     if dropping and rng is None:
         raise ValueError("train mode with dropout needs an rng")
 
-    batch = x.shape[0]
-    steps = arch.history_len
     seq = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # (H, S, F)
 
     layer_caches = []
     layer_in = seq
-    for j, h in enumerate(arch.lstm_sizes):
-        w = params.view(f"lstm{j}.W")
-        u = params.view(f"lstm{j}.U")
-        b = params.view(f"lstm{j}.b")
-        cache = _LstmLayerCache(*[np.zeros((steps, batch, h)) for _ in range(7)])
-        h_prev = np.zeros((batch, h))
-        c_prev = np.zeros((batch, h))
-        for t in range(steps):
-            z = layer_in[t] @ w.T + h_prev @ u.T + b
-            i = _sigmoid(z[:, :h])
-            f = _sigmoid(z[:, h:2 * h])
-            g = np.tanh(z[:, 2 * h:3 * h])
-            o = _sigmoid(z[:, 3 * h:])
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h_prev = o * tc
-            c_prev = c
-            cache.i[t], cache.f[t], cache.g[t], cache.o[t] = i, f, g, o
-            cache.c[t], cache.tc[t], cache.h[t] = c, tc, h_prev
+    for j in range(len(arch.lstm_sizes)):
+        cache = _lstm_forward(layer_in, params.view(f"lstm{j}.W"),
+                              params.view(f"lstm{j}.U"), params.view(f"lstm{j}.b"))
         layer_caches.append(cache)
         layer_in = cache.h
 
@@ -340,10 +428,11 @@ def backward(params: PolicyParams, arch: PolicyArchitecture, cache: ForwardCache
     """
     if cache.n_params != params.n:
         raise ValueError("cache was produced under a different parameter layout")
-    steps, batch, _ = cache.inputs.shape
+    batch = cache.inputs.shape[1]
     w_vec = np.broadcast_to(np.asarray(weight, dtype=float), (batch,))
 
-    grad = PolicyParams(values=np.zeros(params.n), layout=params.layout)
+    grad = PolicyParams(values=np.zeros(params.n), layout=params.layout,
+                        _offsets=params._offsets)
 
     # heads -> trunk output
     dz = np.zeros_like(cache.trunk_out)
@@ -370,40 +459,12 @@ def backward(params: PolicyParams, arch: PolicyArchitecture, cache: ForwardCache
         dz = dz * cache.drop_lstm
 
     # LSTM stack, top layer receives trunk gradient at the final slot only
-    dh_seq = np.zeros((steps, batch, arch.lstm_sizes[-1]))
-    dh_seq[-1] = dz
     for j in reversed(range(len(arch.lstm_sizes))):
-        lc = cache.lstm[j]
-        h = arch.lstm_sizes[j]
-        w = params.view(f"lstm{j}.W")
-        u = params.view(f"lstm{j}.U")
         layer_in = cache.inputs if j == 0 else cache.lstm[j - 1].h
-        d_w, d_u, d_b = (grad.view(f"lstm{j}.W"), grad.view(f"lstm{j}.U"),
-                         grad.view(f"lstm{j}.b"))
-        dx_seq = np.zeros((steps, batch, layer_in.shape[2]))
-        dh_next = np.zeros((batch, h))
-        dc_next = np.zeros((batch, h))
-        for t in reversed(range(steps)):
-            dh = dh_seq[t] + dh_next
-            do = dh * lc.tc[t]
-            dc = dc_next + dh * lc.o[t] * (1.0 - lc.tc[t] ** 2)
-            di = dc * lc.g[t]
-            dg = dc * lc.i[t]
-            c_prev = lc.c[t - 1] if t > 0 else 0.0
-            df = dc * c_prev
-            dc_next = dc * lc.f[t]
-            dzi = di * lc.i[t] * (1.0 - lc.i[t])
-            dzf = df * lc.f[t] * (1.0 - lc.f[t])
-            dzg = dg * (1.0 - lc.g[t] ** 2)
-            dzo = do * lc.o[t] * (1.0 - lc.o[t])
-            dzcat = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
-            h_prev = lc.h[t - 1] if t > 0 else np.zeros((batch, h))
-            d_w += dzcat.T @ layer_in[t]
-            d_u += dzcat.T @ h_prev
-            d_b += dzcat.sum(axis=0)
-            dx_seq[t] = dzcat @ w
-            dh_next = dzcat @ u
-        dh_seq = dx_seq
+        dz = _lstm_backward(
+            cache.lstm[j], layer_in, params.view(f"lstm{j}.W"),
+            params.view(f"lstm{j}.U"), dz, grad.view(f"lstm{j}.W"),
+            grad.view(f"lstm{j}.U"), grad.view(f"lstm{j}.b"), want_dx=j > 0)
 
     return grad.values
 

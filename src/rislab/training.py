@@ -142,6 +142,17 @@ class DistributedController(Controller):
             buf.push(joint[agent], rate)
         return buf.encode(self.head_sizes[agent])
 
+    def policy_fn(self, agent: int):
+        """Like Controller.policy_fn, but runs only this agent's net."""
+
+        def fn(history):
+            arch, params = self.nets[agent]
+            dists, _ = pol.forward(params, arch, self.encode_history(history, agent),
+                                   mode="eval")
+            return dists[0]
+
+        return fn
+
     def parameter_vectors(self):
         return [params.values for _, params in self.nets]
 

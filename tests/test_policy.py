@@ -134,21 +134,24 @@ def test_forward_matches_scalar_loop_reference():
         return 1.0 / (1.0 + np.exp(-v))
 
     x_seq = hist
+    layers = []
     for j, hsz in enumerate(arch.lstm_sizes):
         w = params.view(f"lstm{j}.W")
         u = params.view(f"lstm{j}.U")
         b = params.view(f"lstm{j}.b")
         h_prev = np.zeros(hsz)
         c_prev = np.zeros(hsz)
-        outs = []
+        steps = {k: [] for k in "ifgoch"}
         for t in range(4):
             z = w @ x_seq[t] + u @ h_prev + b
             i, f, g, o = (sig(z[:hsz]), sig(z[hsz:2 * hsz]),
                           np.tanh(z[2 * hsz:3 * hsz]), sig(z[3 * hsz:]))
             c_prev = f * c_prev + i * g
             h_prev = o * np.tanh(c_prev)
-            outs.append(h_prev)
-        x_seq = np.array(outs)
+            for k, v in zip("ifgoch", (i, f, g, o, c_prev, h_prev)):
+                steps[k].append(v)
+        layers.append({k: np.array(v) for k, v in steps.items()})
+        x_seq = layers[-1]["h"]
     z = x_seq[-1]
     for j in range(len(arch.trunk_sizes)):
         z = np.maximum(params.view(f"dense{j}.W") @ z + params.view(f"dense{j}.b"), 0.0)
@@ -156,8 +159,15 @@ def test_forward_matches_scalar_loop_reference():
     want = np.exp(logits - logits.max())
     want /= want.sum()
 
-    got, _ = forward(params, arch, hist, mode="eval")
+    got, cache = forward(params, arch, hist, mode="eval")
     np.testing.assert_allclose(got[0], want, rtol=1e-10)
+    # the cached per-slot gates and states are the loop's, slot by slot
+    for lc, ref in zip(cache.lstm, layers):
+        for k in "ifgoch":
+            np.testing.assert_allclose(getattr(lc, k)[:, 0, :], ref[k],
+                                       rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(lc.tc[:, 0, :], np.tanh(ref["c"]),
+                                   rtol=1e-12, atol=1e-15)
 
 
 def test_forward_shape_mismatch_raises():
@@ -404,6 +414,91 @@ def test_gradient_check_random_triples():
 
         fd = fd_gradient(score, params.values)
         assert max_rel_err(fd, got) < 1e-4
+
+
+@pytest.mark.parametrize("history_len", [4, 8])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("kind,heads", [("distributed", (3,)), ("centralized", (2, 3))])
+def test_backward_matches_finite_differences_batched_train(kind, heads, batch,
+                                                            history_len):
+    # a weighted batch in train mode: the stacked weight gradients, the
+    # recurrent term skipped at t = 0 and per-sample dropout masks at S > 1.
+    # Width-1 trunks and dropout often cut the gradient to the LSTM stack, so
+    # the seed is one where every LSTM layer's gradient clears the comparison
+    # floor of max_rel_err, which the test asserts
+    seed = {4: 45, 8: 6}[history_len]
+    arch = tiny_arch(kind=kind, heads=heads, f=3, h=history_len, p1=0.3, p2=0.3)
+    rng = np.random.default_rng(seed)
+    params = random_params(arch, rng)
+    hist = rng.normal(size=(batch, history_len, 3))
+    actions = [rng.integers(0, n, size=batch) for n in heads]
+    weights = rng.normal(size=batch)
+    _, cache = forward(params, arch, hist, mode="train", rng=np.random.default_rng(seed))
+    assert differentiable_at(cache)
+    got = backward(params, arch, cache, actions, weights)
+    grad = PolicyParams(values=got, layout=params.layout)
+    floor = 1e-5 * max(1.0, float(np.max(np.abs(got))))
+    for j in range(len(arch.lstm_sizes)):
+        assert np.max(np.abs(grad.view(f"lstm{j}.U"))) > floor
+
+    def score(values):
+        d, _ = forward(PolicyParams(values=values, layout=params.layout), arch,
+                       hist, mode="train", rng=np.random.default_rng(seed))
+        return sum(float(weights @ np.log(d[m][np.arange(batch), actions[m]]))
+                   for m in range(len(heads)))
+
+    fd = fd_gradient(score, params.values)
+    assert max_rel_err(fd, got) < 1e-4
+
+
+@pytest.mark.parametrize("kind,heads", [("distributed", (3,)), ("centralized", (2, 3))])
+def test_saturated_gates_raise_no_floating_point_error(kind, heads):
+    # LSTM pre-activations around 1e3 saturate every gate; the activation
+    # must neither overflow nor leave [0, 1], and gradients stay finite
+    arch = tiny_arch(kind=kind, heads=heads, f=3, h=8, p1=0.2, p2=0.2)
+    rng = np.random.default_rng(79)
+    params = random_params(arch, rng)
+    for j in range(len(arch.lstm_sizes)):
+        for part in "WUb":
+            params.view(f"lstm{j}.{part}")[...] *= 2000.0
+    hist = rng.normal(size=(5, 8, 3))
+    z0 = hist[:, 0, :] @ params.view("lstm0.W").T + params.view("lstm0.b")
+    assert np.max(np.abs(z0)) > 1e3
+    actions = [rng.integers(0, n, size=5) for n in heads]
+    with np.errstate(all="raise"):
+        for mode in ("eval", "train"):
+            dists, cache = forward(params, arch, hist, mode=mode,
+                                   rng=np.random.default_rng(80))
+            grad = backward(params, arch, cache, actions, np.ones(5))
+            for lc in cache.lstm:
+                for gate in (lc.i, lc.f, lc.o):
+                    assert np.all((gate >= 0.0) & (gate <= 1.0))
+                assert np.all(np.abs(lc.g) <= 1.0)
+            assert all(np.all(np.isfinite(d)) for d in dists)
+            assert np.all(np.isfinite(grad))
+
+
+def test_forward_cache_unchanged_by_later_forward():
+    # each pass owns its buffers: a later forward of the same shape must not
+    # rewrite an earlier cache, or its backward would differ
+    arch = tiny_arch(kind="centralized", heads=(3, 2), f=3, h=8, p1=0.2, p2=0.2)
+    rng = np.random.default_rng(81)
+    params = random_params(arch, rng)
+    acts = [rng.integers(0, n, size=4) for n in (3, 2)]
+    _, cache = forward(params, arch, rng.normal(size=(4, 8, 3)), mode="train",
+                       rng=np.random.default_rng(82))
+    arrays = [cache.inputs, cache.drop_lstm, cache.trunk_out, *cache.head_probs]
+    for lc in cache.lstm:
+        arrays += [lc.gates, lc.c, lc.tc, lc.h]
+    for layer_in, pre, mask in cache.trunk:
+        arrays += [layer_in, pre, mask]
+    saved = [a.copy() for a in arrays]
+    grad = backward(params, arch, cache, acts, 1.0)
+    forward(params, arch, rng.normal(size=(4, 8, 3)), mode="train",
+            rng=np.random.default_rng(83))
+    for a, b in zip(arrays, saved):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(backward(params, arch, cache, acts, 1.0), grad)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,33 @@ def test_training_sample_entry_reconstruction():
     assert sample.episodic_return == pytest.approx(0.9)
 
 
+def test_distributed_policy_fn_runs_only_its_own_net(monkeypatch):
+    # policy_fn(m) must equal the joint distributions()[m] exactly while
+    # running agent m's net alone: one forward per call, not one per agent
+    from rislab import policy as pol
+
+    ctrl = DistributedController((3, 2, 2), 4, np.random.default_rng(36))
+    randomize(ctrl, np.random.default_rng(37))
+    history = (((2, 0, 1), 0.4), ((0, 1, 1), 1.3), ((1, 1, 0), 0.2),
+               ((2, 1, 0), 0.9), ((0, 0, 1), 0.7))
+    calls = []
+    forward = pol.forward
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(pol, "forward", counting)
+    for cut in (0, 2, len(history)):
+        hist = history[:cut]
+        joint = ctrl.distributions(ctrl.buffers_from_history(hist))
+        for m in range(ctrl.n_agents):
+            calls.clear()
+            got = ctrl.policy_fn(m)(hist)
+            np.testing.assert_array_equal(got, joint[m])
+            assert len(calls) == 1 and calls[0] is ctrl.nets[m][1]
+
+
 # ---------------------------------------------------------------------------
 # gradient estimator
 
