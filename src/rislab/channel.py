@@ -1,8 +1,24 @@
 """Multi-ray mmWave channel engine: steering vectors, path gains, cascaded
-AP-RIS-UE channel matrices, beam/phase codebooks, and the log-det bitrate.
+AP-RIS-UE channels, beam/phase codebooks, and the log-det bitrate.
 
-All functions are pure and operate on float64/complex128 numpy arrays, so any
-number of threads may call them concurrently.
+Every link is a sum of L rays, H = sum_l amp_l a_tx,l a_rx,l^H, so the
+end-to-end channel direct + sum_g H_ap->ris,g diag(exp(j phi_g)) H_ris->ue,g
+has rank at most r = L * (1 + G) for G surfaces. `CascadedChannel` keeps it
+in that factored form, h = tx @ core @ rx^H: tx (N_a x r) holds the AP
+steering vectors of the direct and AP->RIS rays, rx (N_u x r) the UE
+steering vectors of the direct and RIS->UE rays, and the block-diagonal
+r x r core holds the ray amplitudes, with one L x L block per RIS that
+carries the surface's phase profile. The dense matrix `.h` is formed only
+when asked for.
+
+`achievable_rate` takes its determinant at size min(N_a, N_u, r). When r is
+the smallest, Sylvester's identity det(I + X Y) = det(I + Y X) moves the
+determinant onto the r x r core; otherwise it goes through the smaller
+Gram matrix of the dense channel.
+
+Steering vectors broadcast over an array of L angles, giving one row per
+angle. All functions are pure and operate on float64/complex128 numpy
+arrays, so any number of threads may call them concurrently.
 """
 
 from __future__ import annotations
@@ -163,90 +179,124 @@ class LinkBudget:
 
 @dataclass
 class CascadedChannel:
-    """End-to-end N_a x N_u matrix h and the per-path components it sums."""
+    """End-to-end channel in factored form h = tx @ core @ rx^H.
 
-    h: np.ndarray
-    direct: np.ndarray = None
-    via_ris: list = field(default_factory=list)
+    tx is N_a x r, core r x r and rx N_u x r; the N_a x N_u matrix `h` is
+    formed on first access and kept.
+    """
+
+    tx: np.ndarray
+    core: np.ndarray
+    rx: np.ndarray
+    _h: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def h(self) -> np.ndarray:
+        if self._h is None:
+            self._h = self.tx @ self.core @ self.rx.conj().T
+        return self._h
 
 
 # ---------------------------------------------------------------------------
 # steering vectors
 
 
-def steering_vector_ula(angle: float, n: int) -> np.ndarray:
-    """ULA response: element k = exp(j * ((n-1)/2 - k) * pi * cos(angle))."""
+def _phase_ramp(n: int) -> np.ndarray:
+    return ((n - 1) / 2.0 - np.arange(n)) * np.pi
+
+
+def steering_vector_ula(angle, n: int) -> np.ndarray:
+    """ULA response: element k = exp(j * ((n-1)/2 - k) * pi * cos(angle)).
+
+    A scalar angle gives shape (n,); an array of L angles gives (L, n).
+    """
     if n < 1:
         raise ValueError("array size must be >= 1")
-    k = np.arange(n)
-    return np.exp(1j * ((n - 1) / 2.0 - k) * np.pi * np.cos(angle))
+    return np.exp(1j * np.multiply.outer(np.cos(angle), _phase_ramp(n)))
 
 
-def steering_vector_upa(azimuth: float, elevation: float, n_h: int, n_v: int) -> np.ndarray:
+def steering_vector_upa(azimuth, elevation, n_h: int, n_v: int) -> np.ndarray:
     """UPA response: kron of the vertical vector (phase law cos(elevation))
-    with the horizontal vector (phase law cos(azimuth)*sin(elevation))."""
+    with the horizontal vector (phase law cos(azimuth)*sin(elevation)).
+
+    Scalar angles give shape (n_h*n_v,); arrays of L angles give (L, n_h*n_v).
+    """
     if n_h < 1 or n_v < 1:
         raise ValueError("array dimensions must be >= 1")
-    kv = np.arange(n_v)
-    kh = np.arange(n_h)
-    b_el = np.exp(1j * ((n_v - 1) / 2.0 - kv) * np.pi * np.cos(elevation))
-    b_az = np.exp(1j * ((n_h - 1) / 2.0 - kh) * np.pi * np.cos(azimuth) * np.sin(elevation))
-    return np.kron(b_el, b_az)
+    b_el = np.exp(1j * np.multiply.outer(np.cos(elevation), _phase_ramp(n_v)))
+    b_az = np.exp(1j * (np.multiply.outer(np.cos(azimuth), _phase_ramp(n_h))
+                        * np.sin(elevation)[..., None]))
+    return (b_el[..., :, None] * b_az[..., None, :]).reshape(b_el.shape[:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------
 # path gains
 
 
+def free_space_gain(distance, carrier_freq: float, exponent):
+    """rho = (c / 2 pi f_c)^2 * d^(-nu); broadcasts over distance and exponent."""
+    return (C_LIGHT / (2.0 * np.pi * carrier_freq)) ** 2 * distance ** (-exponent)
+
+
 def path_gain(profile: PathGainProfile, blocked: bool) -> float:
     """Large-scale power gain rho for one ray; NLoS slope when blocked."""
     nu = profile.exponent_nlos if blocked else profile.exponent_los
-    return (C_LIGHT / (2.0 * np.pi * profile.carrier_freq)) ** 2 * profile.distance ** (-nu)
-
-
-def _amplitudes(rays: list[Ray], profile: PathGainProfile) -> np.ndarray:
-    """Per-ray complex amplitudes gain_l * sqrt(rho_l)."""
-    return np.array([r.gain * math.sqrt(path_gain(profile, r.blocked)) for r in rays],
-                    dtype=complex)
+    return free_space_gain(profile.distance, profile.carrier_freq, nu)
 
 
 # ---------------------------------------------------------------------------
 # link matrices
 
 
+def multipath(tx_rows: np.ndarray, amps: np.ndarray, rx_rows: np.ndarray) -> np.ndarray:
+    """sum_l amps_l tx_l rx_l^H from (L, n_tx) and (L, n_rx) steering rows:
+    the n_tx x n_rx matrix of one multi-ray link."""
+    return (tx_rows * amps[:, None]).T @ rx_rows.conj()
+
+
+def _ray_arrays(rays: list[Ray], profile: PathGainProfile):
+    """Departure, arrival and elevation angles and the complex amplitudes
+    gain_l * sqrt(rho_l) of a ray list, one array each."""
+    if not rays:
+        raise ChannelShapeError("need at least one ray")
+    aod = np.array([r.aod for r in rays], dtype=float)
+    aoa = np.array([r.aoa for r in rays], dtype=float)
+    elevation = np.array([r.elevation for r in rays], dtype=float)
+    amps = np.array([r.gain * math.sqrt(path_gain(profile, r.blocked)) for r in rays],
+                    dtype=complex)
+    return aod, aoa, elevation, amps
+
+
 def channel_ris_to_ue(rays: list[Ray], gains: PathGainProfile,
                       geometry: ArrayGeometry, ris_index: int = 0) -> np.ndarray:
     """RIS-side UPA to UE-side ULA multi-ray matrix, shape N_g x N_u."""
-    if not rays:
-        raise ChannelShapeError("need at least one ray")
+    aod, aoa, elevation, amps = _ray_arrays(rays, gains)
     n_h, n_v = geometry.ris_shapes[ris_index]
-    amps = _amplitudes(rays, gains)
-    b_tx = np.column_stack([steering_vector_upa(r.aod, r.elevation, n_h, n_v) for r in rays])
-    a_rx = np.column_stack([steering_vector_ula(r.aoa, geometry.n_ue) for r in rays])
-    return b_tx @ np.diag(amps) @ a_rx.conj().T
+    return multipath(steering_vector_upa(aod, elevation, n_h, n_v), amps,
+                     steering_vector_ula(aoa, geometry.n_ue))
 
 
 def channel_ap_to_ris(rays: list[Ray], gains: PathGainProfile,
                       geometry: ArrayGeometry, ris_index: int = 0) -> np.ndarray:
     """AP-side ULA to RIS-side UPA multi-ray matrix, shape N_a x N_g."""
-    if not rays:
-        raise ChannelShapeError("need at least one ray")
+    aod, aoa, elevation, amps = _ray_arrays(rays, gains)
     n_h, n_v = geometry.ris_shapes[ris_index]
-    amps = _amplitudes(rays, gains)
-    a_tx = np.column_stack([steering_vector_ula(r.aod, geometry.n_ap) for r in rays])
-    b_rx = np.column_stack([steering_vector_upa(r.aoa, r.elevation, n_h, n_v) for r in rays])
-    return a_tx @ np.diag(amps) @ b_rx.conj().T
+    return multipath(steering_vector_ula(aod, geometry.n_ap), amps,
+                     steering_vector_upa(aoa, elevation, n_h, n_v))
 
 
 def channel_ap_to_ue(rays: list[Ray], gains: PathGainProfile,
                      geometry: ArrayGeometry) -> np.ndarray:
     """Direct AP to UE multi-ray matrix (ULA both ends), shape N_a x N_u."""
-    if not rays:
-        raise ChannelShapeError("need at least one ray")
-    amps = _amplitudes(rays, gains)
-    a_tx = np.column_stack([steering_vector_ula(r.aod, geometry.n_ap) for r in rays])
-    a_rx = np.column_stack([steering_vector_ula(r.aoa, geometry.n_ue) for r in rays])
-    return a_tx @ np.diag(amps) @ a_rx.conj().T
+    aod, aoa, _, amps = _ray_arrays(rays, gains)
+    return multipath(steering_vector_ula(aod, geometry.n_ap), amps,
+                     steering_vector_ula(aoa, geometry.n_ue))
+
+
+def ris_core(in_rows: np.ndarray, phases: np.ndarray, out_rows: np.ndarray) -> np.ndarray:
+    """L_in x L_out ray core of one RIS: entry (l, m) = b_in,l^H diag(exp(j*phases)) b_out,m
+    for the incident and departing UPA steering rows (L, N_g)."""
+    return (in_rows.conj() * np.exp(1j * phases)) @ out_rows.T
 
 
 def cascaded_channel(ap_ue: np.ndarray,
@@ -261,7 +311,6 @@ def cascaded_channel(ap_ue: np.ndarray,
         raise ChannelShapeError("ap_ue must be a matrix")
     n_a, n_u = ap_ue.shape
     total = ap_ue.copy()
-    components = []
     for ap_ris, phases, ris_ue in per_ris:
         ap_ris = np.asarray(ap_ris, dtype=complex)
         ris_ue = np.asarray(ris_ue, dtype=complex)
@@ -271,30 +320,50 @@ def cascaded_channel(ap_ue: np.ndarray,
             raise ChannelShapeError(
                 f"RIS leg shapes {ap_ris.shape} x diag({n_g}) x {ris_ue.shape} "
                 f"do not compose to {n_a}x{n_u}")
-        term = (ap_ris * np.exp(1j * phases)[None, :]) @ ris_ue
-        components.append(term)
-        total += term
-    return CascadedChannel(h=total, direct=ap_ue, via_ris=components)
+        total += (ap_ris * np.exp(1j * phases)[None, :]) @ ris_ue
+    eye = np.eye(n_u, dtype=complex)
+    return CascadedChannel(tx=total, core=eye, rx=eye)
 
 
 # ---------------------------------------------------------------------------
 # achievable rate
 
 
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("channel contains non-finite entries")
+
+
+def _dense_gram(mat: np.ndarray) -> np.ndarray:
+    """The smaller of H H^H and H^H H."""
+    return mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
+
+
 def achievable_rate(h, budget: LinkBudget) -> float:
     """Bitrate w * log2 det(I + q/(N_a w sigma^2) * H H^H) in bits/s.
 
-    Evaluated through the smaller of the two Gram matrices (the nonzero
-    eigenvalues of H H^H and H^H H coincide), using a stable slogdet.
+    The determinant is taken at size min(N_a, N_u, r), using a stable
+    slogdet. A factored channel whose rank bound r is the smallest gives
+    det(I_r + c * core Gr core^H Gt), with Gt = tx^H tx and Gr = rx^H rx;
+    otherwise the smaller of the two dense Gram matrices is used (the
+    nonzero eigenvalues of H H^H and H^H H coincide).
     """
-    mat = h.h if isinstance(h, CascadedChannel) else np.asarray(h, dtype=complex)
-    if mat.ndim != 2:
-        raise ChannelShapeError("channel must be a matrix")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-        raise ValueError("channel contains non-finite entries")
-    n_a = mat.shape[0]
+    if isinstance(h, CascadedChannel):
+        _require_finite(h.tx, h.core, h.rx)
+        n_a = h.tx.shape[0]
+        if h.core.shape[0] < min(n_a, h.rx.shape[0]):
+            core_gr = h.core @ (h.rx.conj().T @ h.rx) @ h.core.conj().T
+            gram = core_gr @ (h.tx.conj().T @ h.tx)
+        else:
+            gram = _dense_gram(h.h)
+    else:
+        mat = np.asarray(h, dtype=complex)
+        if mat.ndim != 2:
+            raise ChannelShapeError("channel must be a matrix")
+        _require_finite(mat)
+        n_a = mat.shape[0]
+        gram = _dense_gram(mat)
     c = budget.tx_power / (n_a * budget.bandwidth * budget.noise_density)
-    gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
     gram = np.where(np.abs(gram) < 1e-300, 0.0, gram)  # flush denormals
     sign, logdet = np.linalg.slogdet(np.eye(gram.shape[0]) + c * gram)
     rate = budget.bandwidth * logdet / math.log(2.0)

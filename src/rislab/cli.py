@@ -152,7 +152,7 @@ PROFILES = {
         "n_ap": 128, "n_ue": 64, "ris_h": 8, "ris_v": 8,
         "noise_dbm_hz": -88.0, "exponent_nlos": 4.0, "rate_norm_max": 20.0,
         "p_block": 0.1, "p_unblock": 0.4, "scatter_var": 0.1,
-        "learning_rate": 0.01, "n_phases": 11, "rate_norm_max": 20.0, "minibatch": 32,
+        "learning_rate": 0.01, "n_phases": 11, "minibatch": 32,
         "seed_episodes": 32, "offline_epochs": 20,
     },
     "toy": {

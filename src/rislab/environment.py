@@ -14,24 +14,27 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
+# The leg builders and cascaded_channel are no longer called here but stay
+# bound in this namespace, where perfbench's tracer looks them up.
+from .channel import (  # noqa: F401
     ArrayGeometry,
     BeamCodebook,
     CascadedChannel,
     LinkBudget,
-    PathGainProfile,
     PhaseCodebook,
-    Ray,
     achievable_rate,
-    beam_alignment_gain,
     cascaded_channel,
     channel_ap_to_ris,
     channel_ap_to_ue,
     channel_ris_to_ue,
+    free_space_gain,
+    ris_core,
+    steering_vector_ula,
+    steering_vector_upa,
 )
 
 
@@ -397,25 +400,18 @@ def _wrap(angle: float) -> float:
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
-def _link_rays(scn: Scenario, state: EnvState, link: int, los_blocked: bool,
-               los_aod: float, los_aoa: float, beam_angle=None) -> list[Ray]:
-    """LoS-capable ray plus the scattered NLoS rays of one link; when the
-    link departs from the AP, amplitudes carry the beam-alignment factor."""
-    rays = [Ray(blocked=los_blocked, gain=1.0, aod=los_aod, aoa=los_aoa)]
-    for ell in range(scn.cfg.n_rays - 1):
-        rays.append(Ray(blocked=True,
-                        gain=complex(state.scatter_gains[link, ell]),
-                        aod=float(state.scatter_aod[link, ell]),
-                        aoa=float(state.scatter_aoa[link, ell]),
-                        elevation=float(state.scatter_elev[link, ell])))
-    if beam_angle is not None:
-        rays = [replace(r, gain=r.gain * beam_alignment_gain(
-            beam_angle, r.aod, scn.geometry.n_ap)) for r in rays]
-    return rays
-
-
 def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> CascadedChannel:
-    """Assemble the end-to-end matrix for the current state and actions."""
+    """Assemble the end-to-end channel for the current state and actions.
+
+    Links are numbered ap_ue, then (ap_ris, ris_ue) per RIS, as in the
+    state's scatter arrays. Each has a LoS-capable ray (gain 1, elevation
+    pi/2) and n_rays - 1 scattered rays that always take the NLoS exponent;
+    rays leaving the AP are scaled by the beam-alignment factor
+    |a(beam)^H a(aod)| / N_a. The result is factored over the rays: tx
+    holds the AP steering rows of the direct and AP->RIS rays, rx the UE
+    rows of the direct and RIS->UE rays, and the core their amplitudes and,
+    per RIS, the phase-carrying ray core.
+    """
     if not 0 <= actions.ap_beam < len(scn.beams):
         raise IndexError(f"beam index {actions.ap_beam} outside codebook")
     if len(actions.ris_phases) != scn.geometry.n_ris:
@@ -424,43 +420,51 @@ def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> Cas
         if not 0 <= b < len(scn.phases):
             raise IndexError(f"phase index {b} outside codebook")
 
-    beam_angle = scn.beams.angles[actions.ap_beam]
     grid, geo, cfg = scn.grid, scn.geometry, scn.cfg
-    user = state.user_cell
+    ap, user = grid.ap_cell, state.user_cell
+    n_links, n_rays = 1 + 2 * geo.n_ris, cfg.n_rays
 
-    ap_ue_blocked = scn.dark.at(user) or bool(state.chain_blocked[0])
-    rays = _link_rays(scn, state, 0, ap_ue_blocked,
-                      los_aod=scn.bearing(grid.ap_cell, user),
-                      los_aoa=_wrap(scn.bearing(user, grid.ap_cell) - state.orientation),
-                      beam_angle=beam_angle)
-    profile = PathGainProfile(distance=scn.distance(grid.ap_cell, user),
-                              carrier_freq=cfg.carrier_freq,
-                              exponent_los=cfg.exponent_los,
-                              exponent_nlos=cfg.exponent_nlos)
-    direct = channel_ap_to_ue(rays, profile, geo)
+    # per link: LoS blockage, LoS departure/arrival bearings, distance
+    los_blocked = [scn.dark.at(user) or bool(state.chain_blocked[0])]
+    los_aod = [scn.bearing(ap, user)]
+    los_aoa = [_wrap(scn.bearing(user, ap) - state.orientation)]
+    dist = [scn.distance(ap, user)]
+    for g, ris in enumerate(grid.ris_cells):
+        los_blocked += [scn.ap_ris_blocked[g],
+                        scn.ris_shadow[g].at(user) or bool(state.chain_blocked[1 + g])]
+        los_aod += [scn.bearing(ap, ris), scn.bearing(ris, user)]
+        los_aoa += [scn.bearing(ris, ap), _wrap(scn.bearing(user, ris) - state.orientation)]
+        dist += [scn.distance(ap, ris), scn.distance(ris, user)]
 
-    legs = []
-    for g, ris_cell in enumerate(grid.ris_cells):
-        rays_in = _link_rays(scn, state, 1 + 2 * g, scn.ap_ris_blocked[g],
-                             los_aod=scn.bearing(grid.ap_cell, ris_cell),
-                             los_aoa=scn.bearing(ris_cell, grid.ap_cell),
-                             beam_angle=beam_angle)
-        prof_in = PathGainProfile(distance=scn.distance(grid.ap_cell, ris_cell),
-                                  carrier_freq=cfg.carrier_freq,
-                                  exponent_los=cfg.exponent_los,
-                                  exponent_nlos=cfg.exponent_nlos)
-        ris_ue_blocked = scn.ris_shadow[g].at(user) or bool(state.chain_blocked[1 + g])
-        rays_out = _link_rays(scn, state, 2 + 2 * g, ris_ue_blocked,
-                              los_aod=scn.bearing(ris_cell, user),
-                              los_aoa=_wrap(scn.bearing(user, ris_cell) - state.orientation))
-        prof_out = PathGainProfile(distance=scn.distance(ris_cell, user),
-                                   carrier_freq=cfg.carrier_freq,
-                                   exponent_los=cfg.exponent_los,
-                                   exponent_nlos=cfg.exponent_nlos)
-        legs.append((channel_ap_to_ris(rays_in, prof_in, geo, ris_index=g),
-                     np.asarray(scn.phases.entries[actions.ris_phases[g]]),
-                     channel_ris_to_ue(rays_out, prof_out, geo, ris_index=g)))
-    return cascaded_channel(direct, legs)
+    # (n_links, n_rays) ray arrays, LoS ray first
+    blocked = np.ones((n_links, n_rays), dtype=bool)
+    blocked[:, 0] = los_blocked
+    aod = np.column_stack([los_aod, state.scatter_aod])
+    aoa = np.column_stack([los_aoa, state.scatter_aoa])
+    elev = np.column_stack([np.full(n_links, np.pi / 2), state.scatter_elev])
+    gains = np.column_stack([np.ones(n_links), state.scatter_gains])
+    nu = np.where(blocked, cfg.exponent_nlos, cfg.exponent_los)
+    amps = gains * np.sqrt(free_space_gain(np.array(dist)[:, None], cfg.carrier_freq, nu))
+
+    from_ap, to_ue = [0, *range(1, n_links, 2)], [0, *range(2, n_links, 2)]
+    tx_rows = steering_vector_ula(aod[from_ap].ravel(), geo.n_ap)
+    rx_rows = steering_vector_ula(aoa[to_ue].ravel(), geo.n_ue)
+    beam = steering_vector_ula(scn.beams.angles[actions.ap_beam], geo.n_ap)
+    tx_amps = amps[from_ap].ravel() * (np.abs(tx_rows @ beam.conj()) / geo.n_ap)
+    rx_amps = np.concatenate([np.ones(n_rays), amps[to_ue[1:]].ravel()])
+
+    core = np.zeros((tx_rows.shape[0],) * 2, dtype=complex)
+    core[:n_rays, :n_rays] = np.eye(n_rays)
+    for g, b in enumerate(actions.ris_phases):
+        n_h, n_v = geo.ris_shapes[g]
+        ris_in, ris_out = 1 + 2 * g, 2 + 2 * g
+        rows = steering_vector_upa(np.concatenate([aoa[ris_in], aod[ris_out]]),
+                                   np.concatenate([elev[ris_in], elev[ris_out]]), n_h, n_v)
+        blk = slice((1 + g) * n_rays, (2 + g) * n_rays)
+        core[blk, blk] = ris_core(rows[:n_rays], np.asarray(scn.phases.entries[b]),
+                                  rows[n_rays:])
+    core *= tx_amps[:, None] * rx_amps[None, :]
+    return CascadedChannel(tx=tx_rows.T, core=core, rx=rx_rows.T)
 
 
 def env_step(scn: Scenario, state: EnvState, actions: ActionProfile,

@@ -483,11 +483,11 @@ def train(env, controller: Controller, config: TrainConfig,
     clip_events = 0
     update = 0
     j_history: list[float] = []
+    clamps_seen = pol.clamp_events.value
 
     def do_update():
-        nonlocal update, clip_events
+        nonlocal update, clip_events, clamps_seen
         batch = store.minibatch(config.minibatch, rng_batch)
-        pol.clamp_events.reset()
         grads = estimate_gradient(controller, batch, config.mu,
                                   config.eq14_literal, rng=rng_dropout)
         norm, clipped = _apply_update(controller, grads, config)
@@ -496,11 +496,13 @@ def train(env, controller: Controller, config: TrainConfig,
         j_est = surrogate_return(returns, config.mu)
         j_history.append(j_est)
         update += 1
+        # probability-floor clamps since the previous row, collection included
+        clamps = pol.clamp_events.value - clamps_seen
+        clamps_seen = pol.clamp_events.value
         curves.append(CurveRow(update=update, j_estimate=j_est,
                                mean_rate=float(returns.mean()),
                                rate_variance=float(returns.var()),
-                               grad_norm=norm,
-                               clamps=pol.clamp_events.value))
+                               grad_norm=norm, clamps=clamps))
 
     # Phase II: seed replay + offline epochs. A systematic sweep of the
     # joint action space gives the offline phase balanced per-action return

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rislab.channel import (
     ArrayGeometry,
@@ -116,6 +118,23 @@ def test_steering_entries_unit_modulus(n):
         assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
         u = steering_vector_upa(rng.uniform(-np.pi, np.pi), rng.uniform(0, np.pi), n, 2)
         assert np.max(np.abs(np.abs(u) - 1.0)) < 1e-12
+
+
+def test_batched_steering_rows_equal_scalar_calls():
+    rng = np.random.default_rng(8)
+    az = rng.uniform(-np.pi, np.pi, size=5)
+    el = rng.uniform(0.1, np.pi - 0.1, size=5)
+    for n in (1, 4, 7):
+        got = steering_vector_ula(az, n)
+        assert got.shape == (5, n)
+        np.testing.assert_allclose(got, np.stack([steering_vector_ula(a, n) for a in az]),
+                                   rtol=1e-15)
+    for n_h, n_v in ((1, 1), (2, 3), (8, 8)):
+        got = steering_vector_upa(az, el, n_h, n_v)
+        assert got.shape == (5, n_h * n_v)
+        want = np.stack([steering_vector_upa(a, e, n_h, n_v) for a, e in zip(az, el)])
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+    assert steering_vector_ula(az[:0], 3).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +347,100 @@ def test_rate_rejects_nonfinite():
     h = np.array([[np.inf, 0], [0, 1]], dtype=complex)
     with pytest.raises(ValueError):
         achievable_rate(h, BUDGET)
+
+
+def random_factored(rng, n_a, n_u, r, scale=1.0):
+    def cgauss(*shape):
+        return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    return CascadedChannel(tx=cgauss(n_a, r), core=cgauss(r, r), rx=cgauss(n_u, r))
+
+
+@pytest.mark.parametrize("n_a,n_u,r", [(6, 4, 2), (6, 4, 3), (6, 4, 4), (6, 4, 5),
+                                       (3, 5, 2), (3, 5, 3), (128, 64, 9), (8, 4, 9)])
+def test_factored_rate_equals_dense_rate(n_a, n_u, r):
+    # r < min(N_a, N_u) takes the r x r core; otherwise the dense Gram
+    rng = np.random.default_rng(37)
+    budget = LinkBudget(tx_power=2.0, bandwidth=3.0, noise_density=0.7)
+    for _ in range(20):
+        chan = random_factored(rng, n_a, n_u, r, scale=rng.uniform(0.05, 2.0))
+        dense = chan.tx @ chan.core @ chan.rx.conj().T
+        np.testing.assert_allclose(chan.h, dense, rtol=1e-13)
+        want = achievable_rate(dense, budget)
+        assert achievable_rate(chan, budget) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [2, 5])
+@pytest.mark.parametrize("factor", ["tx", "core", "rx"])
+def test_rate_rejects_nonfinite_factors(factor, r):
+    chan = random_factored(np.random.default_rng(41), 4, 3, r)
+    getattr(chan, factor)[0, 1] = np.nan if factor == "core" else np.inf
+    with pytest.raises(ValueError):
+        achievable_rate(chan, BUDGET)
+
+
+# ---------------------------------------------------------------------------
+# achievable rate: properties
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rate_tol(h, budget):
+    """Tolerance of a slogdet rate: relative, plus the roundoff of a
+    determinant whose matrix has norm c * ||H||_F^2, which dominates when H
+    is rank deficient with a large gain."""
+    c = budget.tx_power / (h.shape[0] * budget.bandwidth * budget.noise_density)
+    gram_norm = c * float(np.sum(np.abs(h) ** 2))
+    return dict(rel=1e-9, abs=1e-14 * budget.bandwidth * (1.0 + gram_norm))
+
+
+channel_cases = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 7),
+                          st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(channel_cases)
+def test_rate_invariant_under_unitary_rotations(case):
+    n_a, n_u, r, seed, log_scale = case
+    rng = np.random.default_rng(seed)
+    chan = random_factored(rng, n_a, n_u, r, scale=10.0 ** log_scale)
+    u, v = random_unitary(rng, n_a), random_unitary(rng, n_u)
+    want = achievable_rate(chan.h, BUDGET)
+    tol = rate_tol(chan.h, BUDGET)
+    assert achievable_rate(u @ chan.h, BUDGET) == pytest.approx(want, **tol)
+    assert achievable_rate(chan.h @ v, BUDGET) == pytest.approx(want, **tol)
+    rotated = CascadedChannel(tx=u @ chan.tx, core=chan.core, rx=v.conj().T @ chan.rx)
+    assert achievable_rate(rotated, BUDGET) == pytest.approx(
+        achievable_rate(u @ chan.h @ v, BUDGET), **tol)
+    assert achievable_rate(rotated, BUDGET) == pytest.approx(want, **tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(channel_cases, st.floats(1.0, 8.0))
+def test_rate_monotone_in_power_antitone_in_noise(case, factor):
+    n_a, n_u, r, seed, log_scale = case
+    chan = random_factored(np.random.default_rng(seed), n_a, n_u, r, scale=10.0 ** log_scale)
+    base = LinkBudget(tx_power=1.0, bandwidth=2.0, noise_density=0.5)
+    loud = LinkBudget(tx_power=factor, bandwidth=2.0, noise_density=0.5)
+    noisy = LinkBudget(tx_power=1.0, bandwidth=2.0, noise_density=0.5 * factor)
+    rate = achievable_rate(chan, base)
+    slack = 2 * rate_tol(chan.h, loud)["abs"]
+    assert achievable_rate(chan, loud) >= rate - slack
+    assert achievable_rate(chan, noisy) <= rate + slack
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(channel_cases)
+def test_rate_factored_equals_dense_and_never_negative(case):
+    n_a, n_u, r, seed, log_scale = case
+    chan = random_factored(np.random.default_rng(seed), n_a, n_u, r, scale=10.0 ** log_scale)
+    got = achievable_rate(chan, BUDGET)
+    want = achievable_rate(chan.h, BUDGET)
+    assert got >= 0.0 and want >= 0.0
+    assert got == pytest.approx(want, **rate_tol(chan.h, BUDGET))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from rislab import cli
 from rislab.channel import (
+    C_LIGHT,
     ArrayGeometry,
     LinkBudget,
     achievable_rate,
@@ -241,6 +243,134 @@ def test_frozen_state_reward_matches_channel_module():
     want = achievable_rate(build_channel(scn, state, actions), scn.budget)
     got, _ = env_step(scn, state, actions, np.random.default_rng(0))
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# end-to-end channel assembly against a ray-by-ray oracle
+
+
+def _ula_oracle(angle, n):
+    phases = [((n - 1) / 2 - k) * math.pi * math.cos(angle) for k in range(n)]
+    return np.array([complex(math.cos(p), math.sin(p)) for p in phases])
+
+
+def _upa_oracle(azimuth, elevation, n_h, n_v):
+    out = np.zeros(n_h * n_v, dtype=complex)
+    for kv in range(n_v):
+        for kh in range(n_h):
+            p = math.pi * (((n_v - 1) / 2 - kv) * math.cos(elevation)
+                           + ((n_h - 1) / 2 - kh) * math.cos(azimuth) * math.sin(elevation))
+            out[kv * n_h + kh] = complex(math.cos(p), math.sin(p))
+    return out
+
+
+def channel_oracle(scn, state, actions):
+    """End-to-end N_a x N_u matrix of the ray model, summed ray by ray and,
+    through each RIS, element by element. Every link has a LoS-capable ray
+    (gain 1, elevation pi/2) and n_rays - 1 scattered NLoS rays; rays leaving
+    the AP are scaled by |a(beam)^H a(aod)| / N_a."""
+    grid, geo, cfg = scn.grid, scn.geometry, scn.cfg
+    user, size = state.user_cell, grid.cell_size
+    beam = _ula_oracle(scn.beams.angles[actions.ap_beam], geo.n_ap)
+
+    def center(cell):
+        return (cell[0] + 0.5) * size, (cell[1] + 0.5) * size
+
+    def bearing(a, b):
+        (ax, ay), (bx, by) = center(a), center(b)
+        return math.atan2(by - ay, bx - ax)
+
+    def distance(a, b):
+        (ax, ay), (bx, by) = center(a), center(b)
+        return max(math.hypot(bx - ax, by - ay), 0.5 * size)
+
+    def wrap(angle):
+        return math.atan2(math.sin(angle), math.cos(angle))
+
+    def rays(link, los_blocked, los_aod, los_aoa):
+        out = [(los_blocked, 1.0, los_aod, los_aoa, math.pi / 2)]
+        for ell in range(cfg.n_rays - 1):
+            out.append((True, complex(state.scatter_gains[link, ell]),
+                        float(state.scatter_aod[link, ell]),
+                        float(state.scatter_aoa[link, ell]),
+                        float(state.scatter_elev[link, ell])))
+        return out
+
+    def amplitude(blocked, gain, dist, aod, from_ap):
+        nu = cfg.exponent_nlos if blocked else cfg.exponent_los
+        rho = (C_LIGHT / (2 * math.pi * cfg.carrier_freq)) ** 2 * dist ** (-nu)
+        amp = gain * math.sqrt(rho)
+        if from_ap:
+            tx = _ula_oracle(aod, geo.n_ap)
+            amp *= abs(sum(beam[k].conjugate() * tx[k] for k in range(geo.n_ap))) / geo.n_ap
+        return amp
+
+    ap = grid.ap_cell
+    h = np.zeros((geo.n_ap, geo.n_ue), dtype=complex)
+    blocked = scn.dark.at(user) or bool(state.chain_blocked[0])
+    d = distance(ap, user)
+    for b, gain, aod, aoa, _ in rays(0, blocked, bearing(ap, user),
+                                     wrap(bearing(user, ap) - state.orientation)):
+        h += amplitude(b, gain, d, aod, True) * np.outer(
+            _ula_oracle(aod, geo.n_ap), _ula_oracle(aoa, geo.n_ue).conj())
+    for g, ris in enumerate(grid.ris_cells):
+        n_h, n_v = geo.ris_shapes[g]
+        h_in = np.zeros((geo.n_ap, n_h * n_v), dtype=complex)
+        d = distance(ap, ris)
+        for b, gain, aod, aoa, el in rays(1 + 2 * g, scn.ap_ris_blocked[g],
+                                          bearing(ap, ris), bearing(ris, ap)):
+            h_in += amplitude(b, gain, d, aod, True) * np.outer(
+                _ula_oracle(aod, geo.n_ap), _upa_oracle(aoa, el, n_h, n_v).conj())
+        h_out = np.zeros((n_h * n_v, geo.n_ue), dtype=complex)
+        blocked = scn.ris_shadow[g].at(user) or bool(state.chain_blocked[1 + g])
+        d = distance(ris, user)
+        for b, gain, aod, aoa, el in rays(2 + 2 * g, blocked, bearing(ris, user),
+                                          wrap(bearing(user, ris) - state.orientation)):
+            h_out += amplitude(b, gain, d, aod, False) * np.outer(
+                _upa_oracle(aod, el, n_h, n_v), _ula_oracle(aoa, geo.n_ue).conj())
+        phases = scn.phases.entries[actions.ris_phases[g]]
+        for n in range(n_h * n_v):
+            h += complex(math.cos(phases[n]), math.sin(phases[n])) * np.outer(h_in[:, n],
+                                                                             h_out[n, :])
+    return h
+
+
+def _paper_array_scenario():
+    geo = ArrayGeometry(n_ap=128, n_ue=64, ris_shapes=((8, 8), (8, 8)))
+    return Scenario(grid=desk_grid(), geometry=geo,
+                    budget=LinkBudget(tx_power=1.0, bandwidth=1.0, noise_density=1e-16),
+                    beams=build_beam_codebook(8),
+                    phases=build_phase_codebook(geo, np.pi / 5, (-np.pi / 2, np.pi / 2),
+                                                default_phase_directions(11)),
+                    cfg=EnvConfig(n_rays=3))
+
+
+@pytest.mark.parametrize("make_scenario", [
+    lambda: small_scenario(n_rays=1),
+    lambda: small_scenario(n_rays=2),
+    lambda: small_scenario(n_rays=3),
+    lambda: cli.build_scenario(cli.profile_config("desk")),
+    _paper_array_scenario,
+], ids=["small-1ray", "small-2ray", "small-3ray", "desk", "128x64-8x8"])
+def test_build_channel_matches_ray_oracle(make_scenario):
+    scn = make_scenario()
+    # lit; dark only; shadowed from RIS 0 only; from RIS 1 only; dark and
+    # shadowed from both; at the AP cell; at a RIS cell
+    cells = [(0, 1), (5, 2), (1, 3), (1, 1), (4, 2), (0, 2), (3, 4)]
+    assert not scn.dark.at((0, 1)) and scn.dark.at((5, 2))
+    assert scn.ris_shadow[0].at((1, 3)) and not scn.ris_shadow[1].at((1, 3))
+    assert scn.ris_shadow[1].at((1, 1)) and not scn.ris_shadow[0].at((1, 1))
+    rng = np.random.default_rng(12)
+    for cell in cells:
+        for chains in ([0, 0, 0], [1, 0, 1], [0, 1, 0], [1, 1, 1]):
+            state = initial_state(scn, rng, user_cell=cell)
+            state.chain_blocked[:] = chains
+            actions = ActionProfile(int(rng.integers(len(scn.beams))),
+                                    tuple(int(b) for b in rng.integers(len(scn.phases), size=2)))
+            got = build_channel(scn, state, actions).h
+            want = channel_oracle(scn, state, actions)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
 
 
 def test_dark_cell_blocks_direct_ray_always():

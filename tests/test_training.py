@@ -316,6 +316,18 @@ def test_train_reproducible_curves():
     assert run() == run()
 
 
+def test_train_curve_counts_collection_clamps():
+    # +-60 head biases put action 1 of every agent below the 1e-12 floor;
+    # the seed sweep still forces it in half of the 16 x 2 seed slots per
+    # agent, so the first row counts 32 clamps raised during collection
+    cfg = toy_config(learning_rate=0.0, max_updates=3)
+    ctrl = make_controller(cfg, (2, 2), np.random.default_rng(5))
+    for _, params in ctrl.nets:
+        params.view("head0.b")[...] = [60.0, -60.0]
+    res = train(ToyGameEnvironment(toy_game(), seed=6), ctrl, cfg)
+    assert [row.clamps for row in res.curves] == [32] + [0] * (len(res.curves) - 1)
+
+
 def test_train_improves_toy_objective():
     cfg = toy_config(learning_rate=0.3, max_updates=400, seed=3)
     ctrl = make_controller(cfg, (2, 2), np.random.default_rng(cfg.seed))
