@@ -123,10 +123,6 @@ class PhaseCodebook:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def matrix(self, b: int) -> np.ndarray:
-        """Diagonal unit-modulus matrix of entry b."""
-        return np.diag(np.exp(1j * np.asarray(self.entries[b], dtype=float)))
-
 
 @dataclass(frozen=True)
 class Ray:

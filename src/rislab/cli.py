@@ -2,7 +2,7 @@
 ingestion, training, evaluation sweeps, oracle comparisons, and benchmark
 tables, all emitted as CSV plus gnuplot scripts.
 
-Config files are flat `key value` lines (see README for the schema); every
+Config files are flat `key value` lines (`_KEY_ALIASES` is the schema); every
 emitted metric CSV starts with a manifest comment carrying the config hash
 and seed, and all writes go through a temp-file rename so reruns are atomic
 and byte-identical under a fixed (config, seed).
@@ -49,7 +49,6 @@ from .oracle import (
     enumerate_exact_J,
     frozen_toy_game,
     optimal_policy,
-    own_history,
     policy_rmse_multi,
     uniform_policies,
 )
@@ -168,13 +167,9 @@ PROFILES = {
 # synthetic frozen toy: one clearly-best joint action, the compare benchmark
 TOY_RATES = {(0, 0): 0.3, (0, 1): 0.6, (1, 0): 0.2, (1, 1): 2.0}
 
-_BOOL_KEYS = {"eq14_literal"}
-_INT_KEYS = {"seed", "n_ap", "n_ue", "ris_h", "ris_v", "n_rays", "n_beams",
-             "n_phases", "horizon", "history_len", "minibatch",
-             "seed_episodes", "offline_epochs", "max_updates",
-             "convergence_window", "polish_steps", "n_trajectories",
-             "trajectory_len", "eval_episodes", "eval_warmup"}
-_STR_KEYS = {"profile", "scenario", "mode"}
+# field name -> annotation, a string ("int", "float", ...) under
+# `from __future__ import annotations`
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 _KEY_ALIASES = {
     "channel.fc_hz": "fc_hz", "channel.bandwidth_hz": "bandwidth_hz",
@@ -206,18 +201,19 @@ _KEY_ALIASES = {
 
 
 def _parse_value(key: str, raw: str, lineno: int):
+    kind = _FIELD_TYPES[key]
     try:
-        if key == "obstacle_counts":
+        if kind == "tuple":
             return tuple(int(v) for v in raw.split(","))
-        if key in _BOOL_KEYS:
+        if kind == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"expected a boolean, got {raw!r}")
-        if key in _STR_KEYS:
+        if kind == "str":
             return raw
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(raw)
         return float(raw)
     except ValueError as exc:
@@ -302,18 +298,8 @@ def build_scenario(cfg: ExperimentConfig, grid=None) -> Scenario:
 
 
 def train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(mode=cfg.mode, mu=cfg.mu, horizon=cfg.horizon,
-                       history_len=cfg.history_len,
-                       learning_rate=cfg.learning_rate,
-                       minibatch=cfg.minibatch, seed_episodes=cfg.seed_episodes,
-                       offline_epochs=cfg.offline_epochs,
-                       max_updates=cfg.max_updates,
-                       convergence_window=cfg.convergence_window,
-                       convergence_tol=cfg.convergence_tol,
-                       eq14_literal=cfg.eq14_literal,
-                       dropout_lstm=cfg.dropout_lstm,
-                       dropout_dense=cfg.dropout_dense,
-                       grad_clip=cfg.grad_clip, seed=cfg.seed)
+    return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)
+                          if f.name in _FIELD_TYPES})
 
 
 def builtin_toy_game(cfg: ExperimentConfig):
@@ -425,10 +411,6 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
                  json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path} ({manifest['rows']} rows)")
     return 0
-
-
-def _toy_policies(controller):
-    return [controller.policy_fn(m) for m in range(controller.n_agents)]
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir, dataset=None) -> int:
@@ -545,7 +527,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
         controller = make_controller(tc, (2, 2), np.random.default_rng(cfg.seed))
     else:
         controller = load_controller(cfg, checkpoint_dir, (2, 2))
-    policies = _toy_policies(controller)
+    policies = [controller.policy_fn(m) for m in range(controller.n_agents)]
     best = optimal_policy(game, cfg.mu)
 
     # histories the policies are compared over: every reachable global
@@ -557,17 +539,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
             hists.add(h)
     hists = sorted(hists, key=lambda h: (len(h), str(h)))
 
-    def optimal_fn(agent):
-        def fn(hist):
-            slot = len(hist)
-            out = np.zeros(len(game.action_sets[agent]))
-            out[best.sequence[min(slot, game.horizon - 1)][agent]] = 1.0
-            return out
-
-        return fn
-
-    opt_policies = [optimal_fn(m) for m in range(game.n_agents)]
-    rmse = policy_rmse_multi(policies, opt_policies,
+    rmse = policy_rmse_multi(policies, best.policy_fns(game),
                              [hists] * game.n_agents)
     j_policy = enumerate_exact_J(game, policies, cfg.mu)
     gap = 0.0 if best.j_star == 0 else 100.0 * (best.j_star - j_policy) / abs(best.j_star)

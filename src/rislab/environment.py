@@ -239,11 +239,6 @@ class HistoryBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def copy(self) -> "HistoryBuffer":
-        out = HistoryBuffer(self.capacity)
-        out._entries.extend(self._entries)
-        return out
-
     def encode(self, n_actions: int) -> np.ndarray:
         """(H, n_actions + 1) features: one-hot of the action then the rate.
         Missing leading slots encode as all-zero rows."""

@@ -8,10 +8,17 @@ is computed by full enumeration, independent of the training stack. Policies
 enter as plain callables mapping the global episode history, a tuple of
 (joint-action tuple, rate) pairs, to the agent's probability vector; an
 agent's own view is the projection own_history(hist, m).
+
+enumerate_trajectories is the one walk over the game tree. An open-loop
+sequence, a closed-loop tree and a Nash deviation are one-hot policies
+scored through it; deterministic_assignments enumerates them over the
+nodes each one reaches. policy_table memoizes policies per oracle call, so
+a policy held fixed runs once per history.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -96,24 +103,6 @@ def frozen_toy_game(rate_of_joint: dict, n_beams: int, n_phases: int,
                    transitions={}, frozen=True)
 
 
-def toy_game_from_scenario(scn, state, horizon: int) -> ToyGame:
-    """Tabulate a frozen snapshot of the real environment: normalized rate of
-    every joint action at the given EnvState."""
-    from .channel import achievable_rate
-    from .environment import ActionProfile, build_channel
-
-    denom = scn.budget.bandwidth * scn.cfg.rate_norm_max
-    table = {}
-    beams = range(len(scn.beams))
-    phase_sets = [range(len(scn.phases))] * scn.geometry.n_ris
-    for joint in product(beams, *phase_sets):
-        actions = ActionProfile(ap_beam=joint[0], ris_phases=tuple(joint[1:]))
-        rate = achievable_rate(build_channel(scn, state, actions), scn.budget)
-        table[joint] = rate / denom
-    return frozen_toy_game(table, len(scn.beams), len(scn.phases),
-                           scn.geometry.n_ris, horizon)
-
-
 # ---------------------------------------------------------------------------
 # trajectory enumeration
 
@@ -137,6 +126,30 @@ def uniform_policies(game: ToyGame) -> list:
         return lambda hist: np.full(n, 1.0 / n)
 
     return [make(n) for n in sizes]
+
+
+def policy_table(policy_fns) -> list:
+    """Wrap each policy in a lazy table of its outputs keyed by history, so
+    every policy runs once per history. Build one per oracle call: the
+    parameters behind a policy may change between calls."""
+    return [functools.cache(fn) for fn in policy_fns]
+
+
+def onehot_policy(n_actions: int, choose):
+    """Deterministic policy playing action choose(hist)."""
+
+    def fn(hist):
+        out = np.zeros(n_actions)
+        out[choose(hist)] = 1.0
+        return out
+
+    return fn
+
+
+def joint_onehot_policies(game: ToyGame, joint_at) -> list:
+    """Deterministic policies playing the joint action joint_at(hist)."""
+    return [onehot_policy(len(actions), lambda hist, m=m: joint_at(hist)[m])
+            for m, actions in enumerate(game.action_sets)]
 
 
 def enumerate_trajectories(game: ToyGame, policy_fns) -> list[Trajectory]:
@@ -194,116 +207,85 @@ class OptimalPolicy:
     tree: dict | None = None           # closed-loop: history node -> joint
     closed_loop: bool = False
 
+    def policy_fns(self, game: ToyGame) -> list:
+        """One-hot policies that play this optimum."""
+        if self.closed_loop:
+            return joint_onehot_policies(game, lambda hist: self.tree[hist])
+        return joint_onehot_policies(game, lambda hist: self.sequence[len(hist)])
 
-def _sequence_moments(game: ToyGame, sequence) -> tuple[float, float]:
-    """Mean and second moment of the return for a fixed action sequence,
-    over state randomness."""
-    outcomes = []
 
-    def rec(t, state, prob, ret):
-        if t == game.horizon:
-            outcomes.append((prob, ret))
+class _Unassigned(LookupError):
+    """A deterministic assignment was asked for a node (the only argument)
+    it does not cover."""
+
+
+def deterministic_assignments(score, node_of, choices):
+    """Yield (score, assignment) for every complete deterministic assignment
+    node -> choice, depth first, choices tried in the given order.
+
+    score(choose) evaluates the policies that play choose(hist), the choice
+    at node node_of(hist). choose raises at a node the assignment does not
+    cover yet; that node then takes each choice in turn. So every assignment
+    covers exactly the nodes reachable under it. The yielded dict is live:
+    copy it to keep it.
+    """
+    tree = {}
+    branches = 0
+
+    def choose(hist):
+        node = node_of(hist)
+        if node not in tree:
+            raise _Unassigned(node)
+        return tree[node]
+
+    def extend():
+        nonlocal branches
+        try:
+            value = score(choose)
+        except _Unassigned as gap:
+            (node,) = gap.args
+        else:
+            yield value, tree
             return
-        joint = sequence[t]
-        r = game.rate(state, joint)
-        for p_s, nxt in game.step(state, joint):
-            if p_s > 0.0:
-                rec(t + 1, nxt, prob * p_s, ret + r)
+        for choice in choices:
+            branches += 1
+            if branches > ENUMERABILITY_BOUND:
+                raise EnumerabilityError("deterministic policy space exceeds the bound")
+            tree[node] = choice
+            yield from extend()
+            del tree[node]
 
-    for p0, s0 in game.initial:
-        if p0 > 0.0:
-            rec(0, s0, p0, 0.0)
-    mean = sum(p * r for p, r in outcomes)
-    second = sum(p * r * r for p, r in outcomes)
-    return mean, second
+    yield from extend()
 
 
 def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> OptimalPolicy:
-    """Exhaustive argmax of the exact objective; ties break to the
-    lexicographically smallest action sequence.
+    """Exhaustive argmax of the exact objective; ties break to the first
+    assignment enumerated, for open loop the lexicographically smallest
+    action sequence.
 
-    Open-loop (default): all (A * B^G)^T joint-action sequences.
-    Closed-loop (stochastic toys): all deterministic maps from the global
-    (joint action, rate) history to the next joint action.
+    Open-loop (default): a joint action per slot, all (A * B^G)^T sequences.
+    Closed-loop (stochastic toys): a joint action per reachable global
+    (joint action, rate) history.
     """
-    game.check_enumerable()
-    if closed_loop and not game.frozen:
-        return _optimal_closed_loop(game, mu)
+    closed_loop = closed_loop and not game.frozen
+
+    def score(choose):
+        # the second moment sums p*r*r where enumerate_exact_J sums p*r**2;
+        # under non-dyadic transition probabilities the two differ in the
+        # last bit, and this order keeps j_star bitwise stable across releases
+        trajs = enumerate_trajectories(game, joint_onehot_policies(game, choose))
+        mean = sum(t.prob * t.ret for t in trajs)
+        second = sum(t.prob * t.ret * t.ret for t in trajs)
+        return mean - 0.5 * mu * (second - mean ** 2)
+
     best = None
-    for sequence in product(game.joint_actions, repeat=game.horizon):
-        mean, second = _sequence_moments(game, sequence)
-        j = mean - 0.5 * mu * (second - mean ** 2)
+    for j, tree in deterministic_assignments(score, (lambda hist: hist) if closed_loop else len,
+                                             game.joint_actions):
         if best is None or j > best[0] + 1e-15:
-            best = (j, sequence)
-    return OptimalPolicy(j_star=best[0], sequence=best[1], closed_loop=False)
-
-
-def _optimal_closed_loop(game: ToyGame, mu: float) -> OptimalPolicy:
-    """Enumerate deterministic global-history-conditioned policies by
-    assigning a joint action to every reachable observation node."""
-    joints = game.joint_actions
-
-    def outcomes_under(tree):
-        res = []
-
-        def rec(t, state, node, prob, ret):
-            if t == game.horizon:
-                res.append((prob, ret))
-                return
-            joint = tree[node]
-            r = game.rate(state, joint)
-            for p_s, nxt in game.step(state, joint):
-                if p_s > 0.0:
-                    rec(t + 1, nxt, node + ((joint, r),), prob * p_s, ret + r)
-
-        for p0, s0 in game.initial:
-            if p0 > 0.0:
-                rec(0, s0, (), p0, 0.0)
-        return res
-
-    best = None
-    counter = [0]
-
-    def extend(tree):
-        # find an unassigned reachable node, or evaluate the complete tree
-        frontier = []
-
-        def walk(t, state, node, prob):
-            if t == game.horizon:
-                return
-            if node not in tree:
-                frontier.append(node)
-                return
-            joint = tree[node]
-            r = game.rate(state, joint)
-            for p_s, nxt in game.step(state, joint):
-                if p_s > 0.0:
-                    walk(t + 1, nxt, node + ((joint, r),), prob * p_s)
-
-        for p0, s0 in game.initial:
-            if p0 > 0.0:
-                walk(0, s0, (), p0)
-        nonlocal best
-        if not frontier:
-            res = outcomes_under(tree)
-            mean = sum(p * r for p, r in res)
-            second = sum(p * r * r for p, r in res)
-            j = mean - 0.5 * mu * (second - mean ** 2)
-            key = tuple(sorted(tree.items()))
-            if best is None or j > best[0] + 1e-15:
-                best = (j, dict(tree))
-            return
-        node = frontier[0]
-        for joint in joints:
-            counter[0] += 1
-            if counter[0] > ENUMERABILITY_BOUND:
-                raise EnumerabilityError("closed-loop policy space exceeds the bound")
-            tree[node] = joint
-            extend(tree)
-            del tree[node]
-
-    extend({})
-    return OptimalPolicy(j_star=best[0], tree=best[1], closed_loop=True)
+            best = (j, dict(tree))
+    if closed_loop:
+        return OptimalPolicy(j_star=best[0], tree=best[1], closed_loop=True)
+    return OptimalPolicy(j_star=best[0], sequence=tuple(best[1][t] for t in range(game.horizon)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +305,6 @@ def finite_difference_gradient(evaluator, params: np.ndarray, step: float) -> np
         down[k] -= step
         grad[k] = (evaluator(up) - evaluator(down)) / (2.0 * step)
     return grad
-
-
-def policy_rmse(policy_a, policy_b, histories) -> float:
-    """Root-mean-square difference between two policies' probability vectors
-    over the supplied histories, in percent."""
-    deltas = []
-    for hist in histories:
-        pa = np.asarray(policy_a(hist), dtype=float)
-        pb = np.asarray(policy_b(hist), dtype=float)
-        if pa.shape != pb.shape:
-            raise ValueError(f"action-space mismatch {pa.shape} vs {pb.shape}")
-        deltas.append(pa - pb)
-    if not deltas:
-        raise ValueError("need at least one history")
-    stacked = np.concatenate(deltas)
-    return 100.0 * float(np.sqrt(np.mean(stacked ** 2)))
 
 
 def policy_rmse_multi(policies_a, policies_b, histories_per_agent) -> float:

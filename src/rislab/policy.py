@@ -51,9 +51,6 @@ class _ClampCounter:
     def __init__(self):
         self.value = 0
 
-    def reset(self):
-        self.value = 0
-
 
 clamp_events = _ClampCounter()
 
@@ -147,10 +144,6 @@ class PolicyParams:
     def view(self, name: str) -> np.ndarray:
         start, end, shape = self._offsets[name]
         return self.values[start:end].reshape(shape)
-
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(values=self.values.copy(), layout=self.layout,
-                            seed=self.seed, _offsets=self._offsets)
 
 
 def n_params(arch: PolicyArchitecture) -> int:
@@ -399,18 +392,6 @@ def log_prob(distribution: np.ndarray, action: int) -> float:
         clamp_events.value += 1
         p = PROB_FLOOR
     return float(np.log(p))
-
-
-def log_prob_batch(probs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Vectorized log_prob over a (S, actions) matrix of distributions."""
-    p = probs[np.arange(probs.shape[0]), actions]
-    if np.any(p <= 0.0):
-        raise ValueError("zero-probability action in batch")
-    low = p < PROB_FLOOR
-    if np.any(low):
-        clamp_events.value += int(np.count_nonzero(low))
-        p = np.maximum(p, PROB_FLOOR)
-    return np.log(p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,7 @@ derived from. `evar_literal` is kept as a diagnostic; for small mu it equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RiskConfig:
-    """Risk sensitivity mu in [0, 1) and episode horizon T >= 1."""
-
-    mu: float
-    horizon: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError("mu must lie in [0, 1)")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
 
 def evar_literal(returns, mu: float) -> float:

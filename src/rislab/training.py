@@ -10,8 +10,10 @@ budget's absolute scale. Learning-curve columns report the same units.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -19,6 +21,9 @@ from . import policy as pol
 from .environment import ActionProfile, EpisodeRecord, HistoryBuffer, encode_global
 from .oracle import ToyGame
 from .risk import gradient_weight, surrogate_return
+
+
+DIVERGENCE_LIMIT = 1e6
 
 
 class DivergenceError(RuntimeError):
@@ -42,9 +47,7 @@ class TrainConfig:
     dropout_lstm: float = 0.2
     dropout_dense: float = 0.4
     grad_clip: float = 10.0
-    divergence_limit: float = 1e6
     seed: int = 0
-    seed_sweep: bool = True   # seed replay by cycling the joint action space
 
     def __post_init__(self):
         if self.mode not in ("centralized", "distributed"):
@@ -367,20 +370,10 @@ def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float,
     Trajectory/slot terms are grouped by (observed history, joint action), so
     each parameter block needs a single batched forward/backward pass.
     """
-    from .oracle import enumerate_trajectories
+    from .oracle import enumerate_trajectories, policy_table
 
-    def memoized(fn):
-        cache = {}
-
-        def wrapped(hist):
-            if hist not in cache:
-                cache[hist] = fn(hist)
-            return cache[hist]
-
-        return wrapped
-
-    policy_fns = [memoized(controller.policy_fn(m))
-                  for m in range(controller.n_agents)]
+    policy_fns = policy_table([controller.policy_fn(m)
+                               for m in range(controller.n_agents)])
     trajs = enumerate_trajectories(game, policy_fns)
     mean = sum(t.prob * t.ret for t in trajs)
     buckets: dict = {}
@@ -461,9 +454,9 @@ def _apply_update(controller: Controller, grads, config: TrainConfig):
         clipped = True
     for vec, g in zip(controller.parameter_vectors(), grads):
         vec += scale * g
-        if not np.all(np.isfinite(vec)) or np.max(np.abs(vec)) > config.divergence_limit:
+        if not np.all(np.isfinite(vec)) or np.max(np.abs(vec)) > DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"parameter magnitude exceeded {config.divergence_limit:g} "
+                f"parameter magnitude exceeded {DIVERGENCE_LIMIT:g} "
                 f"(gradient norm {norm:.3g})")
     return norm, clipped
 
@@ -506,18 +499,12 @@ def train(env, controller: Controller, config: TrainConfig,
 
     # Phase II: seed replay + offline epochs. A systematic sweep of the
     # joint action space gives the offline phase balanced per-action return
-    # evidence; otherwise the initial policy explores on its own.
-    sweep = None
-    if config.seed_sweep:
-        from itertools import product
-        sets = [range(n) for n in controller.head_sizes]
-        sweep = list(product(*sets))
-        rng_collect.shuffle(sweep)
+    # evidence.
+    sweep = list(product(*[range(n) for n in controller.head_sizes]))
+    rng_collect.shuffle(sweep)
     for k in range(config.seed_episodes):
-        forced = None
-        if sweep:
-            forced = [sweep[(k * config.horizon + t) % len(sweep)]
-                      for t in range(config.horizon)]
+        forced = [sweep[(k * config.horizon + t) % len(sweep)]
+                  for t in range(config.horizon)]
         _, sample = collect_episode(env, controller, buffers,
                                     config.horizon, rng_collect,
                                     forced_actions=forced)
@@ -559,131 +546,89 @@ def _seeded(seed, *tags) -> np.random.Generator:
     return np.random.default_rng([seed, *tags])
 
 
-def _collect_with_agent_rngs(env, nets, buffers, horizon, action_rngs):
-    """One episode where each agent samples its action from its own rng
-    stream (the distributed execution); the arithmetic per agent is identical
-    to a central server iterating the same nets in the same order."""
-    start_entries = tuple(tuple(buf.entries()) for buf in buffers)
-    actions, rates_norm = [], []
-    for _ in range(horizon):
-        acts = []
-        for m, (arch, params) in enumerate(nets):
-            feats = buffers[m].encode(arch.head_sizes[0])
-            dists, _ = pol.forward(params, arch, feats, mode="eval")
-            acts.append(pol.sample_action(dists[0], action_rngs[m]))
-        profile = ActionProfile(ap_beam=acts[0], ris_phases=tuple(acts[1:]))
-        reward, _ = env.step(profile)
-        norm = env.rate_norm(reward)
-        for m, buf in enumerate(buffers):
-            buf.push(acts[m], norm)
-        actions.append(tuple(acts))
-        rates_norm.append(norm)
-    return TrainingSample(start_entries=start_entries, actions=tuple(actions),
-                          rates_norm=tuple(rates_norm))
-
-
-def _agent_gradient(net, sample_batch, agent, weights, horizon, head_size,
-                    history_len):
-    arch, params = net
-    g = np.zeros(params.n)
-    for t in range(horizon):
-        rows = []
-        for s in sample_batch:
-            buf = HistoryBuffer(history_len)
-            for action, rate in s.entries_at(agent, t)[-history_len:]:
-                buf.push(action, rate)
-            rows.append(buf.encode(head_size))
-        _, cache = pol.forward(params, arch, np.stack(rows), mode="eval")
-        acts = [np.array([s.actions[t][agent] for s in sample_batch])]
-        g += pol.backward(params, arch, cache, acts, weights)
-    return g / len(sample_batch)
+def _agent_view(sample: TrainingSample, agent: int) -> TrainingSample:
+    """What one agent observes of a sample: its own entries and actions
+    and the shared rates."""
+    return TrainingSample(start_entries=(sample.start_entries[agent],),
+                          actions=tuple((joint[agent],) for joint in sample.actions),
+                          rates_norm=sample.rates_norm)
 
 
 def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
                      n_updates: int = 100) -> Theorem1Report:
     """Run the same seeded history stream through (a) a central server that
-    updates every agent inside one loop and (b) independent per-agent update
-    loops, and compare parameter trajectories bitwise. Also checks that the
-    one-pass joint gradient equals the per-agent gradients exactly."""
+    updates every agent's net from the joint samples and (b) independent
+    per-agent learners, each updating its own net from its own view of the
+    samples, and compare parameter trajectories bitwise. Both sides collect
+    with collect_episode and differentiate with estimate_gradient. Also
+    checks that the one-pass slot-major joint gradient equals the per-agent
+    gradients exactly."""
     if config.mode != "distributed":
         raise ValueError("the equivalence harness drives distributed controllers")
 
     def build():
-        ctrl = DistributedController(head_sizes, config.history_len,
+        return DistributedController(head_sizes, config.history_len,
                                      _seeded(config.seed, 0),
                                      dropout_lstm=0.0, dropout_dense=0.0)
-        return ctrl
 
-    central = build()
-    per_agent = build()
-    env_c = env_factory()
-    env_d = env_factory()
+    central, team = build(), build()
+    learners = []
+    for m, net in enumerate(team.nets):
+        learner = copy.copy(team)
+        learner.head_sizes, learner.nets = (head_sizes[m],), [net]
+        learners.append(learner)
+    env_c, env_d = env_factory(), env_factory()
     bufs_c = [HistoryBuffer(config.history_len) for _ in head_sizes]
     bufs_d = [HistoryBuffer(config.history_len) for _ in head_sizes]
-    store_c, store_d = ReplayStore(), ReplayStore()
+    store_c, stores_d = ReplayStore(), [ReplayStore() for _ in head_sizes]
 
     max_div = 0.0
     fact_gap = 0.0
     diverged_at = None
     for step in range(n_updates):
-        rngs_c = [_seeded(config.seed, 10, step, m) for m in range(len(head_sizes))]
-        rngs_d = [_seeded(config.seed, 10, step, m) for m in range(len(head_sizes))]
-        store_c.add(_collect_with_agent_rngs(env_c, central.nets, bufs_c,
-                                             config.horizon, rngs_c))
-        store_d.add(_collect_with_agent_rngs(env_d, per_agent.nets, bufs_d,
-                                             config.horizon, rngs_d))
+        _, sample = collect_episode(env_c, central, bufs_c, config.horizon,
+                                    _seeded(config.seed, 10, step))
+        store_c.add(sample)
+        _, sample = collect_episode(env_d, team, bufs_d, config.horizon,
+                                    _seeded(config.seed, 10, step))
+        for m, store in enumerate(stores_d):
+            store.add(_agent_view(sample, m))
 
-        batch_idx_rng = _seeded(config.seed, 20, step)
-        batch_c = store_c.minibatch(config.minibatch, batch_idx_rng)
-        batch_idx_rng = _seeded(config.seed, 20, step)
-        batch_d = store_d.minibatch(config.minibatch, batch_idx_rng)
-
-        returns = np.array([s.episodic_return for s in batch_c])
-        weights_c = np.array([gradient_weight(r, float(returns.mean()), config.mu,
-                                              config.eq14_literal) for r in returns])
-        returns_d = np.array([s.episodic_return for s in batch_d])
-        weights_d = np.array([gradient_weight(r, float(returns_d.mean()), config.mu,
-                                              config.eq14_literal) for r in returns_d])
-
-        # central server: one pass over agents inside a single loop
-        grads_central = [
-            _agent_gradient(central.nets[m], batch_c, m, weights_c,
-                            config.horizon, head_sizes[m], config.history_len)
-            for m in range(len(head_sizes))]
-        # per-agent drivers: each agent runs its own update routine
-        grads_agents = []
-        for m in range(len(head_sizes)):
-            grads_agents.append(
-                _agent_gradient(per_agent.nets[m], batch_d, m, weights_d,
-                                config.horizon, head_sizes[m], config.history_len))
+        # central server: one gradient call over every agent's net
+        batch_c = store_c.minibatch(config.minibatch, _seeded(config.seed, 20, step))
+        grads_central = estimate_gradient(central, batch_c, config.mu,
+                                          config.eq14_literal, mode="eval")
+        # per-agent learners: each runs its own update routine on its view
+        grads_agents = [
+            estimate_gradient(learner, store.minibatch(config.minibatch,
+                                                      _seeded(config.seed, 20, step)),
+                              config.mu, config.eq14_literal, mode="eval")[0]
+            for learner, store in zip(learners, stores_d)]
 
         # factorization identity on the central batch: joint one-pass slot-major
         # accumulation vs the agent-major vectors above
-        joint = [np.zeros(central.nets[m][1].n) for m in range(len(head_sizes))]
+        returns = np.array([s.episodic_return for s in batch_c])
+        weights = np.array([gradient_weight(r, float(returns.mean()), config.mu,
+                                            config.eq14_literal) for r in returns])
+        joint = [np.zeros(params.n) for _, params in central.nets]
         for t in range(config.horizon):
-            for m in range(len(head_sizes)):
-                arch, params = central.nets[m]
-                rows = []
-                for s in batch_c:
-                    buf = HistoryBuffer(config.history_len)
-                    for action, rate in s.entries_at(m, t)[-config.history_len:]:
-                        buf.push(action, rate)
-                    rows.append(buf.encode(head_sizes[m]))
-                _, cache = pol.forward(params, arch, np.stack(rows), mode="eval")
+            for m, (arch, params) in enumerate(central.nets):
+                feats = np.stack([central.sample_input(s, t, m) for s in batch_c])
+                _, cache = pol.forward(params, arch, feats, mode="eval")
                 acts = [np.array([s.actions[t][m] for s in batch_c])]
-                joint[m] += pol.backward(params, arch, cache, acts, weights_c)
+                joint[m] += pol.backward(params, arch, cache, acts, weights)
         for m in range(len(head_sizes)):
             gap = float(np.max(np.abs(joint[m] / len(batch_c) - grads_central[m])))
             fact_gap = max(fact_gap, gap)
 
-        for m, g in enumerate(grads_central):
-            central.nets[m][1].values += config.learning_rate * g
-        for m, g in enumerate(grads_agents):
-            per_agent.nets[m][1].values += config.learning_rate * g
+        for vec, g in zip(central.parameter_vectors(), grads_central):
+            vec += config.learning_rate * g
+        for learner, g in zip(learners, grads_agents):
+            learner.parameter_vectors()[0] += config.learning_rate * g
 
-        step_div = max(float(np.max(np.abs(central.nets[m][1].values
-                                           - per_agent.nets[m][1].values)))
-                       for m in range(len(head_sizes)))
+        step_div = max(float(np.max(np.abs(a - b)))
+                       for a, b in zip(central.parameter_vectors(),
+                                       team.parameter_vectors()))
         max_div = max(max_div, step_div)
         if step_div > 0 and diverged_at is None:
             diverged_at = step + 1
@@ -707,69 +652,20 @@ def nash_check(game: ToyGame, policy_fns, mu: float, eps: float = 1e-3) -> NashR
     observation nodes (its action/rate pairs) while the others keep playing
     their current policies, and report the largest exact-objective
     improvement. An equilibrium certificate is improvement <= eps * |J|."""
-    from .oracle import enumerate_exact_J, own_history
+    from .oracle import (deterministic_assignments, enumerate_exact_J,
+                         onehot_policy, own_history, policy_table)
 
-    j_now = enumerate_exact_J(game, policy_fns, mu)
+    fixed = policy_table(policy_fns)
+    j_now = enumerate_exact_J(game, fixed, mu)
     per_agent = []
-    for m in range(game.n_agents):
-        n_actions = len(game.action_sets[m])
-        best = -math.inf
-
-        def evaluate(tree):
-            def dev_policy(hist):
-                out = np.zeros(n_actions)
-                out[tree[own_history(hist, m)]] = 1.0
-                return out
-
-            pols = list(policy_fns)
-            pols[m] = dev_policy
+    for m, actions in enumerate(game.action_sets):
+        def score(choose):
+            pols = list(fixed)
+            pols[m] = onehot_policy(len(actions), choose)
             return enumerate_exact_J(game, pols, mu)
 
-        def frontier_node(tree):
-            # first reachable own-observation node without an assigned action
-            found = []
-
-            def rec(t, state, hist, prob):
-                if found or t == game.horizon:
-                    return
-                node = own_history(hist, m)
-                if node not in tree:
-                    found.append(node)
-                    return
-                dists = [np.asarray(policy_fns[mm](hist))
-                         for mm in range(game.n_agents)]
-                for joint in game.joint_actions:
-                    if joint[m] != tree[node]:
-                        continue
-                    p = prob
-                    for mm, a in enumerate(joint):
-                        if mm != m:
-                            p *= float(dists[mm][a])
-                    if p == 0.0:
-                        continue
-                    r = game.rate(state, joint)
-                    for p_s, nxt in game.step(state, joint):
-                        if p_s > 0.0:
-                            rec(t + 1, nxt, hist + ((joint, r),), p * p_s)
-
-            for p0, s0 in game.initial:
-                if p0 > 0.0:
-                    rec(0, s0, (), p0)
-            return found[0] if found else None
-
-        def extend(tree):
-            nonlocal best
-            node = frontier_node(tree)
-            if node is None:
-                best = max(best, evaluate(tree))
-                return
-            for a in range(n_actions):
-                tree[node] = a
-                extend(tree)
-                del tree[node]
-
-        extend({})
-        per_agent.append(best - j_now)
+        trees = deterministic_assignments(score, lambda hist: own_history(hist, m), actions)
+        per_agent.append(max(j for j, _ in trees) - j_now)
     best_improvement = max(per_agent)
     return NashReport(j_current=j_now, best_improvement=best_improvement,
                       per_agent=per_agent)

@@ -217,16 +217,7 @@ def test_c04_toy_training_reaches_oracle(trained_toy):
             hists.add(h)
     hists = sorted(hists, key=lambda h: (len(h), str(h)))
 
-    def optimal_fn(agent):
-        def fn(h):
-            out = np.zeros(2)
-            out[best.sequence[min(len(h), game.horizon - 1)][agent]] = 1.0
-            return out
-
-        return fn
-
-    rmse = policy_rmse_multi(policies, [optimal_fn(m) for m in range(2)],
-                             [hists, hists])
+    rmse = policy_rmse_multi(policies, best.policy_fns(game), [hists, hists])
     elapsed = time.time() - start
     report(4, "trained toy greedy equals brute-force optimum, RMSE <= 5%",
            greedy_ok and rmse <= 5.0, f"rmse {rmse:.3f}%, {elapsed:.1f}s")

