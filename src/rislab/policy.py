@@ -8,7 +8,9 @@ state of the LSTM stack feeds the trunk. Inverted dropout is applied after
 the LSTM stack (p_lstm) and after each rectified dense layer (p_dense) in
 train mode only.
 
-Forward accepts a single history (H, F) or a batch (S, H, F). Backward
+Forward accepts a single history (H, F), a batch (S, H, F), or a stack of
+G batches (G, S, H, F) that it runs as one batch of G*S rows while drawing
+dropout masks as G consecutive batch calls would. Backward
 computes the exact gradient of weight * sum_heads log pi(selected action)
 through the cached forward pass, including the dropout masks, so central
 finite differences on a fixed-seed forward reproduce it.
@@ -297,9 +299,8 @@ class ForwardCache:
     """Everything needed to rerun the pass bit-exactly and run BPTT."""
 
     mode: str
-    batched: bool
     n_params: int
-    inputs: np.ndarray                 # (H, S, F)
+    inputs: np.ndarray                 # (H, S, F); a stack's G*S rows group-major
     lstm: list                         # per-layer _LstmLayerCache
     drop_lstm: np.ndarray | None       # inverted-dropout mask after the stack
     trunk: list                        # per-layer (input, pre, mask)
@@ -307,28 +308,51 @@ class ForwardCache:
     head_probs: list                   # per-head (S, actions)
 
 
+def _dropout_masks(arch: PolicyArchitecture, rng: np.random.Generator,
+                   groups: int, batch: int) -> list:
+    """Inverted-dropout masks after the LSTM stack and after each rectified
+    dense layer (None where the rate is 0), for `groups` stacked batches of
+    `batch` rows. They are drawn group by group, each group's layers in
+    forward order, so `rng` yields the same masks as `groups` consecutive
+    single-batch forwards would draw."""
+    layers = [(arch.dropout_lstm, arch.lstm_sizes[-1])]
+    layers += [(arch.dropout_dense, width) for width in arch.trunk_sizes]
+    uniforms = [[rng.random((batch, width)) if p > 0 else None for p, width in layers]
+                for _ in range(groups)]
+    return [(np.concatenate([u[k] for u in uniforms]) >= p) / (1 - p) if p > 0 else None
+            for k, (p, _) in enumerate(layers)]
+
+
 def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
             mode: str = "eval", rng: np.random.Generator | None = None):
-    """Run the net over an (H, F) history or an (S, H, F) batch.
+    """Run the net over an (H, F) history, an (S, H, F) batch or a
+    (G, S, H, F) stack of G batches.
 
-    Returns (distributions, cache); distributions is one probability vector
-    per head (matrices for batched input). Train mode draws fresh inverted
-    dropout masks from `rng`.
+    Returns (distributions, cache); distributions is one probability array
+    per head, shaped like the input's leading axes plus the head's actions.
+    The cache holds the G*S rows of a stack group-major, as one batch. Train
+    mode draws fresh inverted dropout masks from `rng`, batch by batch.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
     x = np.asarray(history, dtype=float)
-    batched = x.ndim == 3
-    if not batched:
-        x = x[None, :, :]
-    if x.shape[1] != arch.history_len or x.shape[2] != arch.input_size:
-        raise ValueError(f"history shape {x.shape[1:]} does not match "
+    if not 2 <= x.ndim <= 4:
+        raise ValueError(f"history must be (H, F), (S, H, F) or (G, S, H, F), "
+                         f"got shape {x.shape}")
+    if x.shape[-2:] != (arch.history_len, arch.input_size):
+        raise ValueError(f"history shape {x.shape[-2:]} does not match "
                          f"(H={arch.history_len}, F={arch.input_size})")
     dropping = mode == "train" and (arch.dropout_lstm > 0 or arch.dropout_dense > 0)
     if dropping and rng is None:
         raise ValueError("train mode with dropout needs an rng")
 
-    seq = np.ascontiguousarray(np.swapaxes(x, 0, 1))  # (H, S, F)
+    lead = x.shape[:-2]
+    rows = x.reshape(-1, arch.history_len, arch.input_size)
+    seq = np.ascontiguousarray(np.swapaxes(rows, 0, 1))  # (H, S, F)
+    masks = [None] * (1 + len(arch.trunk_sizes))
+    if dropping:
+        groups = lead[0] if len(lead) == 2 else 1
+        masks = _dropout_masks(arch, rng, groups, len(rows) // groups)
 
     layer_caches = []
     layer_in = seq
@@ -339,20 +363,17 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
         layer_in = cache.h
 
     z = layer_caches[-1].h[-1]  # final-slot hidden state of the top layer
-    drop_lstm = None
-    if mode == "train" and arch.dropout_lstm > 0:
-        drop_lstm = (rng.random(z.shape) >= arch.dropout_lstm) / (1 - arch.dropout_lstm)
+    drop_lstm = masks[0]
+    if drop_lstm is not None:
         z = z * drop_lstm
 
     trunk = []
-    for j in range(len(arch.trunk_sizes)):
+    for j, mask in enumerate(masks[1:]):
         w = params.view(f"dense{j}.W")
         b = params.view(f"dense{j}.b")
         pre = z @ w.T + b
         out = np.maximum(pre, 0.0)
-        mask = None
-        if mode == "train" and arch.dropout_dense > 0:
-            mask = (rng.random(out.shape) >= arch.dropout_dense) / (1 - arch.dropout_dense)
+        if mask is not None:
             out = out * mask
         trunk.append((z, pre, mask))
         z = out
@@ -363,12 +384,10 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
         b = params.view(f"head{m}.b")
         probs.append(_softmax(z @ w.T + b))
 
-    cache = ForwardCache(mode=mode, batched=batched, n_params=params.n,
+    cache = ForwardCache(mode=mode, n_params=params.n,
                          inputs=seq, lstm=layer_caches, drop_lstm=drop_lstm,
                          trunk=trunk, trunk_out=z, head_probs=probs)
-    if batched:
-        return probs, cache
-    return [p[0] for p in probs], cache
+    return [p.reshape(lead + p.shape[1:]) for p in probs], cache
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +422,10 @@ def backward(params: PolicyParams, arch: PolicyArchitecture, cache: ForwardCache
     """Exact gradient of weight * sum_heads log pi(selected) w.r.t. params.
 
     `actions` holds one selected index per head (scalars, or length-S arrays
-    for a batched cache); `weight` is a scalar or per-sample vector. For a
-    batched cache the returned flat vector is the sum over samples, which is
-    what the score-function estimator accumulates.
+    for a batched cache, group-major over the G*S rows of a stack); `weight`
+    is a scalar or per-row vector. For a batched cache the returned flat
+    vector is the sum over rows, which is what the score-function estimator
+    accumulates.
     """
     if cache.n_params != params.n:
         raise ValueError("cache was produced under a different parameter layout")

@@ -82,8 +82,13 @@ class Controller:
     def sample_input(self, sample, slot: int, agent: int) -> np.ndarray:
         raise NotImplementedError
 
-    def parameter_vectors(self) -> list[np.ndarray]:
+    def net_heads(self) -> list:
+        """(arch, params, agents) per net, `agents` being the agents whose
+        heads the net computes, in head order."""
         raise NotImplementedError
+
+    def parameter_vectors(self) -> list[np.ndarray]:
+        return [params.values for _, params, _ in self.net_heads()]
 
     def buffers_from_history(self, history):
         buffers = [HistoryBuffer(self.history_len) for _ in range(self.n_agents)]
@@ -156,8 +161,8 @@ class DistributedController(Controller):
 
         return fn
 
-    def parameter_vectors(self):
-        return [params.values for _, params in self.nets]
+    def net_heads(self):
+        return [(arch, params, (m,)) for m, (arch, params) in enumerate(self.nets)]
 
 
 class CentralizedController(Controller):
@@ -195,8 +200,8 @@ class CentralizedController(Controller):
     def encode_history(self, history, agent: int = 0) -> np.ndarray:
         return encode_global(self.buffers_from_history(history), self.head_sizes)
 
-    def parameter_vectors(self):
-        return [self.params.values]
+    def net_heads(self):
+        return [(self.arch, self.params, tuple(range(self.n_agents)))]
 
 
 def make_controller(config: TrainConfig, head_sizes, rng) -> Controller:
@@ -292,18 +297,21 @@ def collect_episode(env, controller: Controller, buffers, horizon: int,
     policy, step the environment, and append the shared reward to every
     agent's window. Returns the EpisodeRecord and the replay sample.
 
-    `forced_actions` (one joint tuple per slot) overrides the policy draw;
-    used to seed the replay with a systematic sweep of the action space.
+    `forced_actions` (one joint tuple per slot) replaces the policy; used to
+    seed the replay with a systematic sweep of the action space. Forced
+    slots run no forward and draw nothing from `rng`; their records carry
+    the sweep's behaviour log-probability, -log|A_m| per head.
     """
     start_entries = tuple(tuple(buf.entries()) for buf in buffers)
+    sweep_lps = [-math.log(n) for n in controller.head_sizes]
     actions_out, rates, rates_norm, log_probs = [], [], [], []
     for t in range(horizon):
-        dists = controller.distributions(buffers)
         if forced_actions is None:
+            dists = controller.distributions(buffers)
             acts = [pol.sample_action(d, rng) for d in dists]
+            lps = [pol.log_prob(d, a) for d, a in zip(dists, acts)]
         else:
-            acts = list(forced_actions[t])
-        lps = [pol.log_prob(d, a) for d, a in zip(dists, acts)]
+            acts, lps = list(forced_actions[t]), list(sweep_lps)
         profile = ActionProfile(ap_beam=acts[0], ris_phases=tuple(acts[1:]))
         reward, _state = env.step(profile)
         norm = env.rate_norm(reward)
@@ -331,7 +339,12 @@ def estimate_gradient(controller: Controller, batch, mu: float,
                       rng: np.random.Generator | None = None,
                       mode: str = "train") -> list[np.ndarray]:
     """Sample-mean score-function gradient: (1/S) sum_s grad log Pi^(s) *
-    weight(R_s, batch mean, mu), one vector per parameter block."""
+    weight(R_s, batch mean, mu), one vector per parameter block.
+
+    Each net makes one forward and one backward pass: the inputs of all T
+    slots form one (T, S, H, F) stack and the weights are tiled over the
+    slots. The stacked forward draws its dropout masks slot by slot, so
+    `rng` yields the masks of T per-slot passes, net by net."""
     if not batch:
         raise ValueError("batch must be nonempty")
     returns = np.array([s.episodic_return for s in batch])
@@ -339,26 +352,16 @@ def estimate_gradient(controller: Controller, batch, mu: float,
     weights = np.array([gradient_weight(r, r_mean, mu, eq14_literal)
                         for r in returns])
     horizon = len(batch[0].rates_norm)
+    tiled = np.tile(weights, horizon)
     grads = []
-    if isinstance(controller, CentralizedController):
-        g = np.zeros(controller.params.n)
-        for t in range(horizon):
-            feats = np.stack([controller.sample_input(s, t) for s in batch])
-            _, cache = pol.forward(controller.params, controller.arch, feats,
-                                   mode=mode, rng=rng)
-            acts = [np.array([s.actions[t][m] for s in batch])
-                    for m in range(controller.n_agents)]
-            g += pol.backward(controller.params, controller.arch, cache, acts, weights)
-        grads.append(g / len(batch))
-    else:
-        for m, (arch, params) in enumerate(controller.nets):
-            g = np.zeros(params.n)
-            for t in range(horizon):
-                feats = np.stack([controller.sample_input(s, t, m) for s in batch])
-                _, cache = pol.forward(params, arch, feats, mode=mode, rng=rng)
-                acts = [np.array([s.actions[t][m] for s in batch])]
-                g += pol.backward(params, arch, cache, acts, weights)
-            grads.append(g / len(batch))
+    for arch, params, agents in controller.net_heads():
+        feats = np.array([[controller.sample_input(s, t, agents[0]) for s in batch]
+                          for t in range(horizon)])
+        _, cache = pol.forward(params, arch, feats, mode=mode, rng=rng)
+        acts = [np.array([s.actions[t][m] for t in range(horizon) for s in batch])
+                for m in agents]
+        grads.append(pol.backward(params, arch, cache, acts, tiled) / len(batch))
+        del cache  # free it before the next net's forward
     return grads
 
 
@@ -386,19 +389,11 @@ def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float,
     coefs = np.array([buckets[k] for k in keys])
 
     grads = []
-    if isinstance(controller, CentralizedController):
-        feats = np.stack([controller.encode_history(h, 0) for h, _ in keys])
-        _, cache = pol.forward(controller.params, controller.arch, feats, mode="eval")
-        acts = [np.array([joint[m] for _, joint in keys])
-                for m in range(controller.n_agents)]
-        grads.append(pol.backward(controller.params, controller.arch, cache,
-                                  acts, coefs))
-    else:
-        for m, (arch, params) in enumerate(controller.nets):
-            feats = np.stack([controller.encode_history(h, m) for h, _ in keys])
-            _, cache = pol.forward(params, arch, feats, mode="eval")
-            acts = [np.array([joint[m] for _, joint in keys])]
-            grads.append(pol.backward(params, arch, cache, acts, coefs))
+    for arch, params, agents in controller.net_heads():
+        feats = np.stack([controller.encode_history(h, agents[0]) for h, _ in keys])
+        _, cache = pol.forward(params, arch, feats, mode="eval")
+        acts = [np.array([joint[m] for _, joint in keys]) for m in agents]
+        grads.append(pol.backward(params, arch, cache, acts, coefs))
     return grads
 
 
@@ -647,11 +642,12 @@ class NashReport:
     per_agent: list
 
 
-def nash_check(game: ToyGame, policy_fns, mu: float, eps: float = 1e-3) -> NashReport:
+def nash_check(game: ToyGame, policy_fns, mu: float) -> NashReport:
     """For each agent, sweep every deterministic policy over the agent's own
     observation nodes (its action/rate pairs) while the others keep playing
     their current policies, and report the largest exact-objective
-    improvement. An equilibrium certificate is improvement <= eps * |J|."""
+    improvement. Callers judge the certificate themselves, typically
+    best_improvement <= eps * |j_current| for a tolerance eps of their own."""
     from .oracle import (deterministic_assignments, enumerate_exact_J,
                          onehot_policy, own_history, policy_table)
 

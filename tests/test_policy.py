@@ -176,6 +176,8 @@ def test_forward_shape_mismatch_raises():
         forward(params, arch, np.zeros((5, 3)))
     with pytest.raises(ValueError):
         forward(params, arch, np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        forward(params, arch, np.zeros((1, 1, 1, 4, 3)))
 
 
 def test_train_mode_requires_rng_when_dropping():
@@ -183,6 +185,25 @@ def test_train_mode_requires_rng_when_dropping():
     params = init_params(arch, np.random.default_rng(0))
     with pytest.raises(ValueError):
         forward(params, arch, np.zeros((4, 3)), mode="train")
+
+
+@pytest.mark.parametrize("kind, heads", [("distributed", (3,)), ("centralized", (3, 2))])
+def test_stacked_forward_equals_consecutive_batch_calls(kind, heads):
+    # a (G, S, H, F) stack runs as one batch of G*S rows, with the dropout
+    # masks that G consecutive (S, H, F) calls draw from the same rng
+    arch = tiny_arch(kind=kind, heads=heads, f=3, h=4, p1=0.2, p2=0.4)
+    params = init_params(arch, np.random.default_rng(16))
+    stack = np.random.default_rng(17).normal(size=(3, 5, 4, 3))
+    got, cache = forward(params, arch, stack, mode="train", rng=np.random.default_rng(18))
+    rng = np.random.default_rng(18)
+    for g in range(3):
+        want, ref = forward(params, arch, stack[g], mode="train", rng=rng)
+        rows = slice(5 * g, 5 * g + 5)
+        for p, w in zip(got, want):
+            np.testing.assert_allclose(p[g], w, rtol=1e-12)
+        np.testing.assert_array_equal(cache.drop_lstm[rows], ref.drop_lstm)
+        for (_, _, mask), (_, _, ref_mask) in zip(cache.trunk, ref.trunk):
+            np.testing.assert_array_equal(mask[rows], ref_mask)
 
 
 def test_dropout_expectation_matches_eval():

@@ -2,6 +2,8 @@
 enumeration oracle, replay uniformity, the training loop's contracts, and
 both theorem harnesses."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,6 +16,7 @@ from rislab.oracle import (
     optimal_policy,
     own_history,
 )
+from rislab.risk import gradient_weight
 from rislab.training import (
     CentralizedController,
     DistributedController,
@@ -173,6 +176,39 @@ def test_estimate_gradient_batch_of_identical_samples():
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["distributed", "centralized"])
+def test_estimate_gradient_matches_per_slot_passes_with_dropout(mode):
+    # reference: one train-mode forward/backward per net and slot, net by net
+    # and slot by slot from the same seed, i.e. the dropout draws the single
+    # stacked pass per net must reproduce
+    from rislab import policy as pol
+
+    horizon, mu = 3, 0.4
+    cfg = toy_config(mode=mode, horizon=horizon, dropout_lstm=0.2, dropout_dense=0.4)
+    ctrl = make_controller(cfg, (2, 2), np.random.default_rng(40))
+    randomize(ctrl, np.random.default_rng(41))
+    env = ToyGameEnvironment(toy_game(horizon), seed=42)
+    buffers = [HistoryBuffer(cfg.history_len) for _ in range(2)]
+    rng = np.random.default_rng(43)
+    batch = [collect_episode(env, ctrl, buffers, horizon, rng)[1] for _ in range(6)]
+    grads = estimate_gradient(ctrl, batch, mu, rng=np.random.default_rng(44))
+
+    returns = [s.episodic_return for s in batch]
+    weights = np.array([gradient_weight(r, float(np.mean(returns)), mu) for r in returns])
+    nets = ([(ctrl.arch, ctrl.params, (0, 1))] if mode == "centralized"
+            else [(arch, params, (m,)) for m, (arch, params) in enumerate(ctrl.nets)])
+    rng = np.random.default_rng(44)
+    assert len(grads) == len(nets)
+    for (arch, params, agents), got in zip(nets, grads):
+        want = np.zeros(params.n)
+        for t in range(horizon):
+            feats = np.stack([ctrl.sample_input(s, t, agents[0]) for s in batch])
+            _, cache = pol.forward(params, arch, feats, mode="train", rng=rng)
+            acts = [np.array([s.actions[t][m] for s in batch]) for m in agents]
+            want += pol.backward(params, arch, cache, acts, weights)
+        np.testing.assert_allclose(got, want / len(batch), rtol=1e-12)
+
+
 def test_estimate_gradient_rejects_empty_batch():
     cfg = toy_config()
     ctrl = make_controller(cfg, (2, 2), np.random.default_rng(15))
@@ -317,15 +353,45 @@ def test_train_reproducible_curves():
 
 
 def test_train_curve_counts_collection_clamps():
-    # +-60 head biases put action 1 of every agent below the 1e-12 floor;
-    # the seed sweep still forces it in half of the 16 x 2 seed slots per
-    # agent, so the first row counts 32 clamps raised during collection
+    # +-60 head biases put action 1 of every agent below the 1e-12 floor.
+    # The seed sweep forces it in half of its slots, but a forced slot runs
+    # no policy: it records the sweep's behaviour log-prob, -log|A_m| per
+    # head, draws nothing from the rng and raises no clamp. The sampled
+    # online slots never draw action 1, so every row counts 0.
     cfg = toy_config(learning_rate=0.0, max_updates=3)
     ctrl = make_controller(cfg, (2, 2), np.random.default_rng(5))
     for _, params in ctrl.nets:
         params.view("head0.b")[...] = [60.0, -60.0]
     res = train(ToyGameEnvironment(toy_game(), seed=6), ctrl, cfg)
-    assert [row.clamps for row in res.curves] == [32] + [0] * (len(res.curves) - 1)
+    assert [row.clamps for row in res.curves] == [0] * len(res.curves)
+
+    buffers = [HistoryBuffer(cfg.history_len) for _ in range(2)]
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    record, _ = collect_episode(ToyGameEnvironment(toy_game(), seed=6), ctrl, buffers,
+                                2, rng, forced_actions=[(1, 1), (0, 1)])
+    assert record.log_probs == [[-math.log(2), -math.log(2)]] * 2
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mode, nets", [("distributed", 2), ("centralized", 1)])
+def test_train_forwards_only_in_updates(monkeypatch, mode, nets):
+    # the seed sweep runs no policy, and each update makes one forward per net
+    from rislab import policy as pol
+
+    original, calls = pol.forward, []
+
+    def spy(params, arch, history, mode="eval", rng=None):
+        calls.append(mode)
+        return original(params, arch, history, mode=mode, rng=rng)
+
+    monkeypatch.setattr(pol, "forward", spy)
+    for epochs in (0, 3):
+        calls.clear()
+        cfg = toy_config(mode=mode, offline_epochs=epochs, max_updates=0)
+        ctrl = make_controller(cfg, (2, 2), np.random.default_rng(8))
+        train(ToyGameEnvironment(toy_game(), seed=9), ctrl, cfg)
+        assert calls == ["train"] * (epochs * nets)
 
 
 def test_train_improves_toy_objective():
