@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,8 +198,13 @@ class CascadedChannel:
 # steering vectors
 
 
+@lru_cache(maxsize=64)
 def _phase_ramp(n: int) -> np.ndarray:
-    return ((n - 1) / 2.0 - np.arange(n)) * np.pi
+    """Per-element phase progression of an n-element array (read-only,
+    shared by every steering call of that size)."""
+    ramp = ((n - 1) / 2.0 - np.arange(n)) * np.pi
+    ramp.flags.writeable = False
+    return ramp
 
 
 def steering_vector_ula(angle, n: int) -> np.ndarray:
@@ -222,7 +228,7 @@ def steering_vector_upa(azimuth, elevation, n_h: int, n_v: int) -> np.ndarray:
     b_el = np.exp(1j * np.multiply.outer(np.cos(elevation), _phase_ramp(n_v)))
     b_az = np.exp(1j * (np.multiply.outer(np.cos(azimuth), _phase_ramp(n_h))
                         * np.sin(elevation)[..., None]))
-    return (b_el[..., :, None] * b_az[..., None, :]).reshape(b_el.shape[:-1] + (-1,))
+    return (b_el[..., :, None] * b_az[..., None, :]).reshape(b_el.shape[:-1] + (n_h * n_v,))
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +295,11 @@ def channel_ap_to_ue(rays: list[Ray], gains: PathGainProfile,
                      steering_vector_ula(aoa, geometry.n_ue))
 
 
-def ris_core(in_rows: np.ndarray, phases: np.ndarray, out_rows: np.ndarray) -> np.ndarray:
-    """L_in x L_out ray core of one RIS: entry (l, m) = b_in,l^H diag(exp(j*phases)) b_out,m
-    for the incident and departing UPA steering rows (L, N_g)."""
-    return (in_rows.conj() * np.exp(1j * phases)) @ out_rows.T
+def ris_core(in_rows: np.ndarray, weights: np.ndarray, out_rows: np.ndarray) -> np.ndarray:
+    """L_in x L_out ray core of one RIS: entry (l, m) = b_in,l^H diag(weights) b_out,m
+    for the incident and departing UPA steering rows (L, N_g) and the
+    surface's unit-modulus reflection weights exp(j*phases) (N_g,)."""
+    return (in_rows.conj() * weights) @ out_rows.T
 
 
 def cascaded_channel(ap_ue: np.ndarray,

@@ -5,8 +5,26 @@ Grid convention: cell (x, y) with x the column and y the row; obstacle and
 presence arrays are indexed [y, x]. Cell centers sit at ((x+0.5)s, (y+0.5)s)
 meters for cell size s. All angles are room-frame bearings from atan2.
 
+Only the user's cell, orientation, blockage chains and scattered rays change
+from slot to slot; the AP, the RIS panels and the grid do not. So the
+channel is assembled from three parts:
+
+- per scenario, built with it: the dark and RIS-shadow maps, one AP steering
+  vector per beam and the reflection weights exp(j*phases) per codebook
+  entry (the ULA/UPA phase ramps are shared per array size in `channel`);
+- per user cell, built on the cell's first visit and kept: the LoS bearings,
+  distances and static blocked flags, the LoS and NLoS amplitudes of each
+  link's LoS ray, the AP-side LoS steering rows and the RIS-side LoS UPA
+  rows (`Scenario.cell_geometry`);
+- per slot: the scattered-ray rows, the orientation-dependent UE rows, the
+  beam alignment and the RIS cores (`build_channel`).
+
+The grid likewise keeps the presence CDF and, per cell on first use, the
+mobility candidates and their CDF.
+
 Every stochastic element is driven by an explicit numpy Generator, and the
 draw order inside a step is fixed, so a seed pins the full episode stream.
+The memoized CDFs reproduce `Generator.choice(p=...)` draw for draw.
 """
 
 from __future__ import annotations
@@ -57,22 +75,29 @@ class OccupancyGrid:
     presence: np.ndarray             # float, shape (height, width), sums to 1
     ap_cell: tuple[int, int]
     ris_cells: tuple[tuple[int, int], ...]
+    # cell -> (candidate cells, CDF or None), filled by `moves`
+    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError("cell_size must be positive and finite")
         self.obstacles = np.asarray(self.obstacles, dtype=bool)
         pres = np.asarray(self.presence, dtype=float).copy()
         if pres.shape != self.obstacles.shape:
             raise ValueError("presence and obstacle shapes differ")
+        if not np.isfinite(pres).all():
+            raise ValueError("presence probabilities must be finite")
         if np.any(pres < 0):
             raise ValueError("presence probabilities must be nonnegative")
         pres[self.obstacles] = 0.0
         total = pres.sum()
-        if total <= 0:
-            raise ValueError("presence mass must be positive on free cells")
+        if not 0 < total < math.inf:
+            raise ValueError("presence mass must be positive and finite on free cells")
         self.presence = pres / total
         for cell in (self.ap_cell, *self.ris_cells):
             if not self.in_bounds(cell) or self.is_obstacle(cell):
                 raise ValueError(f"node cell {cell} must be a free in-bounds cell")
+        self._presence_cdf = _choice_cdf(self.presence.ravel())
 
     @property
     def width(self) -> int:
@@ -95,6 +120,41 @@ class OccupancyGrid:
     def free_cells(self) -> list[tuple[int, int]]:
         ys, xs = np.nonzero(~self.obstacles)
         return [(int(x), int(y)) for x, y in zip(xs, ys)]
+
+    def sample_cell(self, rng: np.random.Generator) -> tuple[int, int]:
+        """A cell drawn from the presence distribution, with the draw of
+        rng.choice(width * height, p=presence.ravel())."""
+        idx = _choice_index(self._presence_cdf, rng)
+        return (idx % self.width, idx // self.width)
+
+    def moves(self, cell) -> tuple[list[tuple[int, int]], np.ndarray | None]:
+        """The free in-bounds cells of the 8-neighborhood plus stay, and the
+        CDF of their presence weights (None when they carry no mass).
+        Memoized per cell."""
+        key = (cell[0], cell[1])
+        out = self._moves.get(key)
+        if out is None:
+            x, y = key
+            candidates = [(int(x + ox), int(y + oy)) for ox, oy in _NEIGHBORHOOD
+                          if self.in_bounds((x + ox, y + oy))
+                          and not self.is_obstacle((x + ox, y + oy))]
+            weights = [self.presence[cy, cx] for cx, cy in candidates]
+            total = float(sum(weights))
+            cdf = _choice_cdf(np.asarray(weights) / total) if total > 0.0 else None
+            out = self._moves[key] = (candidates, cdf)
+        return out
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF Generator.choice(len(p), p=p) searches."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choice_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One draw of Generator.choice from its CDF: one rng.random() consumed."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass
@@ -168,20 +228,14 @@ _NEIGHBORHOOD = [(-1, -1), (0, -1), (1, -1), (-1, 0), (0, 0), (1, 0),
 
 def mobility_step(grid: OccupancyGrid, position, rng: np.random.Generator):
     """Draw the next cell among the 8-neighborhood plus stay, weighted by the
-    presence probability of each reachable candidate."""
-    x, y = position
-    candidates = []
-    weights = []
-    for ox, oy in _NEIGHBORHOOD:
-        cell = (x + ox, y + oy)
-        if grid.in_bounds(cell) and not grid.is_obstacle(cell):
-            candidates.append(cell)
-            weights.append(grid.presence[cell[1], cell[0]])
-    total = float(sum(weights))
-    if total <= 0.0:
+    presence probability of each reachable candidate; the draw is that of
+    rng.choice(len(candidates), p=weights / weights.sum()). A neighborhood
+    without presence mass keeps the cell and draws nothing."""
+    candidates, cdf = grid.moves(position)
+    if cdf is None:
+        x, y = position
         return (x, y)
-    idx = rng.choice(len(candidates), p=np.asarray(weights) / total)
-    return candidates[int(idx)]
+    return candidates[_choice_index(cdf, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +368,9 @@ class EnvConfig:
 
 @dataclass
 class Scenario:
-    """Static world description: geometry, budget, codebooks, shadow maps."""
+    """Static world description: geometry, budget, codebooks, shadow maps,
+    and the per-cell LoS tables built from them on first use (so a scenario
+    is not edited after construction; build a new one instead)."""
 
     grid: OccupancyGrid
     geometry: ArrayGeometry
@@ -333,6 +389,15 @@ class Scenario:
                            for cell in self.grid.ris_cells]
         self.ap_ris_blocked = [segment_blocked(self.grid, self.grid.ap_cell, cell)
                                for cell in self.grid.ris_cells]
+        n_links = 1 + 2 * self.geometry.n_ris
+        # links leaving the AP (direct, AP->RIS g) and reaching the UE
+        # (direct, RIS g->UE); chain m blocks link _to_ue[m]
+        self._from_ap = np.array([0, *range(1, n_links, 2)])
+        self._to_ue = np.array([0, *range(2, n_links, 2)])
+        self._beams_conj = [steering_vector_ula(angle, self.geometry.n_ap).conj()
+                            for angle in self.beams.angles]
+        self._weights = [np.exp(1j * np.asarray(entry)) for entry in self.phases.entries]
+        self._cells: dict[tuple[int, int], CellGeometry] = {}
 
     @property
     def n_agents(self) -> int:
@@ -351,6 +416,53 @@ class Scenario:
         fx, fy = self.grid.center(from_cell)
         tx, ty = self.grid.center(to_cell)
         return max(math.hypot(tx - fx, ty - fy), 0.5 * self.grid.cell_size)
+
+    def cell_geometry(self, user) -> CellGeometry:
+        """The static LoS part of every link for a user in `user`, built on
+        the cell's first request and kept."""
+        key = (user[0], user[1])
+        out = self._cells.get(key)
+        if out is None:
+            out = self._cells[key] = _cell_geometry(self, key)
+        return out
+
+
+@dataclass(frozen=True)
+class CellGeometry:
+    """What the channel of a user cell keeps from slot to slot: the LoS ray
+    of every link, links numbered ap_ue, then (ap_ris, ris_ue) per RIS."""
+
+    los_blocked: np.ndarray          # (n_links,) bool: dark cell, AP-RIS wall, RIS shadow
+    los_amps: np.ndarray             # (n_links, 2) amplitude under the LoS, NLoS exponent
+    ue_bearings: tuple[float, ...]   # room-frame bearings user -> AP, user -> RIS g
+    tx_rows: np.ndarray              # (1 + G, N_a) AP rows of the direct, AP->RIS rays
+    ris_rows: tuple[np.ndarray, ...]  # per RIS: (2, N_g) rows of its incident, departing ray
+
+
+def _cell_geometry(scn: Scenario, user: tuple[int, int]) -> CellGeometry:
+    grid, cfg = scn.grid, scn.cfg
+    ap = grid.ap_cell
+    blocked = [scn.dark.at(user)]
+    aod = [scn.bearing(ap, user)]
+    ue_bearings = [scn.bearing(user, ap)]
+    dist = [scn.distance(ap, user)]
+    ris_rows = []
+    for g, ris in enumerate(grid.ris_cells):
+        blocked += [scn.ap_ris_blocked[g], scn.ris_shadow[g].at(user)]
+        aod.append(scn.bearing(ap, ris))
+        ue_bearings.append(scn.bearing(user, ris))
+        dist += [scn.distance(ap, ris), scn.distance(ris, user)]
+        n_h, n_v = scn.geometry.ris_shapes[g]
+        ris_rows.append(steering_vector_upa(
+            np.array([scn.bearing(ris, ap), scn.bearing(ris, user)]),
+            np.full(2, np.pi / 2), n_h, n_v))
+    nu = np.array([cfg.exponent_los, cfg.exponent_nlos])
+    return CellGeometry(
+        los_blocked=np.array(blocked),
+        los_amps=np.sqrt(free_space_gain(np.array(dist)[:, None], cfg.carrier_freq, nu)),
+        ue_bearings=tuple(ue_bearings),
+        tx_rows=steering_vector_ula(np.array(aod), scn.geometry.n_ap),
+        ris_rows=tuple(ris_rows))
 
 
 @dataclass
@@ -380,9 +492,7 @@ def _draw_scatter(scn: Scenario, rng: np.random.Generator):
 def initial_state(scn: Scenario, rng: np.random.Generator,
                   user_cell=None) -> EnvState:
     if user_cell is None:
-        flat = scn.grid.presence.ravel()
-        idx = int(rng.choice(flat.size, p=flat))
-        user_cell = (idx % scn.grid.width, idx // scn.grid.width)
+        user_cell = scn.grid.sample_cell(rng)
     orientation = float(rng.uniform(-np.pi, np.pi))
     chains = np.zeros(1 + scn.geometry.n_ris, dtype=bool)
     gains, aod, aoa, elev = _draw_scatter(scn, rng)
@@ -406,6 +516,12 @@ def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> Cas
     holds the AP steering rows of the direct and AP->RIS rays, rx the UE
     rows of the direct and RIS->UE rays, and the core their amplitudes and,
     per RIS, the phase-carrying ray core.
+
+    The LoS rays' static part (blocked flags, amplitudes, AP and RIS rows)
+    comes from the user cell's `CellGeometry` and the beam vectors and
+    reflection weights from the scenario. Per slot this assembles the
+    scattered rows, the UE rows (they turn with the orientation), the beam
+    alignment of every AP row in one product, and the RIS cores.
     """
     if not 0 <= actions.ap_beam < len(scn.beams):
         raise IndexError(f"beam index {actions.ap_beam} outside codebook")
@@ -415,37 +531,28 @@ def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> Cas
         if not 0 <= b < len(scn.phases):
             raise IndexError(f"phase index {b} outside codebook")
 
-    grid, geo, cfg = scn.grid, scn.geometry, scn.cfg
-    ap, user = grid.ap_cell, state.user_cell
-    n_links, n_rays = 1 + 2 * geo.n_ris, cfg.n_rays
+    geo, n_rays = scn.geometry, scn.cfg.n_rays
+    cell = scn.cell_geometry(state.user_cell)
+    from_ap, to_ue = scn._from_ap, scn._to_ue
 
-    # per link: LoS blockage, LoS departure/arrival bearings, distance
-    los_blocked = [scn.dark.at(user) or bool(state.chain_blocked[0])]
-    los_aod = [scn.bearing(ap, user)]
-    los_aoa = [_wrap(scn.bearing(user, ap) - state.orientation)]
-    dist = [scn.distance(ap, user)]
-    for g, ris in enumerate(grid.ris_cells):
-        los_blocked += [scn.ap_ris_blocked[g],
-                        scn.ris_shadow[g].at(user) or bool(state.chain_blocked[1 + g])]
-        los_aod += [scn.bearing(ap, ris), scn.bearing(ris, user)]
-        los_aoa += [scn.bearing(ris, ap), _wrap(scn.bearing(user, ris) - state.orientation)]
-        dist += [scn.distance(ap, ris), scn.distance(ris, user)]
+    # (n_links, n_rays) ray amplitudes, LoS ray first; a chain blocks the
+    # LoS ray of its link to the UE
+    blocked = cell.los_blocked.copy()
+    blocked[to_ue] |= state.chain_blocked
+    amps = np.empty((len(blocked), n_rays), dtype=complex)
+    amps[:, 0] = np.where(blocked, cell.los_amps[:, 1], cell.los_amps[:, 0])
+    amps[:, 1:] = state.scatter_gains * cell.los_amps[:, 1:]
 
-    # (n_links, n_rays) ray arrays, LoS ray first
-    blocked = np.ones((n_links, n_rays), dtype=bool)
-    blocked[:, 0] = los_blocked
-    aod = np.column_stack([los_aod, state.scatter_aod])
-    aoa = np.column_stack([los_aoa, state.scatter_aoa])
-    elev = np.column_stack([np.full(n_links, np.pi / 2), state.scatter_elev])
-    gains = np.column_stack([np.ones(n_links), state.scatter_gains])
-    nu = np.where(blocked, cfg.exponent_nlos, cfg.exponent_los)
-    amps = gains * np.sqrt(free_space_gain(np.array(dist)[:, None], cfg.carrier_freq, nu))
-
-    from_ap, to_ue = [0, *range(1, n_links, 2)], [0, *range(2, n_links, 2)]
-    tx_rows = steering_vector_ula(aod[from_ap].ravel(), geo.n_ap)
-    rx_rows = steering_vector_ula(aoa[to_ue].ravel(), geo.n_ue)
-    beam = steering_vector_ula(scn.beams.angles[actions.ap_beam], geo.n_ap)
-    tx_amps = amps[from_ap].ravel() * (np.abs(tx_rows @ beam.conj()) / geo.n_ap)
+    tx_rows = np.empty((len(from_ap), n_rays, geo.n_ap), dtype=complex)
+    tx_rows[:, 0] = cell.tx_rows
+    tx_rows[:, 1:] = steering_vector_ula(state.scatter_aod[from_ap], geo.n_ap)
+    tx_rows = tx_rows.reshape(-1, geo.n_ap)
+    aoa = np.empty((len(to_ue), n_rays))
+    aoa[:, 0] = [_wrap(b - state.orientation) for b in cell.ue_bearings]
+    aoa[:, 1:] = state.scatter_aoa[to_ue]
+    rx_rows = steering_vector_ula(aoa.ravel(), geo.n_ue)
+    align = np.abs(tx_rows @ scn._beams_conj[actions.ap_beam]) / geo.n_ap
+    tx_amps = amps[from_ap].ravel() * align
     rx_amps = np.concatenate([np.ones(n_rays), amps[to_ue[1:]].ravel()])
 
     core = np.zeros((tx_rows.shape[0],) * 2, dtype=complex)
@@ -453,11 +560,15 @@ def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> Cas
     for g, b in enumerate(actions.ris_phases):
         n_h, n_v = geo.ris_shapes[g]
         ris_in, ris_out = 1 + 2 * g, 2 + 2 * g
-        rows = steering_vector_upa(np.concatenate([aoa[ris_in], aod[ris_out]]),
-                                   np.concatenate([elev[ris_in], elev[ris_out]]), n_h, n_v)
+        # rows[0]: incident rays, arriving from the AP; rows[1]: departing rays
+        rows = np.empty((2, n_rays, n_h * n_v), dtype=complex)
+        rows[:, 0] = cell.ris_rows[g]
+        rows[:, 1:] = steering_vector_upa(
+            np.concatenate([state.scatter_aoa[ris_in], state.scatter_aod[ris_out]]),
+            np.concatenate([state.scatter_elev[ris_in], state.scatter_elev[ris_out]]),
+            n_h, n_v).reshape(2, n_rays - 1, n_h * n_v)
         blk = slice((1 + g) * n_rays, (2 + g) * n_rays)
-        core[blk, blk] = ris_core(rows[:n_rays], np.asarray(scn.phases.entries[b]),
-                                  rows[n_rays:])
+        core[blk, blk] = ris_core(rows[0], scn._weights[b], rows[1])
     core *= tx_amps[:, None] * rx_amps[None, :]
     return CascadedChannel(tx=tx_rows.T, core=core, rx=rx_rows.T)
 
@@ -539,13 +650,11 @@ def generate_dataset(grid: OccupancyGrid, n_trajectories: int, length: int,
     slot, coordinates in meters at cell centers. Deterministic per rng."""
     if n_trajectories < 1 or length < 1:
         raise ValueError("need n_trajectories >= 1 and length >= 1")
-    flat = grid.presence.ravel()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
         for traj in range(n_trajectories):
-            idx = int(rng.choice(flat.size, p=flat))
-            cell = (idx % grid.width, idx // grid.width)
+            cell = grid.sample_cell(rng)
             for t in range(length):
                 cx, cy = grid.center(cell)
                 writer.writerow([traj, t, f"{cx:.6f}", f"{cy:.6f}"])
@@ -646,7 +755,12 @@ def save_scenario(grid: OccupancyGrid, path) -> None:
 
 
 def load_scenario(path) -> OccupancyGrid:
-    """Key/value + ASCII-mask scenario parser; errors carry line numbers."""
+    """Key/value + ASCII-mask scenario parser; errors carry line numbers.
+
+    Rejected with ScenarioFormatError: a cell_size that is not positive and
+    finite, presence values that are negative or not finite, presence rows
+    of unequal length, and AP or RIS cells off the grid or on an obstacle.
+    """
     with open(path) as fh:
         raw = fh.read().splitlines()
     cell_size = None
@@ -670,9 +784,16 @@ def load_scenario(path) -> OccupancyGrid:
                 section = "mask"
                 continue
             try:
-                presence_rows.append([float(v) for v in stripped.split()])
+                row = [float(v) for v in stripped.split()]
             except ValueError:
                 raise ScenarioFormatError(f"line {lineno}: bad presence row") from None
+            if not all(0.0 <= v < math.inf for v in row):
+                raise ScenarioFormatError(
+                    f"line {lineno}: presence values must be finite and nonnegative")
+            if presence_rows and len(row) != len(presence_rows[0]):
+                raise ScenarioFormatError(f"line {lineno}: presence row has {len(row)} "
+                                          f"values, the first has {len(presence_rows[0])}")
+            presence_rows.append(row)
             continue
         parts = stripped.split()
         key = parts[0]
@@ -684,14 +805,17 @@ def load_scenario(path) -> OccupancyGrid:
                 cell_size = float(parts[1])
             except (IndexError, ValueError):
                 raise ScenarioFormatError(f"line {lineno}: bad cell_size") from None
+            if not 0.0 < cell_size < math.inf:
+                raise ScenarioFormatError(
+                    f"line {lineno}: cell_size must be positive and finite")
         elif key == "ap":
             try:
-                ap = (int(parts[1]), int(parts[2]))
+                ap = ((int(parts[1]), int(parts[2])), lineno)
             except (IndexError, ValueError):
                 raise ScenarioFormatError(f"line {lineno}: bad ap cell") from None
         elif key == "ris":
             try:
-                ris.append((int(parts[1]), int(parts[2])))
+                ris.append(((int(parts[1]), int(parts[2])), lineno))
             except (IndexError, ValueError):
                 raise ScenarioFormatError(f"line {lineno}: bad ris cell") from None
         elif key == "presence":
@@ -712,14 +836,22 @@ def load_scenario(path) -> OccupancyGrid:
     if len(widths) != 1:
         raise ScenarioFormatError(f"{path}: mask rows have unequal widths")
     obstacles = np.array([[c == "#" for c in row] for row in mask_rows])
+    for (x, y), lineno in (ap, *ris):
+        if not (0 <= x < obstacles.shape[1] and 0 <= y < obstacles.shape[0]) \
+                or obstacles[y, x]:
+            raise ScenarioFormatError(
+                f"line {lineno}: cell {(x, y)} must be a free in-bounds cell")
     if presence_mode in (None, "uniform"):
         presence = np.ones_like(obstacles, dtype=float)
     else:
         presence = np.asarray(presence_rows, dtype=float)
         if presence.shape != obstacles.shape:
             raise ScenarioFormatError(f"{path}: presence shape differs from mask")
-    return OccupancyGrid(cell_size=cell_size, obstacles=obstacles,
-                         presence=presence, ap_cell=ap, ris_cells=tuple(ris))
+    try:
+        return OccupancyGrid(cell_size=cell_size, obstacles=obstacles, presence=presence,
+                             ap_cell=ap[0], ris_cells=tuple(cell for cell, _ in ris))
+    except ValueError as exc:  # presence mass on the free cells
+        raise ScenarioFormatError(f"{path}: {exc}") from None
 
 
 def desk_grid() -> OccupancyGrid:

@@ -270,13 +270,7 @@ def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> Optim
     closed_loop = closed_loop and not game.frozen
 
     def score(choose):
-        # the second moment sums p*r*r where enumerate_exact_J sums p*r**2;
-        # under non-dyadic transition probabilities the two differ in the
-        # last bit, and this order keeps j_star bitwise stable across releases
-        trajs = enumerate_trajectories(game, joint_onehot_policies(game, choose))
-        mean = sum(t.prob * t.ret for t in trajs)
-        second = sum(t.prob * t.ret * t.ret for t in trajs)
-        return mean - 0.5 * mu * (second - mean ** 2)
+        return enumerate_exact_J(game, joint_onehot_policies(game, choose), mu)
 
     best = None
     for j, tree in deterministic_assignments(score, (lambda hist: hist) if closed_loop else len,

@@ -1,7 +1,8 @@
-"""Shared test helpers: finite-difference oracles and toy-game fixtures."""
+"""Shared test helpers: finite-difference oracles and random parameter
+points. Not named conftest.py: perfbench/tests has a conftest of its own, and
+one pytest run collects both directories."""
 
 import numpy as np
-import pytest
 
 from rislab.policy import PolicyParams, n_params, param_layout
 

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import differentiable_at, fd_gradient, max_rel_err, random_params
+from helpers import differentiable_at, fd_gradient, max_rel_err, random_params
 
 from rislab import policy as pol
 from rislab.channel import LinkBudget, achievable_rate

@@ -135,6 +135,7 @@ def test_batched_steering_rows_equal_scalar_calls():
         want = np.stack([steering_vector_upa(a, e, n_h, n_v) for a, e in zip(az, el)])
         np.testing.assert_allclose(got, want, rtol=1e-15)
     assert steering_vector_ula(az[:0], 3).shape == (0, 3)
+    assert steering_vector_upa(az[:0], el[:0], 2, 3).shape == (0, 6)
 
 
 # ---------------------------------------------------------------------------

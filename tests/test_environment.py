@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rislab import cli
 from rislab.channel import (
@@ -154,6 +156,54 @@ def test_mobility_skewed_weights_match_frequencies():
         counts[y, x] += 1
     weights = grid.presence / grid.presence.sum()
     np.testing.assert_allclose(counts / n, weights, atol=0.01)
+
+
+def _choice_mobility_step(grid, position, rng):
+    """mobility_step's law drawn with Generator.choice: the reference the
+    memoized per-cell CDFs must reproduce draw for draw."""
+    x, y = position
+    candidates, weights = [], []
+    for ox, oy in [(-1, -1), (0, -1), (1, -1), (-1, 0), (0, 0), (1, 0),
+                   (-1, 1), (0, 1), (1, 1)]:
+        cell = (x + ox, y + oy)
+        if grid.in_bounds(cell) and not grid.is_obstacle(cell):
+            candidates.append(cell)
+            weights.append(grid.presence[cell[1], cell[0]])
+    total = float(sum(weights))
+    if total <= 0.0:
+        return (x, y)
+    return candidates[int(rng.choice(len(candidates), p=np.asarray(weights) / total))]
+
+
+def test_mobility_draws_equal_generator_choice():
+    # same cells, and the same random numbers consumed, on twin generators
+    for grid in (desk_grid(), robustness_grid()):
+        for cell in grid.free_cells():
+            rng, twin = np.random.default_rng(cell), np.random.default_rng(cell)
+            for _ in range(20):
+                assert mobility_step(grid, cell, rng) == _choice_mobility_step(grid, cell, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+    # no presence mass on the cell or its neighbours: it stays, drawing nothing
+    grid = desk_grid()
+    assert grid.presence[:2, :2].sum() == 0.0
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    assert mobility_step(grid, (0, 0), rng) == (0, 0)
+    assert rng.bit_generator.state == before
+
+
+def test_initial_cell_draw_equals_generator_choice():
+    robust = replace(small_scenario(), grid=robustness_grid())
+    for scn in (small_scenario(), robust):
+        flat = scn.grid.presence.ravel()
+        for seed in range(60):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            state = initial_state(scn, rng)
+            idx = int(twin.choice(flat.size, p=flat))
+            cell = (idx % scn.grid.width, idx // scn.grid.width)
+            initial_state(scn, twin, user_cell=cell)
+            assert state.user_cell == cell
+            assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +401,14 @@ def _paper_array_scenario():
                     cfg=EnvConfig(n_rays=3))
 
 
-@pytest.mark.parametrize("make_scenario", [
-    lambda: small_scenario(n_rays=1),
-    lambda: small_scenario(n_rays=2),
-    lambda: small_scenario(n_rays=3),
-    lambda: cli.build_scenario(cli.profile_config("desk")),
-    _paper_array_scenario,
+@pytest.mark.parametrize("make_scenario, every_cell", [
+    (lambda: small_scenario(n_rays=1), False),
+    (lambda: small_scenario(n_rays=2), False),
+    (lambda: small_scenario(n_rays=3), False),
+    (lambda: cli.build_scenario(cli.profile_config("desk")), True),
+    (_paper_array_scenario, True),
 ], ids=["small-1ray", "small-2ray", "small-3ray", "desk", "128x64-8x8"])
-def test_build_channel_matches_ray_oracle(make_scenario):
+def test_build_channel_matches_ray_oracle(make_scenario, every_cell):
     scn = make_scenario()
     # lit; dark only; shadowed from RIS 0 only; from RIS 1 only; dark and
     # shadowed from both; at the AP cell; at a RIS cell
@@ -366,6 +416,8 @@ def test_build_channel_matches_ray_oracle(make_scenario):
     assert not scn.dark.at((0, 1)) and scn.dark.at((5, 2))
     assert scn.ris_shadow[0].at((1, 3)) and not scn.ris_shadow[1].at((1, 3))
     assert scn.ris_shadow[1].at((1, 1)) and not scn.ris_shadow[0].at((1, 1))
+    if every_cell:  # each cell's static geometry is built once, then reused
+        cells = scn.grid.free_cells()
     rng = np.random.default_rng(12)
     for cell in cells:
         for chains in ([0, 0, 0], [1, 0, 1], [0, 1, 0], [1, 1, 1]):
@@ -592,6 +644,94 @@ def test_scenario_rejects_bad_mask_char(tmp_path):
     path.write_text("version 1\ncell_size 1.0\nap 0 0\nmask\n.X\n..\n")
     with pytest.raises(ScenarioFormatError, match="line 5"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("version 1\ncell_size 0\nap 0 0\nmask\n..\n..\n", 2),
+    ("version 1\ncell_size -1.5\nap 0 0\nmask\n..\n..\n", 2),
+    ("version 1\ncell_size inf\nap 0 0\nmask\n..\n..\n", 2),
+    ("version 1\ncell_size 1\nap 0 0\npresence rows\n1 nan\n1 1\nmask\n..\n..\n", 5),
+    ("version 1\ncell_size 1\nap 0 0\npresence rows\n1 1\n1 1 1\nmask\n..\n..\n", 6),
+    ("version 1\ncell_size 1\nap 0 0\nris 2 1\nmask\n..\n..\n", 4),
+], ids=["cell-size-zero", "cell-size-negative", "cell-size-inf", "presence-nan",
+        "presence-ragged", "ris-off-grid"])
+def test_scenario_rejects_bad_values_with_line_numbers(tmp_path, text, line):
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    with pytest.raises(ScenarioFormatError, match=f"line {line}:"):
+        load_scenario(path)
+
+
+def test_grid_rejects_bad_cell_size_and_non_finite_presence():
+    free = dict(obstacles=np.zeros((2, 2), dtype=bool), ap_cell=(0, 0), ris_cells=())
+    for size in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="cell_size"):
+            OccupancyGrid(cell_size=size, presence=np.ones((2, 2)), **free)
+    for bad in (math.nan, math.inf):
+        presence = np.ones((2, 2))
+        presence[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OccupancyGrid(cell_size=1.0, presence=presence, **free)
+
+
+# (operation, line, position, token): drop or duplicate a line, replace one
+# of its tokens, append a token, or overwrite one character
+_MUTANT_TOKENS = ["0", "-1", "-0.5", "2.5", "1e-3", "1e3", "nan", "inf", "-inf", "x",
+                  "7", "99", ".", "#", "uniform", "rows", "mask", "ris"]
+_mutations = st.tuples(st.sampled_from(["drop", "duplicate", "token", "append", "char"]),
+                       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                       st.sampled_from(_MUTANT_TOKENS))
+
+
+def _mutate(lines, op, i, j, token):
+    if not lines:
+        return lines
+    i %= len(lines)
+    parts = lines[i].split()
+    if op == "drop":
+        return lines[:i] + lines[i + 1:]
+    if op == "duplicate":
+        return lines[:i + 1] + lines[i:]
+    if op == "token" and parts:
+        parts[j % len(parts)] = token
+        return lines[:i] + [" ".join(parts)] + lines[i + 1:]
+    if op == "append":
+        return lines[:i] + [f"{lines[i]} {token}"] + lines[i + 1:]
+    if lines[i]:
+        k = j % len(lines[i])
+        return lines[:i] + [lines[i][:k] + token[0] + lines[i][k + 1:]] + lines[i + 1:]
+    return lines
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["desk", "robust"]), st.lists(_mutations, min_size=1, max_size=3))
+def test_scenario_file_mutants_are_rejected_or_step(tmp_path, base, mutations):
+    # a mutated scenario file either fails with ScenarioFormatError alone, or
+    # loads into a grid whose Scenario builds and steps to finite rewards
+    path = tmp_path / "mutant.scn"
+    save_scenario(desk_grid() if base == "desk" else robustness_grid(), path)
+    lines = path.read_text().splitlines()
+    for mutation in mutations:
+        lines = _mutate(lines, *mutation)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        grid = load_scenario(path)
+    except ScenarioFormatError:
+        return
+    n_ris = len(grid.ris_cells)
+    panel = ArrayGeometry(n_ap=4, n_ue=2, ris_shapes=((2, 2),))
+    scn = Scenario(grid=grid, geometry=ArrayGeometry(n_ap=4, n_ue=2,
+                                                     ris_shapes=((2, 2),) * n_ris),
+                   budget=LinkBudget(tx_power=1.0, bandwidth=1.0, noise_density=1e-16),
+                   beams=build_beam_codebook(4),
+                   phases=build_phase_codebook(panel, np.pi / 5, (-np.pi / 2, np.pi / 2),
+                                               default_phase_directions(5)))
+    env = Environment(scn, seed=0)
+    for t in range(6):
+        reward, state = env.step(ActionProfile(t % 4, (t % 5,) * n_ris))
+        assert math.isfinite(reward) and reward >= 0.0
+        assert grid.in_bounds(state.user_cell) and not grid.is_obstacle(state.user_cell)
 
 
 def test_robustness_grid_obstacle_injection():

@@ -192,6 +192,29 @@ def test_closed_loop_beats_open_loop_when_history_helps():
         assert enumerate_exact_J(game, best.policy_fns(game), 0.0) == best.j_star
 
 
+
+def test_optimum_scores_its_j_star_with_risk_on_stochastic_toys():
+    # non-dyadic transition probabilities and mu > 0: the optimum's j_star is
+    # the exact objective of its own one-hot policies, bit for bit, because
+    # optimal_policy scores every candidate through enumerate_exact_J
+    joints = [(b, p) for b in range(2) for p in range(2)]
+    for seed in range(4):
+        rng = np.random.default_rng(500 + seed)
+        rates = {(s, j): float(rng.uniform(0, 3)) for s in "ab" for j in joints}
+        transitions = {}
+        for s, other in (("a", "b"), ("b", "a")):
+            for j in joints:
+                stay = float(rng.uniform(0.05, 0.95))
+                transitions[(s, j)] = ((stay, s), (1 - stay, other))
+        q = float(rng.uniform(0.1, 0.9))
+        game = ToyGame(n_beams=2, n_phases=2, n_ris=1, horizon=2, rates=rates,
+                       initial=((q, "a"), (1 - q, "b")), transitions=transitions,
+                       frozen=False)
+        for mu in (0.25, 0.8, 1.3):
+            for closed_loop in (False, True):
+                best = optimal_policy(game, mu, closed_loop=closed_loop)
+                assert enumerate_exact_J(game, best.policy_fns(game), mu) == best.j_star
+
 def test_deterministic_assignments_cover_reachable_nodes_only():
     # one joint action at the root, then one per observed first-slot rate:
     # 2 * 2^2 closed-loop trees of 3 nodes each, and 2^2 sequences

@@ -21,7 +21,7 @@ from rislab.policy import (
 )
 
 
-from conftest import differentiable_at, fd_gradient, max_rel_err, random_params
+from helpers import differentiable_at, fd_gradient, max_rel_err, random_params
 
 
 def tiny_arch(kind="distributed", heads=(2,), f=3, h=4, p1=0.0, p2=0.0):
