@@ -1,5 +1,6 @@
-"""Multi-ray mmWave channel engine: steering vectors, path gains, cascaded
-AP-RIS-UE channels, beam/phase codebooks, and the log-det bitrate.
+"""Factored multi-ray mmWave channel model: steering vectors, free-space
+path gains, the per-RIS ray core, beam/phase codebooks, and the log-det
+bitrate.
 
 Every link is a sum of L rays, H = sum_l amp_l a_tx,l a_rx,l^H, so the
 end-to-end channel direct + sum_g H_ap->ris,g diag(exp(j phi_g)) H_ris->ue,g
@@ -7,9 +8,10 @@ has rank at most r = L * (1 + G) for G surfaces. `CascadedChannel` keeps it
 in that factored form, h = tx @ core @ rx^H: tx (N_a x r) holds the AP
 steering vectors of the direct and AP->RIS rays, rx (N_u x r) the UE
 steering vectors of the direct and RIS->UE rays, and the block-diagonal
-r x r core holds the ray amplitudes, with one L x L block per RIS that
-carries the surface's phase profile. The dense matrix `.h` is formed only
-when asked for.
+r x r core holds the ray amplitudes, with one L x L block per RIS
+(`ris_core`) that carries the surface's phase profile. The dense matrix
+`.h` is formed only when asked for. `environment.build_channel` assembles
+it from these pieces; this module holds no other channel assembly.
 
 `achievable_rate` takes its determinant at size min(N_a, N_u, r). When r is
 the smallest, Sylvester's identity det(I + X Y) = det(I + Y X) moves the
@@ -33,7 +35,7 @@ C_LIGHT = 299_792_458.0  # m/s
 
 
 class ChannelShapeError(ValueError):
-    """Conformability violation between rays, gains, or matrices."""
+    """A channel that is not a matrix."""
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +60,6 @@ class ArrayGeometry:
     @property
     def n_ris(self) -> int:
         return len(self.ris_shapes)
-
-    def ris_elements(self, g: int) -> int:
-        n_h, n_v = self.ris_shapes[g]
-        return n_h * n_v
 
 
 @dataclass(frozen=True)
@@ -123,42 +121,6 @@ class PhaseCodebook:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class Ray:
-    """One propagation ray of a link.
-
-    aod/aoa are azimuths at the departure/arrival array; elevation applies on
-    whichever end of the link is a UPA (ignored for ULA-ULA links). A blocked
-    ray attenuates with the NLoS exponent.
-    """
-
-    blocked: bool
-    gain: complex
-    aod: float
-    aoa: float
-    elevation: float = np.pi / 2
-
-    def __post_init__(self):
-        if not np.isfinite(self.gain):
-            raise ValueError("ray gain must be finite")
-
-
-@dataclass(frozen=True)
-class PathGainProfile:
-    """Distance/frequency law rho = (c / 2 pi f_c)^2 * d^(-nu)."""
-
-    distance: float
-    carrier_freq: float
-    exponent_los: float = 2.0
-    exponent_nlos: float = 4.0
-
-    def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError("distance must be positive")
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier frequency must be positive")
 
 
 @dataclass(frozen=True)
@@ -240,59 +202,8 @@ def free_space_gain(distance, carrier_freq: float, exponent):
     return (C_LIGHT / (2.0 * np.pi * carrier_freq)) ** 2 * distance ** (-exponent)
 
 
-def path_gain(profile: PathGainProfile, blocked: bool) -> float:
-    """Large-scale power gain rho for one ray; NLoS slope when blocked."""
-    nu = profile.exponent_nlos if blocked else profile.exponent_los
-    return free_space_gain(profile.distance, profile.carrier_freq, nu)
-
-
 # ---------------------------------------------------------------------------
-# link matrices
-
-
-def multipath(tx_rows: np.ndarray, amps: np.ndarray, rx_rows: np.ndarray) -> np.ndarray:
-    """sum_l amps_l tx_l rx_l^H from (L, n_tx) and (L, n_rx) steering rows:
-    the n_tx x n_rx matrix of one multi-ray link."""
-    return (tx_rows * amps[:, None]).T @ rx_rows.conj()
-
-
-def _ray_arrays(rays: list[Ray], profile: PathGainProfile):
-    """Departure, arrival and elevation angles and the complex amplitudes
-    gain_l * sqrt(rho_l) of a ray list, one array each."""
-    if not rays:
-        raise ChannelShapeError("need at least one ray")
-    aod = np.array([r.aod for r in rays], dtype=float)
-    aoa = np.array([r.aoa for r in rays], dtype=float)
-    elevation = np.array([r.elevation for r in rays], dtype=float)
-    amps = np.array([r.gain * math.sqrt(path_gain(profile, r.blocked)) for r in rays],
-                    dtype=complex)
-    return aod, aoa, elevation, amps
-
-
-def channel_ris_to_ue(rays: list[Ray], gains: PathGainProfile,
-                      geometry: ArrayGeometry, ris_index: int = 0) -> np.ndarray:
-    """RIS-side UPA to UE-side ULA multi-ray matrix, shape N_g x N_u."""
-    aod, aoa, elevation, amps = _ray_arrays(rays, gains)
-    n_h, n_v = geometry.ris_shapes[ris_index]
-    return multipath(steering_vector_upa(aod, elevation, n_h, n_v), amps,
-                     steering_vector_ula(aoa, geometry.n_ue))
-
-
-def channel_ap_to_ris(rays: list[Ray], gains: PathGainProfile,
-                      geometry: ArrayGeometry, ris_index: int = 0) -> np.ndarray:
-    """AP-side ULA to RIS-side UPA multi-ray matrix, shape N_a x N_g."""
-    aod, aoa, elevation, amps = _ray_arrays(rays, gains)
-    n_h, n_v = geometry.ris_shapes[ris_index]
-    return multipath(steering_vector_ula(aod, geometry.n_ap), amps,
-                     steering_vector_upa(aoa, elevation, n_h, n_v))
-
-
-def channel_ap_to_ue(rays: list[Ray], gains: PathGainProfile,
-                     geometry: ArrayGeometry) -> np.ndarray:
-    """Direct AP to UE multi-ray matrix (ULA both ends), shape N_a x N_u."""
-    aod, aoa, _, amps = _ray_arrays(rays, gains)
-    return multipath(steering_vector_ula(aod, geometry.n_ap), amps,
-                     steering_vector_ula(aoa, geometry.n_ue))
+# RIS ray core
 
 
 def ris_core(in_rows: np.ndarray, weights: np.ndarray, out_rows: np.ndarray) -> np.ndarray:
@@ -300,32 +211,6 @@ def ris_core(in_rows: np.ndarray, weights: np.ndarray, out_rows: np.ndarray) -> 
     for the incident and departing UPA steering rows (L, N_g) and the
     surface's unit-modulus reflection weights exp(j*phases) (N_g,)."""
     return (in_rows.conj() * weights) @ out_rows.T
-
-
-def cascaded_channel(ap_ue: np.ndarray,
-                     per_ris: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> CascadedChannel:
-    """Sum the direct matrix with every AP->RIS -> phase -> RIS->UE product.
-
-    per_ris items are (ap_ris: N_a x N_g, phases: length-N_g radians,
-    ris_ue: N_g x N_u). The phase vector is applied as diag(exp(j*phases)).
-    """
-    ap_ue = np.asarray(ap_ue, dtype=complex)
-    if ap_ue.ndim != 2:
-        raise ChannelShapeError("ap_ue must be a matrix")
-    n_a, n_u = ap_ue.shape
-    total = ap_ue.copy()
-    for ap_ris, phases, ris_ue in per_ris:
-        ap_ris = np.asarray(ap_ris, dtype=complex)
-        ris_ue = np.asarray(ris_ue, dtype=complex)
-        phases = np.asarray(phases, dtype=float)
-        n_g = phases.size
-        if ap_ris.shape != (n_a, n_g) or ris_ue.shape != (n_g, n_u):
-            raise ChannelShapeError(
-                f"RIS leg shapes {ap_ris.shape} x diag({n_g}) x {ris_ue.shape} "
-                f"do not compose to {n_a}x{n_u}")
-        total += (ap_ris * np.exp(1j * phases)[None, :]) @ ris_ue
-    eye = np.eye(n_u, dtype=complex)
-    return CascadedChannel(tx=total, core=eye, rx=eye)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +272,12 @@ def quantize_phase(phase: float, step: float, lo: float, hi: float) -> float:
     return lo + k * step
 
 
-def build_phase_codebook(geometry: ArrayGeometry, quantization_step: float,
+def build_phase_codebook(panel: tuple[int, int], quantization_step: float,
                          phase_range: tuple[float, float],
-                         directions: list[float], ris_index: int = 0) -> PhaseCodebook:
+                         directions: list[float]) -> PhaseCodebook:
     """One entry per direction: the linear per-surface progression that points
-    the reflected beam at that in-plane azimuth, then quantized.
+    the reflected beam at that in-plane azimuth, then quantized, for an
+    n_h x n_v panel given as `panel = (n_h, n_v)`.
 
     The profile cancels the departure-side steering phase, so the broadside
     direction (pi/2, zero progression) maps to the all-zero entry.
@@ -401,7 +287,9 @@ def build_phase_codebook(geometry: ArrayGeometry, quantization_step: float,
     lo, hi = phase_range
     if not (quantization_step > 0 and lo < hi):
         raise ValueError("need quantization_step > 0 and lo < hi")
-    n_h, n_v = geometry.ris_shapes[ris_index]
+    n_h, n_v = panel
+    if n_h < 1 or n_v < 1:
+        raise ValueError("RIS dimensions must be >= 1")
     entries = []
     for d in directions:
         kh = np.arange(n_h)
@@ -419,13 +307,3 @@ def default_phase_directions(n_entries: int = 11) -> list[float]:
     if n_entries < 2:
         raise ValueError("need at least 2 directions")
     return list(np.linspace(0.0, np.pi, n_entries))
-
-
-def beam_alignment_gain(chosen_angle: float, ray_angle: float, n: int) -> float:
-    """Normalized ULA array-factor alignment |a(chosen)^H a(ray)| / n in [0, 1].
-
-    Scales a ray's amplitude by how well the selected transmit beam
-    illuminates the ray's geometric departure direction; equals 1 on target.
-    """
-    inner = np.vdot(steering_vector_ula(chosen_angle, n), steering_vector_ula(ray_angle, n))
-    return float(np.abs(inner)) / n

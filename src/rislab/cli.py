@@ -48,9 +48,10 @@ from .oracle import (
     complexity_bench,
     enumerate_exact_J,
     frozen_toy_game,
+    greedy_sequence,
     optimal_policy,
     policy_rmse_multi,
-    uniform_policies,
+    uniform_histories,
 )
 from .policy import load_checkpoint, save_checkpoint
 from .training import (
@@ -283,7 +284,7 @@ def build_scenario(cfg: ExperimentConfig, grid=None) -> Scenario:
                         bandwidth=cfg.bandwidth_hz,
                         noise_density=dbm(cfg.noise_dbm_hz))
     beams = build_beam_codebook(cfg.n_beams)
-    phases = build_phase_codebook(geometry, cfg.quant_step,
+    phases = build_phase_codebook((cfg.ris_h, cfg.ris_v), cfg.quant_step,
                                   (cfg.phase_lo, cfg.phase_hi),
                                   default_phase_directions(cfg.n_phases))
     env_cfg = EnvConfig(n_rays=cfg.n_rays, scatter_gain_var=cfg.scatter_var,
@@ -529,28 +530,14 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
         controller = load_controller(cfg, checkpoint_dir, (2, 2))
     policies = [controller.policy_fn(m) for m in range(controller.n_agents)]
     best = optimal_policy(game, cfg.mu)
-
-    # histories the policies are compared over: every reachable global
-    # history under the trained profile plus the empty start
-    from .oracle import enumerate_trajectories
-    hists = set()
-    for traj in enumerate_trajectories(game, uniform_policies(game)):
-        for _s, _j, _r, h in traj.steps:
-            hists.add(h)
-    hists = sorted(hists, key=lambda h: (len(h), str(h)))
-
+    hists = uniform_histories(game)
     rmse = policy_rmse_multi(policies, best.policy_fns(game),
                              [hists] * game.n_agents)
     j_policy = enumerate_exact_J(game, policies, cfg.mu)
     gap = 0.0 if best.j_star == 0 else 100.0 * (best.j_star - j_policy) / abs(best.j_star)
-    greedy = []
-    hist = ()
-    for t in range(game.horizon):
-        joint = tuple(int(np.argmax(policies[m](hist))) for m in range(game.n_agents))
-        greedy.append(joint)
-        hist = hist + ((joint, game.rate("s0", joint)),)
+    greedy = greedy_sequence(game, policies)
     rows = [(f"{rmse:.6g}", f"{j_policy:.10g}", f"{best.j_star:.10g}",
-             f"{gap:.6g}", repr(tuple(greedy)) == repr(best.sequence))]
+             f"{gap:.6g}", greedy == best.sequence)]
     write_metric_csv(os.path.join(out_dir, "compare.csv"), cfg,
                      "rmse_pct,J_policy,J_optimal,gap_pct,greedy_matches_optimal",
                      rows)

@@ -36,24 +36,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The leg builders and cascaded_channel are no longer called here but stay
-# bound in this namespace, where perfbench's tracer looks them up.
-from .channel import (  # noqa: F401
+from .channel import (
     ArrayGeometry,
     BeamCodebook,
     CascadedChannel,
     LinkBudget,
     PhaseCodebook,
     achievable_rate,
-    cascaded_channel,
-    channel_ap_to_ris,
-    channel_ap_to_ue,
-    channel_ris_to_ue,
     free_space_gain,
     ris_core,
     steering_vector_ula,
     steering_vector_upa,
 )
+
+
+def _retired_leg_builder(*args, **kwargs):
+    """Placeholder for the retired per-link channel builders, which
+    `build_channel` replaced. perfbench's tracer still wraps these four names
+    in this namespace for its `channel.leg` and `channel.cascade` spans (which
+    read 0), so they stay bound until the benchmark drops those spans; then
+    this stub goes too. Nothing calls it."""
+    raise NotImplementedError("the per-link channel builders were retired; use build_channel")
+
+
+channel_ap_to_ue = channel_ap_to_ris = channel_ris_to_ue = _retired_leg_builder
+cascaded_channel = _retired_leg_builder
 
 
 class ScenarioFormatError(ValueError):

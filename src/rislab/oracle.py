@@ -1,7 +1,7 @@
 """Brute-force ground truth on desk-scale games: exhaustive trajectory
 enumeration for the exact risk-sensitive objective, open- and closed-loop
-optimal policies, finite-difference gradients, policy RMSE, and forward-cost
-benchmarks.
+optimal policies, the greedy readout of a trained profile, policy RMSE, and
+forward-cost benchmarks.
 
 Toy games carry explicit rate/transition tables, so every probability here
 is computed by full enumeration, independent of the training stack. Policies
@@ -283,22 +283,28 @@ def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> Optim
 
 
 # ---------------------------------------------------------------------------
-# finite differences and policy distance
+# greedy readout and policy distance
 
 
-def finite_difference_gradient(evaluator, params: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of a scalar evaluator per coordinate."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    params = np.asarray(params, dtype=float)
-    grad = np.zeros(params.size)
-    for k in range(params.size):
-        up = params.copy()
-        up[k] += step
-        down = params.copy()
-        down[k] -= step
-        grad[k] = (evaluator(up) - evaluator(down)) / (2.0 * step)
-    return grad
+def uniform_histories(game: ToyGame) -> list:
+    """Every global history a slot starts from under uniform policies, i.e.
+    every history a full-support profile can reach, shortest first."""
+    hists = {h for traj in enumerate_trajectories(game, uniform_policies(game))
+             for _s, _j, _r, h in traj.steps}
+    return sorted(hists, key=lambda h: (len(h), str(h)))
+
+
+def greedy_sequence(game: ToyGame, policy_fns) -> tuple:
+    """The joint actions played on a frozen single-state game when every
+    agent takes the argmax of its policy in each slot."""
+    if not game.frozen or len(game.initial) != 1:
+        raise ValueError("greedy readout needs a frozen single-state game")
+    (_, state), = game.initial
+    hist = ()
+    for _ in range(game.horizon):
+        joint = tuple(int(np.argmax(fn(hist))) for fn in policy_fns)
+        hist += ((joint, game.rate(state, joint)),)
+    return tuple(joint for joint, _ in hist)
 
 
 def policy_rmse_multi(policies_a, policies_b, histories_per_agent) -> float:

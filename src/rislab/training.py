@@ -103,10 +103,15 @@ class Controller:
 
     def policy_fn(self, agent: int):
         """Oracle-compatible callable: global (joint, rate) history tuple
-        to this agent's distribution."""
+        to this agent's distribution. Runs only the net that computes the
+        agent's head, so it equals distributions(...)[agent] bitwise."""
+        arch, params, agents = next(net for net in self.net_heads() if agent in net[2])
+        head = agents.index(agent)
 
         def fn(history):
-            return self.distributions(self.buffers_from_history(history))[agent]
+            dists, _ = pol.forward(params, arch, self.encode_history(history, agent),
+                                   mode="eval")
+            return dists[head]
 
         return fn
 
@@ -149,17 +154,6 @@ class DistributedController(Controller):
         for joint, rate in history:
             buf.push(joint[agent], rate)
         return buf.encode(self.head_sizes[agent])
-
-    def policy_fn(self, agent: int):
-        """Like Controller.policy_fn, but runs only this agent's net."""
-
-        def fn(history):
-            arch, params = self.nets[agent]
-            dists, _ = pol.forward(params, arch, self.encode_history(history, agent),
-                                   mode="eval")
-            return dists[0]
-
-        return fn
 
     def net_heads(self):
         return [(arch, params, (m,)) for m, (arch, params) in enumerate(self.nets)]

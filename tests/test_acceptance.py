@@ -31,12 +31,11 @@ from rislab.environment import HistoryBuffer
 from rislab.oracle import (
     complexity_bench,
     enumerate_exact_J,
-    enumerate_trajectories,
-    finite_difference_gradient,
+    greedy_sequence,
     optimal_policy,
     own_history,
     policy_rmse_multi,
-    uniform_policies,
+    uniform_histories,
 )
 from rislab.risk import evar_literal, surrogate_return
 from rislab.training import (
@@ -168,7 +167,7 @@ def test_c02_proposition_gradient_identity():
         return enumerate_exact_J(
             game, [controller.policy_fn(m) for m in range(2)], mu)
 
-    fd = finite_difference_gradient(j_of, joined, step=1e-4)
+    fd = fd_gradient(j_of, joined, step=1e-4)
     j_of(joined)
     rel = float(np.linalg.norm(fd - exact) / np.linalg.norm(exact))
     elapsed = time.time() - start
@@ -203,19 +202,8 @@ def test_c04_toy_training_reaches_oracle(trained_toy):
     policies = [controller.policy_fn(m) for m in range(2)]
     best = optimal_policy(game, cfg.mu)
 
-    greedy = []
-    hist = ()
-    for _t in range(game.horizon):
-        joint = tuple(int(np.argmax(policies[m](hist))) for m in range(2))
-        greedy.append(joint)
-        hist = hist + ((joint, game.rate("s0", joint)),)
-    greedy_ok = tuple(greedy) == best.sequence
-
-    hists = set()
-    for traj in enumerate_trajectories(game, uniform_policies(game)):
-        for _s, _j, _r, h in traj.steps:
-            hists.add(h)
-    hists = sorted(hists, key=lambda h: (len(h), str(h)))
+    greedy_ok = greedy_sequence(game, policies) == best.sequence
+    hists = uniform_histories(game)
 
     rmse = policy_rmse_multi(policies, best.policy_fns(game), [hists, hists])
     elapsed = time.time() - start
@@ -289,50 +277,66 @@ def test_c08_channel_against_oracles():
         denom = max(abs(want), 1e-12)
         worst_rate = max(worst_rate, abs(got - want) / denom)
 
-    # assembly identities against elementwise loop oracles
-    from rislab.channel import (ArrayGeometry, PathGainProfile, Ray,
-                                cascaded_channel, channel_ap_to_ris,
-                                channel_ap_to_ue, channel_ris_to_ue,
-                                steering_vector_ula, steering_vector_upa,
-                                path_gain)
-    geo = ArrayGeometry(n_ap=3, n_ue=2, ris_shapes=((2, 2),))
+    # assembly identities against elementwise loop oracles: the RIS ray core
+    # and the factored direct + AP->RIS->UE channel built around it
+    from rislab.channel import (CascadedChannel, ris_core,
+                                steering_vector_ula, steering_vector_upa)
+    n_a, n_u, n_g, n_rays = 3, 2, 4, 3
+
+    def cgauss():
+        return rng.normal(size=n_rays) + 1j * rng.normal(size=n_rays)
+
+    def angles():
+        return rng.uniform(-np.pi, np.pi, size=n_rays)
+
+    def elevations():
+        return rng.uniform(0.3, np.pi - 0.3, size=n_rays)
+
     worst_asm = 0.0
     for _ in range(50):
-        rays = [Ray(blocked=bool(rng.integers(2)),
-                    gain=complex(rng.normal(), rng.normal()),
-                    aod=rng.uniform(-np.pi, np.pi),
-                    aoa=rng.uniform(-np.pi, np.pi),
-                    elevation=rng.uniform(0.3, np.pi - 0.3)) for _ in range(3)]
-        prof = PathGainProfile(distance=rng.uniform(1, 6), carrier_freq=73e9)
-        amps = [r.gain * math.sqrt(path_gain(prof, r.blocked)) for r in rays]
+        # steering rows and amplitudes of the direct (d), AP->RIS (in) and
+        # RIS->UE (out) rays
+        ap_d = steering_vector_ula(angles(), n_a)
+        ue_d = steering_vector_ula(angles(), n_u)
+        amp_d = cgauss()
+        ap_in = steering_vector_ula(angles(), n_a)
+        ris_in = steering_vector_upa(angles(), elevations(), 2, 2)
+        amp_in = cgauss()
+        ris_out = steering_vector_upa(angles(), elevations(), 2, 2)
+        ue_out = steering_vector_ula(angles(), n_u)
+        amp_out = cgauss()
+        weights = np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2, size=n_g))
 
-        def loop(tx_cols, rx_cols):
-            out = np.zeros((tx_cols[0].size, rx_cols[0].size), dtype=complex)
-            for ell in range(3):
-                for i in range(out.shape[0]):
-                    for j in range(out.shape[1]):
-                        out[i, j] += tx_cols[ell][i] * amps[ell] * np.conj(rx_cols[ell][j])
-            return out
+        core_ris = ris_core(ris_in, weights, ris_out)
+        core_loop = np.zeros((n_rays, n_rays), dtype=complex)
+        for ell in range(n_rays):
+            for m in range(n_rays):
+                for n in range(n_g):
+                    core_loop[ell, m] += np.conj(ris_in[ell, n]) * weights[n] * ris_out[m, n]
 
-        pairs = [
-            (channel_ris_to_ue(rays, prof, geo),
-             loop([steering_vector_upa(r.aod, r.elevation, 2, 2) for r in rays],
-                  [steering_vector_ula(r.aoa, 2) for r in rays])),
-            (channel_ap_to_ris(rays, prof, geo),
-             loop([steering_vector_ula(r.aod, 3) for r in rays],
-                  [steering_vector_upa(r.aoa, r.elevation, 2, 2) for r in rays])),
-            (channel_ap_to_ue(rays, prof, geo),
-             loop([steering_vector_ula(r.aod, 3) for r in rays],
-                  [steering_vector_ula(r.aoa, 2) for r in rays])),
-        ]
-        direct = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        phases = rng.uniform(-np.pi / 2, np.pi / 2, size=4)
-        legA = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        legB = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        got = cascaded_channel(direct, [(legA, phases, legB)]).h
-        want = direct + legA @ np.diag(np.exp(1j * phases)) @ legB
-        pairs.append((got, want))
-        for got_m, want_m in pairs:
+        core = np.zeros((2 * n_rays, 2 * n_rays), dtype=complex)
+        core[:n_rays, :n_rays] = np.diag(amp_d)
+        core[n_rays:, n_rays:] = amp_in[:, None] * core_ris * amp_out[None, :]
+        got = CascadedChannel(tx=np.concatenate([ap_d, ap_in]).T, core=core,
+                              rx=np.concatenate([ue_d, ue_out]).T).h
+        # dense legs by loops, then direct + leg_a diag(weights) leg_b by loops
+        want = np.zeros((n_a, n_u), dtype=complex)
+        leg_a = np.zeros((n_a, n_g), dtype=complex)
+        leg_b = np.zeros((n_g, n_u), dtype=complex)
+        for ell in range(n_rays):
+            for i in range(n_a):
+                for j in range(n_u):
+                    want[i, j] += ap_d[ell, i] * amp_d[ell] * np.conj(ue_d[ell, j])
+                for n in range(n_g):
+                    leg_a[i, n] += ap_in[ell, i] * amp_in[ell] * np.conj(ris_in[ell, n])
+            for n in range(n_g):
+                for j in range(n_u):
+                    leg_b[n, j] += ris_out[ell, n] * amp_out[ell] * np.conj(ue_out[ell, j])
+        for i in range(n_a):
+            for j in range(n_u):
+                for n in range(n_g):
+                    want[i, j] += leg_a[i, n] * weights[n] * leg_b[n, j]
+        for got_m, want_m in ((core_ris, core_loop), (got, want)):
             scale = max(float(np.max(np.abs(want_m))), 1e-12)
             worst_asm = max(worst_asm, float(np.max(np.abs(got_m - want_m))) / scale)
     report(8, "log-det rate and channel assemblies match loop oracles",

@@ -6,28 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from rislab.channel import (
-    ArrayGeometry,
     BeamCodebook,
     C_LIGHT,
     CascadedChannel,
-    ChannelShapeError,
     LinkBudget,
-    PathGainProfile,
-    PhaseCodebook,
-    Ray,
     achievable_rate,
-    beam_alignment_gain,
     build_beam_codebook,
     build_phase_codebook,
-    cascaded_channel,
-    channel_ap_to_ris,
-    channel_ap_to_ue,
-    channel_ris_to_ue,
     default_phase_directions,
-    path_gain,
-    quantize_phase,
+    free_space_gain,
+    ris_core,
     steering_vector_ula,
     steering_vector_upa,
 )
@@ -70,12 +61,6 @@ def link_matrix_oracle(tx_cols, amps, rx_cols):
             for j in range(n_rx):
                 out[i, j] += tx_cols[ell][i] * amp * np.conj(rx_cols[ell][j])
     return out
-
-
-def ray_amp(ray, profile):
-    nu = profile.exponent_nlos if ray.blocked else profile.exponent_los
-    rho = (C_LIGHT / (2 * math.pi * profile.carrier_freq)) ** 2 * profile.distance ** (-nu)
-    return ray.gain * math.sqrt(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -143,154 +128,111 @@ def test_batched_steering_rows_equal_scalar_calls():
 
 
 def test_path_gain_unit_distance():
-    p = PathGainProfile(distance=1.0, carrier_freq=5e9, exponent_los=2.0)
-    assert path_gain(p, False) == pytest.approx((C_LIGHT / (2 * np.pi * 5e9)) ** 2, rel=1e-14)
+    assert free_space_gain(1.0, 5e9, 2.0) == pytest.approx(
+        (C_LIGHT / (2 * np.pi * 5e9)) ** 2, rel=1e-14)
 
 
 def test_path_gain_inverse_square():
-    p1 = PathGainProfile(distance=2.0, carrier_freq=5e9, exponent_los=2.0)
-    p2 = PathGainProfile(distance=4.0, carrier_freq=5e9, exponent_los=2.0)
-    assert path_gain(p2, False) == pytest.approx(path_gain(p1, False) / 4.0, rel=1e-13)
+    assert free_space_gain(4.0, 5e9, 2.0) == pytest.approx(
+        free_space_gain(2.0, 5e9, 2.0) / 4.0, rel=1e-13)
 
 
 def test_path_gain_blocked_frozen_value():
     # independent evaluation at 40 digits (mpmath): (c/2 pi f)^2 * 3.5^-4
-    p = PathGainProfile(distance=3.5, carrier_freq=73e9, exponent_nlos=4.0)
-    assert path_gain(p, True) == pytest.approx(2.846844668361824e-09, rel=1e-12)
-
-
-def test_path_gain_rejects_nonpositive_distance():
-    with pytest.raises(ValueError):
-        PathGainProfile(distance=0.0, carrier_freq=1e9)
+    assert free_space_gain(3.5, 73e9, 4.0) == pytest.approx(2.846844668361824e-09, rel=1e-12)
 
 
 def test_path_gain_loglog_slope():
-    p_lo = PathGainProfile(distance=1.0, carrier_freq=73e9, exponent_los=2.4)
-    p_hi = PathGainProfile(distance=10.0, carrier_freq=73e9, exponent_los=2.4)
-    slope = (math.log(path_gain(p_hi, False)) - math.log(path_gain(p_lo, False))) / math.log(10.0)
+    gains = free_space_gain(np.array([1.0, 10.0]), 73e9, 2.4)
+    slope = (math.log(gains[1]) - math.log(gains[0])) / math.log(10.0)
     assert slope == pytest.approx(-2.4, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# link matrices
+# RIS core and factored channel, against dense loop-oracle legs
 
 
-GEO = ArrayGeometry(n_ap=3, n_ue=2, ris_shapes=((2, 2),))
+N_AP, N_UE, PANEL = 3, 2, (2, 2)
 
 
-def test_ris_to_ue_zero_gain_gives_zero_matrix():
-    rays = [Ray(blocked=False, gain=0.0, aod=0.3, aoa=0.9)]
-    gains = PathGainProfile(distance=2.0, carrier_freq=73e9)
-    h = channel_ris_to_ue(rays, gains, GEO)
-    assert h.shape == (4, 2)
-    assert np.all(h == 0)
+def random_link(rng, n_rays):
+    """Departure and arrival azimuths, RIS-side elevations and complex
+    amplitudes of one link's rays."""
+    return dict(aod=rng.uniform(-np.pi, np.pi, size=n_rays),
+                aoa=rng.uniform(-np.pi, np.pi, size=n_rays),
+                elevation=rng.uniform(0.2, np.pi - 0.2, size=n_rays),
+                amps=rng.normal(size=n_rays) + 1j * rng.normal(size=n_rays))
 
 
-def test_ris_to_ue_scalar_magnitude():
-    geo = ArrayGeometry(n_ap=1, n_ue=1, ris_shapes=((1, 1),))
-    rays = [Ray(blocked=False, gain=0.8 + 0.1j, aod=0.3, aoa=0.9, elevation=0.7)]
-    gains = PathGainProfile(distance=2.0, carrier_freq=73e9)
-    h = channel_ris_to_ue(rays, gains, geo)
-    rho = path_gain(gains, False)
-    assert abs(h[0, 0]) == pytest.approx(abs(0.8 + 0.1j) * math.sqrt(rho), rel=1e-12)
+def factored(direct, surfaces):
+    """CascadedChannel of a direct link plus (ap_ris, weights, ris_ue) per RIS,
+    laid out as build_channel lays it out."""
+    n_h, n_v = PANEL
+    tx = [steering_vector_ula(direct["aod"], N_AP)]
+    rx = [steering_vector_ula(direct["aoa"], N_UE)]
+    blocks = [np.diag(direct["amps"])]
+    for ap_ris, weights, ris_ue in surfaces:
+        tx.append(steering_vector_ula(ap_ris["aod"], N_AP))
+        rx.append(steering_vector_ula(ris_ue["aoa"], N_UE))
+        core = ris_core(steering_vector_upa(ap_ris["aoa"], ap_ris["elevation"], n_h, n_v),
+                        weights,
+                        steering_vector_upa(ris_ue["aod"], ris_ue["elevation"], n_h, n_v))
+        blocks.append(ap_ris["amps"][:, None] * core * ris_ue["amps"][None, :])
+    return CascadedChannel(tx=np.concatenate(tx).T, core=block_diag(*blocks),
+                           rx=np.concatenate(rx).T)
 
 
-def test_ris_to_ue_matches_loop_oracle():
-    rng = np.random.default_rng(11)
-    rays = [Ray(blocked=bool(rng.integers(2)),
-                gain=complex(rng.normal(), rng.normal()),
-                aod=rng.uniform(-np.pi, np.pi), aoa=rng.uniform(-np.pi, np.pi),
-                elevation=rng.uniform(0.2, np.pi - 0.2)) for _ in range(2)]
-    gains = PathGainProfile(distance=3.1, carrier_freq=73e9)
-    got = channel_ris_to_ue(rays, gains, GEO)
-    tx = [upa_oracle(r.aod, r.elevation, 2, 2) for r in rays]
-    rx = [ula_oracle(r.aoa, 2) for r in rays]
-    want = link_matrix_oracle(tx, [ray_amp(r, gains) for r in rays], rx)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+def dense_leg(link, tx_end, rx_end):
+    """Loop-oracle matrix of one link; an end is 'ula_ap', 'ula_ue' or 'upa'."""
+    def cols(end, angle_key):
+        if end == "upa":
+            return [upa_oracle(a, e, *PANEL) for a, e in zip(link[angle_key], link["elevation"])]
+        return [ula_oracle(a, N_AP if end == "ula_ap" else N_UE) for a in link[angle_key]]
 
-
-def test_ap_to_ris_zero_gain_and_scalar():
-    geo = ArrayGeometry(n_ap=1, n_ue=1, ris_shapes=((1, 1),))
-    gains = PathGainProfile(distance=1.7, carrier_freq=73e9)
-    assert np.all(channel_ap_to_ris(
-        [Ray(blocked=False, gain=0.0, aod=0.1, aoa=0.2)], gains, geo) == 0)
-    h = channel_ap_to_ris([Ray(blocked=True, gain=0.5j, aod=0.1, aoa=0.2)], gains, geo)
-    assert abs(h[0, 0]) == pytest.approx(0.5 * math.sqrt(path_gain(gains, True)), rel=1e-12)
-
-
-def test_ap_to_ris_matches_loop_oracle():
-    rng = np.random.default_rng(13)
-    rays = [Ray(blocked=False, gain=complex(rng.normal(), rng.normal()),
-                aod=rng.uniform(-np.pi, np.pi), aoa=rng.uniform(-np.pi, np.pi),
-                elevation=rng.uniform(0.2, np.pi - 0.2)) for _ in range(3)]
-    gains = PathGainProfile(distance=2.6, carrier_freq=73e9)
-    got = channel_ap_to_ris(rays, gains, GEO)
-    assert got.shape == (3, 4)
-    tx = [ula_oracle(r.aod, 3) for r in rays]
-    rx = [upa_oracle(r.aoa, r.elevation, 2, 2) for r in rays]
-    want = link_matrix_oracle(tx, [ray_amp(r, gains) for r in rays], rx)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
-
-
-def test_ap_to_ue_matches_loop_oracle():
-    rng = np.random.default_rng(17)
-    rays = [Ray(blocked=bool(rng.integers(2)), gain=complex(rng.normal(), rng.normal()),
-                aod=rng.uniform(-np.pi, np.pi), aoa=rng.uniform(-np.pi, np.pi))
-            for _ in range(3)]
-    gains = PathGainProfile(distance=4.2, carrier_freq=73e9)
-    got = channel_ap_to_ue(rays, gains, GEO)
-    tx = [ula_oracle(r.aod, 3) for r in rays]
-    rx = [ula_oracle(r.aoa, 2) for r in rays]
-    want = link_matrix_oracle(tx, [ray_amp(r, gains) for r in rays], rx)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
-
-
-# ---------------------------------------------------------------------------
-# cascaded channel
+    return link_matrix_oracle(cols(tx_end, "aod"), link["amps"], cols(rx_end, "aoa"))
 
 
 def test_cascade_no_ris_returns_direct():
-    direct = np.arange(6, dtype=complex).reshape(3, 2)
-    out = cascaded_channel(direct, [])
-    np.testing.assert_array_equal(out.h, direct)
+    rng = np.random.default_rng(3)
+    direct = random_link(rng, 3)
+    want = dense_leg(direct, "ula_ap", "ula_ue")
+    got = factored(direct, []).h
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
 
 
 def test_cascade_identity_phase():
     rng = np.random.default_rng(3)
-    ap_ris = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    ris_ue = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    out = cascaded_channel(np.zeros((3, 2)), [(ap_ris, np.zeros(4), ris_ue)])
-    np.testing.assert_allclose(out.h, ap_ris @ ris_ue, rtol=1e-13)
+    direct = dict(random_link(rng, 1), amps=np.zeros(1, dtype=complex))
+    ap_ris, ris_ue = random_link(rng, 2), random_link(rng, 2)
+    got = factored(direct, [(ap_ris, np.ones(4), ris_ue)]).h
+    want = dense_leg(ap_ris, "ula_ap", "upa") @ dense_leg(ris_ue, "upa", "ula_ue")
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
 
 
 def test_cascade_two_ris_matches_matrix_oracle():
     rng = np.random.default_rng(5)
-    direct = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    legs = []
-    expected = direct.copy()
+    direct = random_link(rng, 3)
+    expected = dense_leg(direct, "ula_ap", "ula_ue")
+    surfaces = []
     for _ in range(2):
-        a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        ap_ris, ris_ue = random_link(rng, 3), random_link(rng, 3)
         phases = rng.uniform(-np.pi / 2, np.pi / 2, size=4)
-        b = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        legs.append((a, phases, b))
-        expected = expected + a @ np.diag(np.exp(1j * phases)) @ b  # naive product-and-sum
-    out = cascaded_channel(direct, legs)
+        surfaces.append((ap_ris, np.exp(1j * phases), ris_ue))
+        # naive product-and-sum
+        expected = expected + (dense_leg(ap_ris, "ula_ap", "upa") @ np.diag(np.exp(1j * phases))
+                               @ dense_leg(ris_ue, "upa", "ula_ue"))
+    out = factored(direct, surfaces)
     np.testing.assert_allclose(out.h, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
 
 def test_cascade_linear_in_each_leg():
     rng = np.random.default_rng(9)
-    a = rng.normal(size=(2, 3)) + 0j
-    b = rng.normal(size=(3, 2)) + 0j
-    phases = rng.uniform(-1, 1, size=3)
-    one = cascaded_channel(np.zeros((2, 2)), [(a, phases, b)])
-    two = cascaded_channel(np.zeros((2, 2)), [(a, phases, 2.0 * b)])
+    direct = dict(random_link(rng, 1), amps=np.zeros(1, dtype=complex))
+    ap_ris, ris_ue = random_link(rng, 3), random_link(rng, 3)
+    weights = np.exp(1j * rng.uniform(-1, 1, size=4))
+    one = factored(direct, [(ap_ris, weights, ris_ue)])
+    two = factored(direct, [(ap_ris, weights, dict(ris_ue, amps=2.0 * ris_ue["amps"]))])
     np.testing.assert_array_equal(two.h, 2.0 * one.h)
-
-
-def test_cascade_shape_mismatch_raises():
-    with pytest.raises(ChannelShapeError):
-        cascaded_channel(np.zeros((3, 2)), [(np.zeros((3, 4)), np.zeros(4), np.zeros((5, 2)))])
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +404,16 @@ def test_beam_codebook_rejects_unsorted():
 
 def test_phase_codebook_broadside_is_all_zero():
     # a grid containing 0 gives the exact all-zero entry at broadside
-    geo = ArrayGeometry(n_ap=1, n_ue=1, ris_shapes=((4, 4),))
-    cb = build_phase_codebook(geo, np.pi / 4, (-np.pi / 2, np.pi / 2), [np.pi / 2])
+    cb = build_phase_codebook((4, 4), np.pi / 4, (-np.pi / 2, np.pi / 2), [np.pi / 2])
     assert np.all(np.asarray(cb.entries[0]) == 0.0)
     # the pi/5 paper grid has no 0; broadside still collapses to a constant
     # entry, i.e. identity up to a global phase
-    cb5 = build_phase_codebook(geo, np.pi / 5, (-np.pi / 2, np.pi / 2), [np.pi / 2])
+    cb5 = build_phase_codebook((4, 4), np.pi / 5, (-np.pi / 2, np.pi / 2), [np.pi / 2])
     assert len(set(cb5.entries[0])) == 1
 
 
 def test_phase_codebook_single_surface():
-    geo = ArrayGeometry(n_ap=1, n_ue=1, ris_shapes=((1, 1),))
-    cb = build_phase_codebook(geo, np.pi / 5, (-np.pi / 2, np.pi / 2), [0.3, 1.1])
+    cb = build_phase_codebook((1, 1), np.pi / 5, (-np.pi / 2, np.pi / 2), [0.3, 1.1])
     lo = -np.pi / 2
     for entry in cb.entries:
         k = (entry[0] - lo) / (np.pi / 5)
@@ -481,10 +421,9 @@ def test_phase_codebook_single_surface():
 
 
 def test_phase_codebook_matches_per_surface_oracle():
-    geo = ArrayGeometry(n_ap=1, n_ue=1, ris_shapes=((2, 2),))
     step, lo, hi = np.pi / 5, -np.pi / 2, np.pi / 2
     d = 1.05
-    cb = build_phase_codebook(geo, step, (lo, hi), [d])
+    cb = build_phase_codebook((2, 2), step, (lo, hi), [d])
     # independent per-surface computation: raw progression, wrap, clamp, snap
     want = []
     for kv in range(2):
@@ -498,32 +437,20 @@ def test_phase_codebook_matches_per_surface_oracle():
 
 
 def test_phase_codebook_rejects_empty_directions():
-    geo = ArrayGeometry(n_ap=1, n_ue=1, ris_shapes=((2, 2),))
     with pytest.raises(ValueError):
-        build_phase_codebook(geo, np.pi / 5, (-np.pi / 2, np.pi / 2), [])
+        build_phase_codebook((2, 2), np.pi / 5, (-np.pi / 2, np.pi / 2), [])
 
 
 def test_codebook_sweep_peaks_at_matching_direction():
-    # single ray, single RIS, N_a = N_u = 1: the entry steered at the ray's
-    # departure azimuth must win an exhaustive sweep (coherent combining)
-    geo = ArrayGeometry(n_ap=1, n_ue=1, ris_shapes=((2, 2),))
+    # single incident and single departing ray on one RIS: the entry steered
+    # at the departure azimuth must win an exhaustive sweep of the ray core
+    # (coherent combining)
     directions = default_phase_directions(11)
-    cb = build_phase_codebook(geo, np.pi / 5, (-np.pi / 2, np.pi / 2), directions)
+    cb = build_phase_codebook((2, 2), np.pi / 5, (-np.pi / 2, np.pi / 2), directions)
     target = directions[3]
-    gains = PathGainProfile(distance=2.0, carrier_freq=73e9)
     # incident side broadside so only the departure profile matters
-    ap_ris = channel_ap_to_ris(
-        [Ray(blocked=False, gain=1.0, aod=0.0, aoa=np.pi / 2, elevation=np.pi / 2)], gains, geo)
-    ris_ue = channel_ris_to_ue(
-        [Ray(blocked=False, gain=1.0, aod=target, aoa=0.4, elevation=np.pi / 2)], gains, geo)
-    mags = []
-    for b in range(len(cb)):
-        out = cascaded_channel(np.zeros((1, 1)), [(ap_ris, np.asarray(cb.entries[b]), ris_ue)])
-        mags.append(abs(out.h[0, 0]))
+    b_in = steering_vector_upa(np.pi / 2, np.pi / 2, 2, 2)
+    b_out = steering_vector_upa(target, np.pi / 2, 2, 2)
+    mags = [abs(ris_core(b_in[None], np.exp(1j * np.asarray(entry)), b_out[None])[0, 0])
+            for entry in cb.entries]
     assert int(np.argmax(mags)) == 3
-
-
-def test_beam_alignment_gain_bounds():
-    assert beam_alignment_gain(0.7, 0.7, 8) == pytest.approx(1.0, rel=1e-12)
-    g = beam_alignment_gain(0.2, 1.9, 8)
-    assert 0.0 <= g < 1.0

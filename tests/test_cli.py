@@ -317,3 +317,20 @@ def test_main_generate_runs(tmp_path):
                  "--out", str(tmp_path / "gen")])
     assert code == 0
     assert (tmp_path / "gen" / "trajectories.csv").exists()
+
+
+def test_main_trains_a_scenario_without_ris(tmp_path):
+    # a scenario file with no `ris` line: the AP beam is the only agent, and
+    # the phase codebook comes from the configured panel shape
+    scn = tmp_path / "bare.scn"
+    scn.write_text("version 1\ncell_size 1.0\nap 0 0\nmask\n...\n...\n")
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"version 1\nenv.scenario {scn}\ntrain.max_updates 4\n"
+                       "train.offline_epochs 1\ntrain.seed_episodes 4\n"
+                       "train.minibatch 4\ntrain.history_len 4\n")
+    code = main(["train", "--config", str(cfgfile), "--seed", "2",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    lines = (tmp_path / "run" / "curves.csv").read_text().splitlines()
+    assert lines[1].startswith("update,") and len(lines) > 2
+    assert build_scenario(load_config(cfgfile, base=profile_config("desk"))).n_agents == 1

@@ -56,7 +56,7 @@ def small_scenario(markov=None, n_rays=2, scatter_var=0.05):
                     markov=markov or MarkovBlockage())
     return Scenario(grid=grid, geometry=geo, budget=budget,
                     beams=build_beam_codebook(4),
-                    phases=build_phase_codebook(geo, np.pi / 5, (-np.pi / 2, np.pi / 2),
+                    phases=build_phase_codebook((2, 2), np.pi / 5, (-np.pi / 2, np.pi / 2),
                                                 default_phase_directions(5)),
                     cfg=cfg)
 
@@ -396,7 +396,7 @@ def _paper_array_scenario():
     return Scenario(grid=desk_grid(), geometry=geo,
                     budget=LinkBudget(tx_power=1.0, bandwidth=1.0, noise_density=1e-16),
                     beams=build_beam_codebook(8),
-                    phases=build_phase_codebook(geo, np.pi / 5, (-np.pi / 2, np.pi / 2),
+                    phases=build_phase_codebook((8, 8), np.pi / 5, (-np.pi / 2, np.pi / 2),
                                                 default_phase_directions(11)),
                     cfg=EnvConfig(n_rays=3))
 
@@ -720,12 +720,11 @@ def test_scenario_file_mutants_are_rejected_or_step(tmp_path, base, mutations):
     except ScenarioFormatError:
         return
     n_ris = len(grid.ris_cells)
-    panel = ArrayGeometry(n_ap=4, n_ue=2, ris_shapes=((2, 2),))
     scn = Scenario(grid=grid, geometry=ArrayGeometry(n_ap=4, n_ue=2,
                                                      ris_shapes=((2, 2),) * n_ris),
                    budget=LinkBudget(tx_power=1.0, bandwidth=1.0, noise_density=1e-16),
                    beams=build_beam_codebook(4),
-                   phases=build_phase_codebook(panel, np.pi / 5, (-np.pi / 2, np.pi / 2),
+                   phases=build_phase_codebook((2, 2), np.pi / 5, (-np.pi / 2, np.pi / 2),
                                                default_phase_directions(5)))
     env = Environment(scn, seed=0)
     for t in range(6):

@@ -1,8 +1,11 @@
 """Oracle tests: enumeration exactness, brute-force optima including the
-two-arm risk threshold, finite differences, and RMSE fixtures."""
+two-arm risk threshold, the greedy readout, the tests' finite-difference
+oracle, and RMSE fixtures."""
 
 import numpy as np
 import pytest
+
+from helpers import fd_gradient
 
 from rislab.oracle import (
     EnumerabilityError,
@@ -12,12 +15,13 @@ from rislab.oracle import (
     deterministic_assignments,
     enumerate_exact_J,
     enumerate_trajectories,
-    finite_difference_gradient,
     frozen_toy_game,
+    greedy_sequence,
     joint_onehot_policies,
     optimal_policy,
     policy_table,
     policy_rmse_multi,
+    uniform_histories,
     uniform_policies,
 )
 
@@ -258,23 +262,42 @@ def test_policy_table_runs_each_policy_once_per_history():
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# finite differences (the tests' helper, checked against closed forms)
 
 
 def test_fd_constant_function_zero():
-    grad = finite_difference_gradient(lambda v: 7.0, np.ones(5), step=1e-4)
+    grad = fd_gradient(lambda v: 7.0, np.ones(5), step=1e-4)
     np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_fd_quadratic_analytic():
     theta = np.array([0.5, -1.5, 2.0])
-    grad = finite_difference_gradient(lambda v: float(v @ v), theta, step=1e-5)
+    grad = fd_gradient(lambda v: float(v @ v), theta, step=1e-5)
     np.testing.assert_allclose(grad, 2 * theta, atol=1e-8)
 
 
-def test_fd_rejects_bad_step():
+# ---------------------------------------------------------------------------
+# greedy readout
+
+
+def test_uniform_histories_cover_every_slot_start_once():
+    game = two_by_two_game(horizon=2)
+    hists = uniform_histories(game)
+    # the empty start, then one history per first joint action
+    assert hists[0] == ()
+    assert len(hists) == 1 + 4 and len(set(hists)) == len(hists)
+    assert [len(h) for h in hists] == [0, 1, 1, 1, 1]
+
+
+def test_greedy_sequence_follows_argmax_and_history():
+    game = two_by_two_game(horizon=2)
+    # slot 0 picks (0, 1); slot 1 reads that slot's rate, 0.6, off the history
+    pols = joint_onehot_policies(
+        game, lambda hist: (0, 1) if not hist else ((1, 1) if hist[-1][1] == 0.6 else (0, 0)))
+    assert greedy_sequence(game, pols) == ((0, 1), (1, 1))
+    assert greedy_sequence(game, optimal_policy(game, 0.0).policy_fns(game)) == ((1, 1),) * 2
     with pytest.raises(ValueError):
-        finite_difference_gradient(lambda v: 0.0, np.ones(2), step=0.0)
+        greedy_sequence(two_arm_game(), uniform_policies(two_arm_game()))
 
 
 # ---------------------------------------------------------------------------

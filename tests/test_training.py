@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import fd_gradient
+
 from rislab.environment import HistoryBuffer
 from rislab.oracle import (
     enumerate_exact_J,
-    finite_difference_gradient,
     frozen_toy_game,
     optimal_policy,
     own_history,
@@ -136,6 +137,21 @@ def test_distributed_policy_fn_runs_only_its_own_net(monkeypatch):
             assert len(calls) == 1 and calls[0] is ctrl.nets[m][1]
 
 
+@pytest.mark.parametrize("kind", [CentralizedController, DistributedController])
+def test_policy_fn_equals_joint_distributions(kind):
+    # the oracle-facing policy_fn(m) and the collection-facing
+    # distributions()[m] are the same function of the history, bit for bit
+    ctrl = kind((3, 2, 2), 4, np.random.default_rng(38))
+    randomize(ctrl, np.random.default_rng(39))
+    history = (((1, 1, 0), 0.8), ((2, 0, 1), 0.1), ((0, 1, 1), 1.7),
+               ((1, 0, 0), 0.5), ((2, 1, 1), 0.3))
+    for cut in (0, 1, 3, len(history)):
+        hist = history[:cut]
+        joint = ctrl.distributions(ctrl.buffers_from_history(hist))
+        for m in range(ctrl.n_agents):
+            np.testing.assert_array_equal(ctrl.policy_fn(m)(hist), joint[m])
+
+
 # ---------------------------------------------------------------------------
 # gradient estimator
 
@@ -237,7 +253,7 @@ def test_exact_gradient_matches_fd_of_exact_J():
             pos += n
         return enumerate_exact_J(game, [ctrl.policy_fn(m) for m in range(2)], mu)
 
-    fd = finite_difference_gradient(j_of, joined, step=1e-4)
+    fd = fd_gradient(j_of, joined, step=1e-4)
     j_of(joined)
     rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
     assert rel < 1e-6
@@ -258,7 +274,7 @@ def test_exact_gradient_centralized_mode():
         vec[:] = theta
         return enumerate_exact_J(game, [ctrl.policy_fn(m) for m in range(2)], mu)
 
-    fd = finite_difference_gradient(j_of, joined, step=1e-4)
+    fd = fd_gradient(j_of, joined, step=1e-4)
     j_of(joined)
     rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
     assert rel < 1e-6
