@@ -101,7 +101,6 @@ class PhaseCodebook:
     entries: tuple[tuple[float, ...], ...]
     quantization_step: float
     phase_range: tuple[float, float]
-    directions: tuple[float, ...] = ()
 
     def __post_init__(self):
         # B >= 2 is required where the codebook acts as an action space
@@ -299,7 +298,7 @@ def build_phase_codebook(panel: tuple[int, int], quantization_step: float,
         quantized = tuple(quantize_phase(p, quantization_step, lo, hi) for p in profile)
         entries.append(quantized)
     return PhaseCodebook(entries=tuple(entries), quantization_step=quantization_step,
-                         phase_range=(lo, hi), directions=tuple(directions))
+                         phase_range=(lo, hi))
 
 
 def default_phase_directions(n_entries: int = 11) -> list[float]:

@@ -30,7 +30,6 @@ from .channel import (
     default_phase_directions,
 )
 from .environment import (
-    ActionProfile,
     EnvConfig,
     Environment,
     HistoryBuffer,
@@ -55,8 +54,6 @@ from .oracle import (
 )
 from .policy import load_checkpoint, save_checkpoint
 from .training import (
-    CentralizedController,
-    DistributedController,
     DivergenceError,
     ToyGameEnvironment,
     TrainConfig,
@@ -358,31 +355,21 @@ def checkpoint_paths(out_dir, mode: str, n_agents: int):
 
 
 def save_controller(controller, out_dir) -> list:
-    if isinstance(controller, CentralizedController):
-        paths = checkpoint_paths(out_dir, "centralized", controller.n_agents)
-        save_checkpoint(paths[0], controller.params, controller.arch)
-    else:
-        paths = checkpoint_paths(out_dir, "distributed", controller.n_agents)
-        for path, (arch, params) in zip(paths, controller.nets):
-            save_checkpoint(path, params, arch)
+    paths = checkpoint_paths(out_dir, controller.kind, controller.n_agents)
+    for path, (arch, params) in zip(paths, controller.nets):
+        save_checkpoint(path, params, arch)
     return paths
 
 
 def load_controller(cfg: ExperimentConfig, checkpoint_dir, head_sizes):
     ctrl = make_controller(train_config(cfg), head_sizes,
                            np.random.default_rng(cfg.seed))
-    paths = checkpoint_paths(checkpoint_dir, cfg.mode, len(head_sizes))
-    if isinstance(ctrl, CentralizedController):
-        params, arch = load_checkpoint(paths[0])
-        if arch != ctrl.arch:
+    paths = checkpoint_paths(checkpoint_dir, ctrl.kind, len(head_sizes))
+    for k, path in enumerate(paths):
+        params, arch = load_checkpoint(path)
+        if arch != ctrl.nets[k][0]:
             raise ConfigError("checkpoint architecture does not match the config")
-        ctrl.params = params
-    else:
-        for m, path in enumerate(paths):
-            params, arch = load_checkpoint(path)
-            if arch != ctrl.nets[m][0]:
-                raise ConfigError("checkpoint architecture does not match the config")
-            ctrl.nets[m] = (arch, params)
+        ctrl.nets[k] = (arch, params)
     return ctrl
 
 

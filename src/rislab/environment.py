@@ -288,7 +288,6 @@ class HistoryBuffer:
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
         self._entries = deque(maxlen=capacity)
 
     def push(self, action: int, rate_norm: float) -> None:
@@ -299,31 +298,6 @@ class HistoryBuffer:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def encode(self, n_actions: int) -> np.ndarray:
-        """(H, n_actions + 1) features: one-hot of the action then the rate.
-        Missing leading slots encode as all-zero rows."""
-        out = np.zeros((self.capacity, n_actions + 1))
-        pad = self.capacity - len(self._entries)
-        for k, (action, rate) in enumerate(self._entries):
-            out[pad + k, action] = 1.0
-            out[pad + k, n_actions] = rate
-        return out
-
-
-def encode_global(buffers: list[HistoryBuffer], head_sizes) -> np.ndarray:
-    """Joint features for the centralized controller: concatenation of every
-    agent's one-hot action plus the shared normalized rate per slot."""
-    capacity = buffers[0].capacity
-    width = sum(head_sizes) + 1
-    out = np.zeros((capacity, width))
-    for m, (buf, n_actions) in enumerate(zip(buffers, head_sizes)):
-        offset = sum(head_sizes[:m])
-        pad = capacity - len(buf)
-        for k, (action, rate) in enumerate(buf.entries()):
-            out[pad + k, offset + action] = 1.0
-            out[pad + k, width - 1] = rate
-    return out
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -345,20 +345,12 @@ class BenchReport:
 def _episode_forward_seconds(kind: str, history_len: int, n_agents: int,
                              n_actions: int, horizon: int, repeats: int,
                              rng: np.random.Generator) -> float:
-    from .policy import PolicyArchitecture, forward, init_params
+    from .policy import forward
+    from .training import TrainConfig, make_controller
 
-    if kind == "centralized":
-        arch = PolicyArchitecture(kind="centralized", history_len=history_len,
-                                  input_size=n_agents * n_actions + 1,
-                                  head_sizes=(n_actions,) * n_agents,
-                                  dropout_lstm=0.0, dropout_dense=0.0)
-        nets = [(arch, init_params(arch, rng))]
-    else:
-        arch = PolicyArchitecture(kind="distributed", history_len=history_len,
-                                  input_size=n_actions + 1,
-                                  head_sizes=(n_actions,),
-                                  dropout_lstm=0.0, dropout_dense=0.0)
-        nets = [(arch, init_params(arch, rng)) for _ in range(n_agents)]
+    config = TrainConfig(mode=kind, history_len=history_len,
+                         dropout_lstm=0.0, dropout_dense=0.0)
+    nets = make_controller(config, (n_actions,) * n_agents, rng).nets
     hists = [rng.normal(size=(a.history_len, a.input_size)) for a, _ in nets]
     best = math.inf
     for _ in range(3):

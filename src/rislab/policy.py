@@ -298,7 +298,6 @@ def _lstm_backward(lc: _LstmLayerCache, layer_in: np.ndarray, w: np.ndarray,
 class ForwardCache:
     """Everything needed to rerun the pass bit-exactly and run BPTT."""
 
-    mode: str
     n_params: int
     inputs: np.ndarray                 # (H, S, F); a stack's G*S rows group-major
     lstm: list                         # per-layer _LstmLayerCache
@@ -384,9 +383,8 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
         b = params.view(f"head{m}.b")
         probs.append(_softmax(z @ w.T + b))
 
-    cache = ForwardCache(mode=mode, n_params=params.n,
-                         inputs=seq, lstm=layer_caches, drop_lstm=drop_lstm,
-                         trunk=trunk, trunk_out=z, head_probs=probs)
+    cache = ForwardCache(n_params=params.n, inputs=seq, lstm=layer_caches,
+                         drop_lstm=drop_lstm, trunk=trunk, trunk_out=z, head_probs=probs)
     return [p.reshape(lead + p.shape[1:]) for p in probs], cache
 
 

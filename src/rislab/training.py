@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from . import policy as pol
-from .environment import ActionProfile, EpisodeRecord, HistoryBuffer, encode_global
+from .environment import ActionProfile, EpisodeRecord, HistoryBuffer
 from .oracle import ToyGame
 from .risk import gradient_weight, surrogate_return
 
@@ -68,44 +68,101 @@ class TrainConfig:
 
 class Controller:
     """Maps per-agent history buffers to per-agent action distributions and
-    owns the trainable parameter vectors."""
+    owns the trainable parameter vectors.
 
-    head_sizes: tuple
+    The controller is a list of nets over agent groups: `nets[k]`, an
+    (arch, params) pair, reads the histories of the agents in `groups[k]`
+    and computes their heads, in group order. A distributed controller has
+    one group per agent (2 LSTM + 2 dense + head, fed by the agent's own
+    action/rate window); a centralized one has a single group of all agents
+    (3 LSTM + 3 dense + M heads, fed by every agent's action and the rate).
+    Subclasses only name their `kind`."""
+
+    kind: str
+
+    def __init__(self, head_sizes, history_len: int, rng: np.random.Generator,
+                 dropout_lstm: float = 0.2, dropout_dense: float = 0.4):
+        self.head_sizes = tuple(head_sizes)
+        self.history_len = history_len
+        agents = range(len(self.head_sizes))
+        self.groups = ([tuple(agents)] if self.kind == "centralized"
+                       else [(m,) for m in agents])
+        # column of each agent's one-hot action in its group's net input
+        self._offsets = [0] * len(self.head_sizes)
+        self.nets = []
+        for group in self.groups:
+            sizes = tuple(self.head_sizes[m] for m in group)
+            for k, m in enumerate(group):
+                self._offsets[m] = sum(sizes[:k])
+            arch = pol.PolicyArchitecture(
+                kind=self.kind, history_len=history_len, input_size=sum(sizes) + 1,
+                head_sizes=sizes, dropout_lstm=dropout_lstm, dropout_dense=dropout_dense)
+            self.nets.append((arch, pol.init_params(arch, rng)))
 
     @property
     def n_agents(self) -> int:
         return len(self.head_sizes)
 
+    def encode(self, windows, agents) -> np.ndarray:
+        """Net input of one group: `windows` holds one sequence of (action,
+        rate) entries per agent in `agents`. Each of the H rows carries every
+        agent's one-hot action at that agent's column offset, then the shared
+        rate; only the last H entries are kept, and missing leading slots are
+        zero rows."""
+        last = agents[-1]
+        width = self._offsets[last] + self.head_sizes[last] + 1
+        out = np.zeros((self.history_len, width))
+        for window, m in zip(windows, agents):
+            window = window[-self.history_len:]
+            pad = self.history_len - len(window)
+            for k, (action, rate) in enumerate(window):
+                out[pad + k, self._offsets[m] + action] = 1.0
+                out[pad + k, -1] = rate
+        return out
+
     def distributions(self, buffers):
-        raise NotImplementedError
+        """Per-agent action distributions given every agent's HistoryBuffer."""
+        windows = [buf.entries() for buf in buffers]
+        out = []
+        for (arch, params), agents in zip(self.nets, self.groups):
+            feats = self.encode([windows[m] for m in agents], agents)
+            dists, _ = pol.forward(params, arch, feats, mode="eval")
+            out.extend(dists)
+        return out
+
+    def _group_of(self, agent: int) -> tuple:
+        return next(agents for agents in self.groups if agent in agents)
 
     def sample_input(self, sample, slot: int, agent: int) -> np.ndarray:
-        raise NotImplementedError
+        """Input, at `slot` of a replay sample, of the net that computes
+        `agent`'s head; memoized on the sample."""
+        agents = self._group_of(agent)
+        return sample.cached_input(
+            (agents, slot, self.history_len),
+            lambda: self.encode([sample.entries_at(m, slot) for m in agents], agents))
+
+    def encode_history(self, history, agent: int) -> np.ndarray:
+        """Input, given the global (joint, rate) history tuple, of the net
+        that computes `agent`'s head."""
+        agents = self._group_of(agent)
+        return self.encode([[(joint[m], rate) for joint, rate in history]
+                            for m in agents], agents)
 
     def net_heads(self) -> list:
         """(arch, params, agents) per net, `agents` being the agents whose
         heads the net computes, in head order."""
-        raise NotImplementedError
+        return [(arch, params, agents)
+                for (arch, params), agents in zip(self.nets, self.groups)]
 
     def parameter_vectors(self) -> list[np.ndarray]:
-        return [params.values for _, params, _ in self.net_heads()]
-
-    def buffers_from_history(self, history):
-        buffers = [HistoryBuffer(self.history_len) for _ in range(self.n_agents)]
-        for joint, rate in history:
-            for m in range(self.n_agents):
-                buffers[m].push(joint[m], rate)
-        return buffers
-
-    def encode_history(self, history, agent: int) -> np.ndarray:
-        """Network input of one agent given the global (joint, rate) tuple."""
-        raise NotImplementedError
+        return [params.values for _, params in self.nets]
 
     def policy_fn(self, agent: int):
         """Oracle-compatible callable: global (joint, rate) history tuple
         to this agent's distribution. Runs only the net that computes the
         agent's head, so it equals distributions(...)[agent] bitwise."""
-        arch, params, agents = next(net for net in self.net_heads() if agent in net[2])
+        agents = self._group_of(agent)
+        arch, params = self.nets[self.groups.index(agents)]
         head = agents.index(agent)
 
         def fn(history):
@@ -116,86 +173,22 @@ class Controller:
         return fn
 
 
+# Each subclass binds `distributions` in its own __dict__ because
+# perfbench/spans.py wraps the method there, class by class.
+
+
 class DistributedController(Controller):
-    """One per-agent net (2 LSTM + 2 dense + head) fed by the agent's own
-    action/rate window."""
+    """One net per agent, fed by the agent's own action/rate window."""
 
-    def __init__(self, head_sizes, history_len: int, rng: np.random.Generator,
-                 dropout_lstm: float = 0.2, dropout_dense: float = 0.4):
-        self.head_sizes = tuple(head_sizes)
-        self.history_len = history_len
-        self.nets = []
-        for size in self.head_sizes:
-            arch = pol.PolicyArchitecture(
-                kind="distributed", history_len=history_len,
-                input_size=size + 1, head_sizes=(size,),
-                dropout_lstm=dropout_lstm, dropout_dense=dropout_dense)
-            self.nets.append((arch, pol.init_params(arch, rng)))
-
-    def distributions(self, buffers):
-        out = []
-        for m, (arch, params) in enumerate(self.nets):
-            feats = buffers[m].encode(self.head_sizes[m])
-            dists, _ = pol.forward(params, arch, feats, mode="eval")
-            out.append(dists[0])
-        return out
-
-    def sample_input(self, sample, slot: int, agent: int) -> np.ndarray:
-        def build():
-            buf = HistoryBuffer(self.history_len)
-            for action, rate in sample.entries_at(agent, slot)[-self.history_len:]:
-                buf.push(action, rate)
-            return buf.encode(self.head_sizes[agent])
-
-        return sample.cached_input(("d", agent, slot, self.history_len), build)
-
-    def encode_history(self, history, agent: int) -> np.ndarray:
-        buf = HistoryBuffer(self.history_len)
-        for joint, rate in history:
-            buf.push(joint[agent], rate)
-        return buf.encode(self.head_sizes[agent])
-
-    def net_heads(self):
-        return [(arch, params, (m,)) for m, (arch, params) in enumerate(self.nets)]
+    kind = "distributed"
+    distributions = Controller.distributions
 
 
 class CentralizedController(Controller):
-    """A single joint net (3 LSTM + 3 dense + M heads) fed by the global
-    history: every agent's one-hot action plus the shared rate."""
+    """One joint net over all agents, fed by the global history."""
 
-    def __init__(self, head_sizes, history_len: int, rng: np.random.Generator,
-                 dropout_lstm: float = 0.2, dropout_dense: float = 0.4):
-        self.head_sizes = tuple(head_sizes)
-        self.history_len = history_len
-        arch = pol.PolicyArchitecture(
-            kind="centralized", history_len=history_len,
-            input_size=sum(self.head_sizes) + 1, head_sizes=self.head_sizes,
-            dropout_lstm=dropout_lstm, dropout_dense=dropout_dense)
-        self.arch = arch
-        self.params = pol.init_params(arch, rng)
-
-    def distributions(self, buffers):
-        feats = encode_global(buffers, self.head_sizes)
-        dists, _ = pol.forward(self.params, self.arch, feats, mode="eval")
-        return list(dists)
-
-    def sample_input(self, sample, slot: int, agent: int = 0) -> np.ndarray:
-        def build():
-            buffers = []
-            for m in range(self.n_agents):
-                buf = HistoryBuffer(self.history_len)
-                for action, rate in sample.entries_at(m, slot)[-self.history_len:]:
-                    buf.push(action, rate)
-                buffers.append(buf)
-            return encode_global(buffers, self.head_sizes)
-
-        return sample.cached_input(("c", slot, self.history_len), build)
-
-    def encode_history(self, history, agent: int = 0) -> np.ndarray:
-        return encode_global(self.buffers_from_history(history), self.head_sizes)
-
-    def net_heads(self):
-        return [(self.arch, self.params, tuple(range(self.n_agents)))]
+    kind = "centralized"
+    distributions = Controller.distributions
 
 
 def make_controller(config: TrainConfig, head_sizes, rng) -> Controller:
@@ -564,7 +557,7 @@ def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
     learners = []
     for m, net in enumerate(team.nets):
         learner = copy.copy(team)
-        learner.head_sizes, learner.nets = (head_sizes[m],), [net]
+        learner.head_sizes, learner.nets, learner.groups = (head_sizes[m],), [net], [(0,)]
         learners.append(learner)
     env_c, env_d = env_factory(), env_factory()
     bufs_c = [HistoryBuffer(config.history_len) for _ in head_sizes]

@@ -17,6 +17,7 @@ from rislab.cli import (
     ExperimentConfig,
     PROFILES,
     TOY_RATES,
+    build_environment,
     build_grid,
     build_scenario,
     builtin_toy_game,
@@ -26,8 +27,10 @@ from rislab.cli import (
     cmd_train,
     dbm,
     load_config,
+    load_controller,
     main,
     profile_config,
+    save_controller,
     train_config,
 )
 from rislab.training import TrainConfig
@@ -247,6 +250,34 @@ def test_evaluate_deterministic(tmp_path):
 
 def test_evaluate_architecture_mismatch_fails(tmp_path):
     cfg = small_cfg(seed=11)
+    run = tmp_path / "run"
+    cmd_train(cfg, run)
+    bad = replace(cfg, history_len=16)
+    with pytest.raises(ConfigError):
+        cmd_evaluate(bad, tmp_path / "bad", run)
+
+
+def test_evaluate_centralized_checkpoint_round_trip(tmp_path):
+    # train writes the one joint net, evaluate reads it back, and the loaded
+    # controller saves to the same bytes
+    cfg = small_cfg(mode="centralized", seed=15)
+    run = tmp_path / "run"
+    assert cmd_train(cfg, run) == 0
+    out = tmp_path / "eval"
+    assert cmd_evaluate(cfg, out, run) == 0
+    hist = (out / "policy_hist.csv").read_text().splitlines()
+    assert {row.split(",")[0] for row in hist[2:]} == {"0", "1", "2"}
+    _, heads = build_environment(cfg)
+    ctrl = load_controller(cfg, run, heads)
+    assert ctrl.kind == "centralized" and len(ctrl.nets) == 1
+    again = tmp_path / "again"
+    again.mkdir()
+    assert len(save_controller(ctrl, again)) == 1
+    assert (again / "checkpoint.bin").read_bytes() == (run / "checkpoint.bin").read_bytes()
+
+
+def test_evaluate_centralized_architecture_mismatch_fails(tmp_path):
+    cfg = small_cfg(mode="centralized", seed=16)
     run = tmp_path / "run"
     cmd_train(cfg, run)
     bad = replace(cfg, history_len=16)

@@ -16,21 +16,35 @@ ALLOWED = {
 
 
 def referenced_names(tree) -> set:
-    """Names a syntax tree refers to: identifiers, attributes, imported names
-    and identifier-like strings (the benchmark's tracer looks functions up
-    by name)."""
+    """Names a syntax tree refers to: identifiers, attributes and
+    identifier-like strings (the benchmark's tracer looks functions up by
+    name). Importing a name does not count as referring to it."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
             out.add(node.value)
     return out
+
+
+def unused_imports(package: Path) -> list:
+    """`module:name` of each name a package module imports and never refers to."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{bound}")
+    return unused
 
 
 def unreferenced_public_definitions(package: Path, benchmark: Path) -> list:
@@ -62,3 +76,8 @@ def test_every_public_definition_is_used_outside_tests():
     assert flagged == [], f"only tests reach {flagged}; delete them or use them"
     # the allowlist carries no stale entries
     assert sorted(u.split(":")[1] for u in unused) == sorted(ALLOWED)
+
+
+def test_every_import_is_used():
+    unused = unused_imports(PACKAGE)
+    assert unused == [], f"imported but never used: {unused}"

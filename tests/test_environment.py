@@ -35,7 +35,6 @@ from rislab.environment import (
     build_channel,
     compute_dark_areas,
     desk_grid,
-    encode_global,
     env_step,
     generate_dataset,
     ingest_dataset,
@@ -46,6 +45,7 @@ from rislab.environment import (
     save_scenario,
     segment_blocked,
 )
+from rislab.training import CentralizedController, DistributedController
 
 
 def small_scenario(markov=None, n_rays=2, scatter_var=0.05):
@@ -503,12 +503,20 @@ def test_environment_replay_follows_trajectory():
 # histories and episodes
 
 
+def encoder(kind, head_sizes, history_len):
+    # a controller used only for its history encoder, which reads H from
+    # history_len; its nets need a multiple of 4 and are not run here
+    ctrl = kind(head_sizes, 4, np.random.default_rng(0))
+    ctrl.history_len = history_len
+    return ctrl
+
+
 def test_history_buffer_eviction_and_encoding():
     buf = HistoryBuffer(3)
     for k in range(5):
         buf.push(k % 2, 0.1 * k)
     assert len(buf) == 3
-    enc = buf.encode(n_actions=2)
+    enc = encoder(DistributedController, (2,), 3).encode([buf.entries()], (0,))
     assert enc.shape == (3, 3)
     # newest last; entries 2, 3, 4 survive
     np.testing.assert_allclose(enc[:, 2], [0.2, 0.3, 0.4])
@@ -518,7 +526,7 @@ def test_history_buffer_eviction_and_encoding():
 def test_history_buffer_pads_leading_zeros():
     buf = HistoryBuffer(4)
     buf.push(1, 0.5)
-    enc = buf.encode(n_actions=2)
+    enc = encoder(DistributedController, (2,), 4).encode([buf.entries()], (0,))
     np.testing.assert_array_equal(enc[:3], 0.0)
     assert enc[3, 1] == 1.0 and enc[3, 2] == 0.5
 
@@ -527,7 +535,8 @@ def test_encode_global_concatenates_onehots():
     bufs = [HistoryBuffer(2), HistoryBuffer(2)]
     bufs[0].push(1, 0.25)
     bufs[1].push(0, 0.25)
-    enc = encode_global(bufs, head_sizes=(2, 3))
+    enc = encoder(CentralizedController, (2, 3), 2).encode(
+        [buf.entries() for buf in bufs], (0, 1))
     assert enc.shape == (2, 6)
     np.testing.assert_array_equal(enc[0], 0.0)
     np.testing.assert_allclose(enc[1], [0, 1, 1, 0, 0, 0.25])

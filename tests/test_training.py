@@ -57,6 +57,15 @@ def randomize(controller, rng, scale=0.6):
         vec[:] = rng.uniform(-scale, scale, size=vec.size)
 
 
+def buffers_from_history(history, n_agents, capacity):
+    # the per-agent windows that collect_episode would have filled
+    buffers = [HistoryBuffer(capacity) for _ in range(n_agents)]
+    for joint, rate in history:
+        for m, buf in enumerate(buffers):
+            buf.push(joint[m], rate)
+    return buffers
+
+
 # ---------------------------------------------------------------------------
 # collection
 
@@ -129,7 +138,7 @@ def test_distributed_policy_fn_runs_only_its_own_net(monkeypatch):
     monkeypatch.setattr(pol, "forward", counting)
     for cut in (0, 2, len(history)):
         hist = history[:cut]
-        joint = ctrl.distributions(ctrl.buffers_from_history(hist))
+        joint = ctrl.distributions(buffers_from_history(hist, ctrl.n_agents, 4))
         for m in range(ctrl.n_agents):
             calls.clear()
             got = ctrl.policy_fn(m)(hist)
@@ -147,9 +156,63 @@ def test_policy_fn_equals_joint_distributions(kind):
                ((1, 0, 0), 0.5), ((2, 1, 1), 0.3))
     for cut in (0, 1, 3, len(history)):
         hist = history[:cut]
-        joint = ctrl.distributions(ctrl.buffers_from_history(hist))
+        joint = ctrl.distributions(buffers_from_history(hist, ctrl.n_agents, 4))
         for m in range(ctrl.n_agents):
             np.testing.assert_array_equal(ctrl.policy_fn(m)(hist), joint[m])
+
+
+def reference_input(history, head_sizes, agents, history_len):
+    # plain loop: per slot of the last H, each agent's one-hot at the sum of
+    # the head sizes before it in the group, the rate last, zero rows in front
+    width = sum(head_sizes[m] for m in agents) + 1
+    out = np.zeros((history_len, width))
+    window = history[-history_len:]
+    pad = history_len - len(window)
+    for k, (joint, rate) in enumerate(window):
+        for j, m in enumerate(agents):
+            out[pad + k, sum(head_sizes[a] for a in agents[:j]) + joint[m]] = 1.0
+        out[pad + k, width - 1] = rate
+    return out
+
+
+@pytest.mark.parametrize("kind", [CentralizedController, DistributedController])
+def test_one_encoder_behind_every_entry_point(kind, monkeypatch):
+    # distributions(buffers)'s net input, sample_input(sample, t, m) and
+    # encode_history(hist, m) are the same encoding of one history, bit for
+    # bit, and all equal a plain loop; the 6-slot history overruns H = 4
+    from rislab import policy as pol
+
+    heads, history_len = (3, 2, 2), 4
+    ctrl = kind(heads, history_len, np.random.default_rng(45))
+    assert ctrl.groups == ([(0, 1, 2)] if kind is CentralizedController
+                           else [(0,), (1,), (2,)])
+    history = (((2, 0, 1), 0.4), ((0, 1, 1), 1.3), ((1, 1, 0), 0.2),
+               ((2, 1, 0), 0.9), ((0, 0, 1), 0.7), ((1, 0, 1), 0.05))
+    inputs = []
+    forward = pol.forward
+
+    def recording(params, arch, history, **kwargs):
+        inputs.append(history)
+        return forward(params, arch, history, **kwargs)
+
+    monkeypatch.setattr(pol, "forward", recording)
+    for cut in (0, 1, 4, len(history)):
+        hist = history[:cut]
+        inputs.clear()
+        ctrl.distributions(buffers_from_history(hist, ctrl.n_agents, history_len))
+        assert len(inputs) == len(ctrl.groups)
+        slot = min(cut, 2)
+        sample = TrainingSample(
+            start_entries=tuple(tuple((joint[m], rate) for joint, rate in hist[:cut - slot])
+                                for m in range(ctrl.n_agents)),
+            actions=tuple(joint for joint, _ in hist[cut - slot:]),
+            rates_norm=tuple(rate for _, rate in hist[cut - slot:]))
+        for net_input, agents in zip(inputs, ctrl.groups):
+            want = reference_input(hist, heads, agents, history_len)
+            np.testing.assert_array_equal(net_input, want)
+            for m in agents:
+                np.testing.assert_array_equal(ctrl.sample_input(sample, slot, m), want)
+                np.testing.assert_array_equal(ctrl.encode_history(hist, m), want)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +274,8 @@ def test_estimate_gradient_matches_per_slot_passes_with_dropout(mode):
 
     returns = [s.episodic_return for s in batch]
     weights = np.array([gradient_weight(r, float(np.mean(returns)), mu) for r in returns])
-    nets = ([(ctrl.arch, ctrl.params, (0, 1))] if mode == "centralized"
-            else [(arch, params, (m,)) for m, (arch, params) in enumerate(ctrl.nets)])
+    groups = [(0, 1)] if mode == "centralized" else [(0,), (1,)]
+    nets = [(arch, params, agents) for (arch, params), agents in zip(ctrl.nets, groups)]
     rng = np.random.default_rng(44)
     assert len(grads) == len(nets)
     for (arch, params, agents), got in zip(nets, grads):
