@@ -122,7 +122,6 @@ class ExperimentConfig:
     max_updates: int = 800
     convergence_window: int = 50
     convergence_tol: float = 1e-3
-    eq14_literal: bool = False
     dropout_lstm: float = 0.2
     dropout_dense: float = 0.4
     grad_clip: float = 10.0
@@ -188,7 +187,7 @@ _KEY_ALIASES = {
     "train.offline_epochs": "offline_epochs", "train.max_updates": "max_updates",
     "train.convergence_window": "convergence_window",
     "train.convergence_tol": "convergence_tol",
-    "train.eq14_literal": "eq14_literal", "train.dropout_lstm": "dropout_lstm",
+    "train.dropout_lstm": "dropout_lstm",
     "train.dropout_dense": "dropout_dense", "train.grad_clip": "grad_clip",
     "train.polish_steps": "polish_steps",
     "dataset.trajectories": "n_trajectories", "dataset.length": "trajectory_len",
@@ -203,12 +202,6 @@ def _parse_value(key: str, raw: str, lineno: int):
     try:
         if kind == "tuple":
             return tuple(int(v) for v in raw.split(","))
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
         if kind == "str":
             return raw
         if kind == "int":
@@ -307,7 +300,9 @@ def builtin_toy_game(cfg: ExperimentConfig):
 
 def build_environment(cfg: ExperimentConfig, trajectories=None):
     if cfg.profile == "toy":
-        return ToyGameEnvironment(builtin_toy_game(cfg), seed=cfg.seed), (2, 2)
+        game = builtin_toy_game(cfg)
+        heads = tuple(len(s) for s in game.action_sets)
+        return ToyGameEnvironment(game, seed=cfg.seed), heads
     scn = build_scenario(cfg)
     env = Environment(scn, seed=cfg.seed, trajectories=trajectories)
     return env, scn.head_sizes
@@ -424,7 +419,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir, dataset=None) -> int:
     write_gnuplot(os.path.join(out_dir, "curves.gp"), "surrogate return",
                   "curves.csv", "1:2", "update", "J estimate")
     paths = save_controller(controller, out_dir)
-    print(f"wrote {curves} ({result.updates} updates, "
+    print(f"wrote {curves} ({result.updates} updates, {result.clip_events} clipped, "
           f"converged={result.converged}) and {len(paths)} checkpoint file(s)")
     return 0
 
@@ -510,11 +505,12 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
 def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
     game = builtin_toy_game(cfg)
+    heads = tuple(len(s) for s in game.action_sets)
     if checkpoint_dir is None:
         tc = train_config(cfg)
-        controller = make_controller(tc, (2, 2), np.random.default_rng(cfg.seed))
+        controller = make_controller(tc, heads, np.random.default_rng(cfg.seed))
     else:
-        controller = load_controller(cfg, checkpoint_dir, (2, 2))
+        controller = load_controller(cfg, checkpoint_dir, heads)
     policies = [controller.policy_fn(m) for m in range(controller.n_agents)]
     best = optimal_policy(game, cfg.mu)
     hists = uniform_histories(game)

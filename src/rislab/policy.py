@@ -47,16 +47,6 @@ CHECKPOINT_MAGIC = b"RLPC"
 CHECKPOINT_VERSION = 1
 
 
-class _ClampCounter:
-    """Counts probability-floor events in log_prob; trainer reports them."""
-
-    def __init__(self):
-        self.value = 0
-
-
-clamp_events = _ClampCounter()
-
-
 # ---------------------------------------------------------------------------
 # architecture and parameters
 
@@ -125,7 +115,6 @@ class PolicyParams:
 
     values: np.ndarray
     layout: list = field(repr=False, default=None)
-    seed: int | None = None
     _offsets: dict = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -152,13 +141,12 @@ def n_params(arch: PolicyArchitecture) -> int:
     return sum(int(np.prod(shape)) for _, shape in param_layout(arch))
 
 
-def init_params(arch: PolicyArchitecture, rng: np.random.Generator,
-                seed: int | None = None) -> PolicyParams:
+def init_params(arch: PolicyArchitecture, rng: np.random.Generator) -> PolicyParams:
     """Uniform(-s, s) weights with s = sqrt(6/(fan_in+fan_out)) per matrix;
     LSTM forget-gate biases 1, all other biases 0."""
     layout = param_layout(arch)
     flat = np.zeros(n_params(arch))
-    params = PolicyParams(values=flat, layout=layout, seed=seed)
+    params = PolicyParams(values=flat, layout=layout)
     for name, shape in layout:
         v = params.view(name)
         if name.endswith(".b"):
@@ -401,14 +389,11 @@ def sample_action(distribution: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def log_prob(distribution: np.ndarray, action: int) -> float:
-    """Natural log of the selected probability, floored at 1e-12."""
+    """Natural log of the selected probability, floored at PROB_FLOOR."""
     p = float(distribution[action])
     if p <= 0.0:
         raise ValueError(f"action {action} has zero probability")
-    if p < PROB_FLOOR:
-        clamp_events.value += 1
-        p = PROB_FLOOR
-    return float(np.log(p))
+    return float(np.log(max(p, PROB_FLOOR)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +467,7 @@ def save_checkpoint(path, params: PolicyParams, arch: PolicyArchitecture) -> Non
         "dropout_lstm": arch.dropout_lstm,
         "dropout_dense": arch.dropout_dense,
         "n_params": int(params.n),
-        "seed": params.seed if params.seed is not None else -1,
+        "seed": -1,  # no longer read; kept so checkpoint bytes stay stable
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
@@ -509,6 +494,4 @@ def load_checkpoint(path) -> tuple[PolicyParams, PolicyArchitecture]:
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if values.size != header["n_params"] or values.size != n_params(arch):
         raise ValueError(f"{path}: parameter count mismatch")
-    seed = header.get("seed", -1)
-    return (PolicyParams(values=values, layout=param_layout(arch),
-                         seed=None if seed == -1 else seed), arch)
+    return PolicyParams(values=values, layout=param_layout(arch)), arch

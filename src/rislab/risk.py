@@ -1,5 +1,6 @@
 """Risk-sensitive episodic objective: exponential-utility form, its
-mean-minus-variance surrogate, and the per-sample policy-gradient weights.
+mean-minus-variance surrogate, and the policy-gradient weights, the one
+formula every gradient in the trainer and its harnesses uses.
 
 Note on signs: the literal exponential objective (1/mu) log E[exp(-mu R)] is
 decreasing in R, so the trainer maximizes the second-order surrogate
@@ -33,15 +34,8 @@ def surrogate_return(returns, mu: float) -> float:
     return float(np.mean(r) - 0.5 * mu * np.var(r))
 
 
-def gradient_weight(ret: float, ret_mean: float, mu: float,
-                    eq14_literal: bool = False) -> float:
-    """Score-function weight for one episodic return.
-
-    Default: (1 + mu*R_mean) R - (mu/2) R^2, the form the surrogate's
-    gradient expands to. `eq14_literal` switches both risk signs, i.e.
-    (1 - mu*R_mean) R + (mu/2) R^2, for replication of the printed
-    sample-based update rule.
-    """
-    if eq14_literal:
-        return (1.0 - mu * ret_mean) * ret + 0.5 * mu * ret * ret
-    return (1.0 + mu * ret_mean) * ret - 0.5 * mu * ret * ret
+def gradient_weight(returns, ret_mean: float, mu: float):
+    """Score-function weight (1 + mu*R_mean) R - (mu/2) R^2 of episodic
+    returns R, the gradient of mean(R) - (mu/2) Var(R); elementwise when
+    `returns` is an array."""
+    return (1.0 + mu * ret_mean) * returns - 0.5 * mu * returns * returns

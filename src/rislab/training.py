@@ -43,7 +43,6 @@ class TrainConfig:
     max_updates: int = 500
     convergence_window: int = 50
     convergence_tol: float = 1e-3
-    eq14_literal: bool = False
     dropout_lstm: float = 0.2
     dropout_dense: float = 0.4
     grad_clip: float = 10.0
@@ -322,7 +321,6 @@ def collect_episode(env, controller: Controller, buffers, horizon: int,
 
 
 def estimate_gradient(controller: Controller, batch, mu: float,
-                      eq14_literal: bool = False,
                       rng: np.random.Generator | None = None,
                       mode: str = "train") -> list[np.ndarray]:
     """Sample-mean score-function gradient: (1/S) sum_s grad log Pi^(s) *
@@ -335,9 +333,7 @@ def estimate_gradient(controller: Controller, batch, mu: float,
     if not batch:
         raise ValueError("batch must be nonempty")
     returns = np.array([s.episodic_return for s in batch])
-    r_mean = float(returns.mean())
-    weights = np.array([gradient_weight(r, r_mean, mu, eq14_literal)
-                        for r in returns])
+    weights = gradient_weight(returns, float(returns.mean()), mu)
     horizon = len(batch[0].rates_norm)
     tiled = np.tile(weights, horizon)
     grads = []
@@ -352,8 +348,7 @@ def estimate_gradient(controller: Controller, batch, mu: float,
     return grads
 
 
-def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float,
-                          eq14_literal: bool = False) -> list[np.ndarray]:
+def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float) -> list[np.ndarray]:
     """Exact expectation of the score-function gradient on an enumerable
     game: sum over all trajectories of Pi(T) * grad log Pi * weight(R, E[R]).
 
@@ -366,9 +361,10 @@ def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float,
                                for m in range(controller.n_agents)])
     trajs = enumerate_trajectories(game, policy_fns)
     mean = sum(t.prob * t.ret for t in trajs)
+    weights = gradient_weight(np.array([t.ret for t in trajs]), mean, mu)
     buckets: dict = {}
-    for traj in trajs:
-        w = traj.prob * gradient_weight(traj.ret, mean, mu, eq14_literal)
+    for traj, weight in zip(trajs, weights):
+        w = traj.prob * weight
         for _state, joint, _rate, hist in traj.steps:
             key = (hist, joint)
             buckets[key] = buckets.get(key, 0.0) + w
@@ -390,14 +386,13 @@ def exact_ascent(game: ToyGame, controller: Controller, mu: float,
     """Gradient ascent driven by the exact enumerated gradient; returns the
     exact objective sampled every `trace_every` steps. This is the update
     rule itself with its expectation computed in closed form, used to reach
-    convergence on toys."""
+    convergence on toys. It takes the unclipped step, as theorem1_harness does."""
     from .oracle import enumerate_exact_J
 
     trace = []
     for k in range(steps):
-        grads = exact_policy_gradient(game, controller, mu)
-        for vec, g in zip(controller.parameter_vectors(), grads):
-            vec += learning_rate * g
+        _apply_update(controller, exact_policy_gradient(game, controller, mu),
+                      learning_rate, grad_clip=0.0)
         if (k + 1) % trace_every == 0 or k + 1 == steps:
             trace.append(enumerate_exact_J(
                 game, [controller.policy_fn(m) for m in range(controller.n_agents)], mu))
@@ -427,12 +422,17 @@ class TrainResult:
     replay_size: int
 
 
-def _apply_update(controller: Controller, grads, config: TrainConfig):
+def _apply_update(controller: Controller, grads, learning_rate: float,
+                  grad_clip: float):
+    """The one parameter step: ascend every net by `learning_rate` times its
+    gradient block, all blocks scaled together when their global norm
+    exceeds `grad_clip` (0 disables the clip). Returns (norm, clipped);
+    raises DivergenceError when a parameter leaves the finite range."""
     norm = math.sqrt(sum(float(g @ g) for g in grads))
     clipped = False
-    scale = config.learning_rate
-    if config.grad_clip > 0 and norm > config.grad_clip:
-        scale *= config.grad_clip / norm
+    scale = learning_rate
+    if grad_clip > 0 and norm > grad_clip:
+        scale *= grad_clip / norm
         clipped = True
     for vec, g in zip(controller.parameter_vectors(), grads):
         vec += scale * g
@@ -445,9 +445,12 @@ def _apply_update(controller: Controller, grads, config: TrainConfig):
 
 def train(env, controller: Controller, config: TrainConfig,
           buffers=None) -> TrainResult:
-    """Algorithm phases: collect a seed replay set under the initial policy,
-    pre-train offline over it, then run the online collect/update loop until
-    t_end or until the windowed surrogate-return average stalls."""
+    """Algorithm phases: collect a seed replay set by a forced sweep of the
+    joint action space, pre-train offline over it, then run the online
+    collect/update loop until t_end or until the windowed surrogate-return
+    average stalls. Every update is estimate_gradient then _apply_update.
+    A row's `clamps` counts the sampled per-head log-probs at the floor in
+    the episode collected just before it (0 offline: the sweep samples none)."""
     rng_collect = np.random.default_rng([config.seed, 1])
     rng_batch = np.random.default_rng([config.seed, 2])
     rng_dropout = np.random.default_rng([config.seed, 3])
@@ -458,22 +461,18 @@ def train(env, controller: Controller, config: TrainConfig,
     clip_events = 0
     update = 0
     j_history: list[float] = []
-    clamps_seen = pol.clamp_events.value
 
-    def do_update():
-        nonlocal update, clip_events, clamps_seen
+    def do_update(clamps: int):
+        nonlocal update, clip_events
         batch = store.minibatch(config.minibatch, rng_batch)
-        grads = estimate_gradient(controller, batch, config.mu,
-                                  config.eq14_literal, rng=rng_dropout)
-        norm, clipped = _apply_update(controller, grads, config)
+        grads = estimate_gradient(controller, batch, config.mu, rng=rng_dropout)
+        norm, clipped = _apply_update(controller, grads, config.learning_rate,
+                                      config.grad_clip)
         clip_events += clipped
         returns = np.array([s.episodic_return for s in batch])
         j_est = surrogate_return(returns, config.mu)
         j_history.append(j_est)
         update += 1
-        # probability-floor clamps since the previous row, collection included
-        clamps = pol.clamp_events.value - clamps_seen
-        clamps_seen = pol.clamp_events.value
         curves.append(CurveRow(update=update, j_estimate=j_est,
                                mean_rate=float(returns.mean()),
                                rate_variance=float(returns.var()),
@@ -492,15 +491,15 @@ def train(env, controller: Controller, config: TrainConfig,
                                     forced_actions=forced)
         store.add(sample)
     for _ in range(config.offline_epochs):
-        do_update()
+        do_update(clamps=0)
 
     # Phase III: online loop
     converged = False
     while update < config.offline_epochs + config.max_updates:
-        _, sample = collect_episode(env, controller, buffers,
-                                    config.horizon, rng_collect)
+        record, sample = collect_episode(env, controller, buffers,
+                                         config.horizon, rng_collect)
         store.add(sample)
-        do_update()
+        do_update(int(np.count_nonzero(np.array(record.log_probs) <= np.log(pol.PROB_FLOOR))))
         w = config.convergence_window
         if len(j_history) >= 2 * w:
             recent = float(np.mean(j_history[-w:]))
@@ -542,9 +541,9 @@ def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
     updates every agent's net from the joint samples and (b) independent
     per-agent learners, each updating its own net from its own view of the
     samples, and compare parameter trajectories bitwise. Both sides collect
-    with collect_episode and differentiate with estimate_gradient. Also
-    checks that the one-pass slot-major joint gradient equals the per-agent
-    gradients exactly."""
+    with collect_episode, differentiate with estimate_gradient and step with
+    _apply_update. Also checks that the one-pass slot-major joint gradient
+    equals the per-agent gradients exactly."""
     if config.mode != "distributed":
         raise ValueError("the equivalence harness drives distributed controllers")
 
@@ -578,20 +577,18 @@ def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
 
         # central server: one gradient call over every agent's net
         batch_c = store_c.minibatch(config.minibatch, _seeded(config.seed, 20, step))
-        grads_central = estimate_gradient(central, batch_c, config.mu,
-                                          config.eq14_literal, mode="eval")
+        grads_central = estimate_gradient(central, batch_c, config.mu, mode="eval")
         # per-agent learners: each runs its own update routine on its view
         grads_agents = [
             estimate_gradient(learner, store.minibatch(config.minibatch,
                                                       _seeded(config.seed, 20, step)),
-                              config.mu, config.eq14_literal, mode="eval")[0]
+                              config.mu, mode="eval")[0]
             for learner, store in zip(learners, stores_d)]
 
         # factorization identity on the central batch: joint one-pass slot-major
         # accumulation vs the agent-major vectors above
         returns = np.array([s.episodic_return for s in batch_c])
-        weights = np.array([gradient_weight(r, float(returns.mean()), config.mu,
-                                            config.eq14_literal) for r in returns])
+        weights = gradient_weight(returns, float(returns.mean()), config.mu)
         joint = [np.zeros(params.n) for _, params in central.nets]
         for t in range(config.horizon):
             for m, (arch, params) in enumerate(central.nets):
@@ -603,10 +600,11 @@ def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
             gap = float(np.max(np.abs(joint[m] / len(batch_c) - grads_central[m])))
             fact_gap = max(fact_gap, gap)
 
-        for vec, g in zip(central.parameter_vectors(), grads_central):
-            vec += config.learning_rate * g
+        # Theorem 1 is stated for the unclipped step: train()'s clip scales
+        # by the norm over every agent's block, which couples the agents.
+        _apply_update(central, grads_central, config.learning_rate, grad_clip=0.0)
         for learner, g in zip(learners, grads_agents):
-            learner.parameter_vectors()[0] += config.learning_rate * g
+            _apply_update(learner, [g], config.learning_rate, grad_clip=0.0)
 
         step_div = max(float(np.max(np.abs(a - b)))
                        for a, b in zip(central.parameter_vectors(),

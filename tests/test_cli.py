@@ -90,6 +90,13 @@ def test_load_config_unknown_key_names_line(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_retired_eq14_key(tmp_path):
+    path = tmp_path / "old.cfg"
+    path.write_text("version 1\ntrain.mu 0.2\ntrain.eq14_literal true\n")
+    with pytest.raises(ConfigError, match="line 3: unknown key 'train.eq14_literal'"):
+        load_config(path)
+
+
 def test_load_config_bad_value_names_line(tmp_path):
     path = tmp_path / "bad2.cfg"
     path.write_text("version 1\nchannel.n_ap eight\n")
@@ -190,6 +197,16 @@ def test_train_emits_curves_and_checkpoints(tmp_path):
     for m in range(3):
         assert (out / f"checkpoint_agent{m}.bin").exists()
     assert (out / "curves.gp").exists()
+
+
+def test_train_summary_counts_clipped_rows(tmp_path, capsys):
+    cfg = toy_cfg(seed=17, grad_clip=0.5, polish_steps=0)
+    out = tmp_path / "run"
+    assert cmd_train(cfg, out) == 0
+    rows = (out / "curves.csv").read_text().splitlines()[2:]
+    clipped = sum(float(row.split(",")[4]) > cfg.grad_clip for row in rows)
+    assert 0 < clipped < len(rows)
+    assert f"({len(rows)} updates, {clipped} clipped, " in capsys.readouterr().out
 
 
 def test_train_centralized_single_checkpoint(tmp_path):

@@ -81,9 +81,12 @@ def test_gradient_weight_direct_substitution():
     assert gradient_weight(1.0, 1.0, 0.8) == pytest.approx(1.4, rel=1e-12)
 
 
-def test_gradient_weight_literal_form_flips_signs():
-    # (1 - 0.8)*1 + 0.4 = 0.6
-    assert gradient_weight(1.0, 1.0, 0.8, eq14_literal=True) == pytest.approx(0.6, rel=1e-12)
+def test_gradient_weight_array_equals_scalar_calls():
+    r = np.random.default_rng(3).gamma(2.0, 1.5, size=33)
+    mean = float(r.mean())
+    for mu in (0.0, 0.3, 0.8):
+        scalar = np.array([gradient_weight(float(x), mean, mu) for x in r])
+        np.testing.assert_array_equal(gradient_weight(r, mean, mu), scalar)
 
 
 def test_small_mu_consistency_second_order():

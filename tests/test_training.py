@@ -453,6 +453,30 @@ def test_train_curve_counts_collection_clamps():
     assert rng.bit_generator.state == state
 
 
+def test_train_curve_counts_a_floored_sample_in_its_own_row(monkeypatch):
+    # The same +-60 head biases; the sampler is forced to draw action 1 once,
+    # for agent 0 at slot 0 of the second online episode (the fifth draw).
+    # Only the row of the update that follows that episode counts it.
+    from rislab import policy as pol
+
+    original, draws = pol.sample_action, []
+
+    def forced(distribution, rng):
+        draws.append(original(distribution, rng))
+        return 1 if len(draws) == 5 else draws[-1]
+
+    monkeypatch.setattr(pol, "sample_action", forced)
+    cfg = toy_config(learning_rate=0.0, max_updates=4)
+    ctrl = make_controller(cfg, (2, 2), np.random.default_rng(5))
+    for _, params in ctrl.nets:
+        params.view("head0.b")[...] = [60.0, -60.0]
+    res = train(ToyGameEnvironment(toy_game(), seed=6), ctrl, cfg)
+    assert len(draws) == 4 * cfg.max_updates
+    expected = [0] * (cfg.offline_epochs + cfg.max_updates)
+    expected[cfg.offline_epochs + 1] = 1
+    assert [row.clamps for row in res.curves] == expected
+
+
 @pytest.mark.parametrize("mode, nets", [("distributed", 2), ("centralized", 1)])
 def test_train_forwards_only_in_updates(monkeypatch, mode, nets):
     # the seed sweep runs no policy, and each update makes one forward per net
@@ -498,6 +522,16 @@ def test_train_divergence_guard():
     ctrl = make_controller(cfg, (2, 2), np.random.default_rng(27))
     with pytest.raises(DivergenceError):
         train(ToyGameEnvironment(toy_game(), seed=28), ctrl, cfg)
+
+
+def test_exact_ascent_divergence_guard():
+    game = toy_game()
+    cfg = toy_config()
+    rng = np.random.default_rng(30)
+    ctrl = make_controller(cfg, (2, 2), rng)
+    randomize(ctrl, rng)
+    with pytest.raises(DivergenceError):
+        exact_ascent(game, ctrl, mu=0.0, steps=5, learning_rate=1e9)
 
 
 def test_exact_ascent_monotone_at_small_rate():
