@@ -426,19 +426,26 @@ def cmd_train(cfg: ExperimentConfig, out_dir, dataset=None) -> int:
 
 def _rollout_stats(env, controller, cfg: ExperimentConfig, episodes: int,
                    collect_seed: int):
+    """Returns, normalized and in bits, of the episodes after the warm-up,
+    and the per-agent policy averaged over the windows each episode closes
+    with. Eval mode draws nothing, so one episode's closing distributions
+    are the next one's slot-0 distributions, which collect_episode keeps."""
     buffers = [HistoryBuffer(cfg.history_len) for _ in range(controller.n_agents)]
     rng = np.random.default_rng([collect_seed, 77])
     dist_sums = [np.zeros(n) for n in controller.head_sizes]
-    n_obs = 0
+    n_obs = cfg.eval_warmup + episodes
     returns_norm, returns_bits = [], []
-    for k in range(cfg.eval_warmup + episodes):
+    for k in range(n_obs):
         record, _ = collect_episode(env, controller, buffers, cfg.horizon, rng)
-        for m, d in enumerate(controller.distributions(buffers)):
-            dist_sums[m] += d
-        n_obs += 1
+        if k > 0:
+            for m, d in enumerate(record.distributions[0]):
+                dist_sums[m] += d
         if k >= cfg.eval_warmup:
             returns_norm.append(record.episodic_return_norm)
             returns_bits.append(record.episodic_return)
+    if n_obs:
+        for m, d in enumerate(controller.distributions(buffers)):
+            dist_sums[m] += d
     hist = [s / n_obs for s in dist_sums]
     return np.asarray(returns_norm), np.asarray(returns_bits), hist
 

@@ -306,10 +306,15 @@ class EpisodeRecord:
     rates: list                      # bits/s, as observed
     rates_norm: list                 # rate / (bandwidth * rate_norm_max)
     log_probs: list                  # per slot, one entry per agent
+    # per slot, the per-agent distributions the actions were drawn from
+    # (None in a forced slot); None when the collector kept none
+    distributions: list | None = None
 
     def __post_init__(self):
         if not (len(self.actions) == len(self.rates) == len(self.rates_norm)
                 == len(self.log_probs)):
+            raise ValueError("episode fields must share one length")
+        if self.distributions is not None and len(self.distributions) != len(self.rates):
             raise ValueError("episode fields must share one length")
 
     @property

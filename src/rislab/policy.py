@@ -15,18 +15,26 @@ computes the exact gradient of weight * sum_heads log pi(selected action)
 through the cached forward pass, including the dropout masks, so central
 finite differences on a fixed-seed forward reproduce it.
 
-Each LSTM layer is one fused kernel. The input projection X W^T + b of all
-H slots is a single (H*S, F) GEMM ahead of the time loop, which then adds
-only the recurrent term h_{t-1} U^T (absent at t = 0, where h = 0). The
-four gates [i | f | g | o] are activated by one tanh over the whole (S, 4h)
+Each LSTM layer is one fused kernel, laid out batch last: a slot's gates
+are one (4h, S) block and its c, tanh(c) and h are (h, S) blocks, so every
+per-gate operation runs over a contiguous slab and the recurrent term is a
+single (4h, h) @ (h, S) product. The input projection W x + b of all H
+slots is one batched matmul over the (H, F, S) sequence ahead of the time
+loop, which then adds only U h_{t-1} (absent at t = 0, where h = 0). The
+four gates [i | f | g | o] are activated by one tanh over the whole (4h, S)
 pre-activation: sigmoid(z) = 1/2 + 1/2 tanh(z/2), so the i/f/o rows of W, U
-and b are halved once per call and a fixed per-column affine (x 1/2 + 1/2
-on i/f/o, identity on g) finishes them. tanh saturates instead of
-overflowing, so large pre-activations need no masking. Gates, cell states,
-tanh(c) and hidden states are written in place into (H, S, .) buffers that
-the cache keeps. Backward mirrors this: its reverse loop carries only dh
-and dc and fills one (H, S, 4h) buffer of pre-activation gradients, from
-which dW, dU, db and the input gradient are one GEMM or sum each.
+and b are halved once per call and a fixed per-row affine (x 1/2 + 1/2 on
+i/f/o, identity on g) finishes them. tanh saturates instead of
+overflowing, so large pre-activations need no masking. Gates and states
+are written in place into one (H, 7 * sum of layer widths, S) block per
+pass, which the cache keeps: with one large block, glibc's malloc sizes its
+heap-trim threshold from that block, so the heap keeps the pass's memory
+for the next pass instead of returning it and faulting it back in page by
+page. Backward mirrors the forward: its reverse loop carries only the
+(h, S) dh and dc and fills one (H, 4h, S) buffer of pre-activation
+gradients, from which dW, dU and the input gradient are batched matmuls
+over the slots and db is one sum. The dense trunk and the heads stay
+row-major, (S, width).
 
 Parameters live in one flat float64 vector with named slices, so the
 optimizer, the checkpoint format, and finite-difference probes all see the
@@ -171,14 +179,18 @@ def _softmax(logits):
 
 @dataclass
 class _LstmLayerCache:
-    gates: np.ndarray                  # (H, S, 4h) activated [i | f | g | o]
-    c: np.ndarray                      # (H, S, h) cell state
-    tc: np.ndarray                     # (H, S, h) tanh(c)
-    h: np.ndarray                      # (H, S, h) hidden state
+    """One layer's pass, batch last: every gate and state block of a slot is
+    a contiguous (rows, S) slab. The i/f/g/o/c/tc/h accessors are (H, S, .)
+    views of the same buffers."""
+
+    gates: np.ndarray                  # (H, 4h, S) activated [i | f | g | o]
+    cell: np.ndarray                   # (H, h, S) cell state c
+    tanh_cell: np.ndarray              # (H, h, S) tanh(c)
+    hidden: np.ndarray                 # (H, h, S) hidden state h
 
     def _gate(self, k: int) -> np.ndarray:
-        width = self.c.shape[2]
-        return self.gates[:, :, k * width:(k + 1) * width]
+        width = self.cell.shape[1]
+        return self.gates[:, k * width:(k + 1) * width].swapaxes(1, 2)
 
     @property
     def i(self) -> np.ndarray:
@@ -196,89 +208,96 @@ class _LstmLayerCache:
     def o(self) -> np.ndarray:
         return self._gate(3)
 
+    @property
+    def c(self) -> np.ndarray:
+        return self.cell.swapaxes(1, 2)
+
+    @property
+    def tc(self) -> np.ndarray:
+        return self.tanh_cell.swapaxes(1, 2)
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.hidden.swapaxes(1, 2)
+
 
 def _lstm_forward(layer_in: np.ndarray, w: np.ndarray, u: np.ndarray,
-                  b: np.ndarray) -> _LstmLayerCache:
-    """One LSTM layer over a (H, S, F) sequence, starting from h = c = 0, in
-    the fused form the module docstring describes."""
-    steps, batch, fan = layer_in.shape
+                  b: np.ndarray, out: np.ndarray) -> _LstmLayerCache:
+    """One LSTM layer over a (H, F, S) sequence, starting from h = c = 0, in
+    the fused form the module docstring describes. `out`, (H, 7h, S), takes
+    the gates, then c, tanh(c) and h, and the returned cache views it."""
     h = u.shape[1]
     # per-row factor over [i | f | g | o]: 1/2 on the sigmoid gates, where
     # sigmoid(z) = 1/2 + 1/2 tanh(z/2), and 1 on the tanh candidate g
-    half = np.full(4 * h, 0.5)
+    half = np.full((4 * h, 1), 0.5)
     half[2 * h:3 * h] = 1.0
     shift = 1.0 - half
-    gates = (layer_in.reshape(steps * batch, fan) @ (w * half[:, None]).T
-             + b * half).reshape(steps, batch, 4 * h)
-    u_half_t = (u * half[:, None]).T
-    cache = _LstmLayerCache(gates=gates, c=np.empty((steps, batch, h)),
-                            tc=np.empty((steps, batch, h)),
-                            h=np.empty((steps, batch, h)))
-    i, f, g, o = cache.i, cache.f, cache.g, cache.o
-    c, tc, hs = cache.c, cache.tc, cache.h
-    for t in range(steps):
+    gates, cell, tanh_cell, hidden = (out[:, :4 * h], out[:, 4 * h:5 * h],
+                                      out[:, 5 * h:6 * h], out[:, 6 * h:])
+    np.matmul(w * half, layer_in, out=gates)
+    gates += b[:, None] * half
+    u_half = u * half
+    for t in range(len(out)):
         z = gates[t]
         if t > 0:
-            z += hs[t - 1] @ u_half_t
+            z += u_half @ hidden[t - 1]
         np.tanh(z, out=z)
         z *= half
         z += shift
-        np.multiply(i[t], g[t], out=c[t])
+        np.multiply(z[:h], z[2 * h:3 * h], out=cell[t])
         if t > 0:
-            c[t] += f[t] * c[t - 1]
-        np.tanh(c[t], out=tc[t])
-        np.multiply(o[t], tc[t], out=hs[t])
-    return cache
+            cell[t] += z[h:2 * h] * cell[t - 1]
+        np.tanh(cell[t], out=tanh_cell[t])
+        np.multiply(z[3 * h:], tanh_cell[t], out=hidden[t])
+    return _LstmLayerCache(gates=gates, cell=cell, tanh_cell=tanh_cell, hidden=hidden)
 
 
 def _lstm_backward(lc: _LstmLayerCache, layer_in: np.ndarray, w: np.ndarray,
                    u: np.ndarray, dh_out: np.ndarray, d_w: np.ndarray,
                    d_u: np.ndarray, d_b: np.ndarray, want_dx: bool):
-    """BPTT through one layer given dLoss/dh: an (H, S, h) array for every
-    slot, or an (S, h) array when only the final slot's h feeds forward.
-    Accumulates into d_w, d_u, d_b; returns dLoss/d(layer input) when
-    `want_dx`, else None."""
-    steps, batch, fan = layer_in.shape
-    h = lc.c.shape[2]
+    """BPTT through one layer given dLoss/dh: an (H, h, S) array for every
+    slot, or an (h, S) array when only the final slot's h feeds forward.
+    Accumulates into d_w, d_u, d_b; returns dLoss/d(layer input), (H, F, S),
+    when `want_dx`, else None."""
+    h = lc.cell.shape[1]
+    i, f, g, o = (lc.gates[:, k * h:(k + 1) * h] for k in range(4))
     # dz starts as the coefficient that turns dc (i, f, g rows) or dh (o rows)
     # into the pre-activation gradient: the gate slope times the gate's partner
     dz = np.subtract(1.0, lc.gates)
     dz *= lc.gates
-    dz_i, dz_f, dz_g, dz_o = (dz[:, :, k * h:(k + 1) * h] for k in range(4))
-    np.square(lc.g, out=dz_g)
+    dz_i, dz_f, dz_g, dz_o = (dz[:, k * h:(k + 1) * h] for k in range(4))
+    np.square(g, out=dz_g)
     np.subtract(1.0, dz_g, out=dz_g)
-    dz_i *= lc.g
+    dz_i *= g
     dz_f[0] = 0.0
-    dz_f[1:] *= lc.c[:-1]
-    dz_g *= lc.i
-    dz_o *= lc.tc
-    dc_dh = np.square(lc.tc)
+    dz_f[1:] *= lc.cell[:-1]
+    dz_g *= i
+    dz_o *= lc.tanh_cell
+    dc_dh = np.square(lc.tanh_cell)
     np.subtract(1.0, dc_dh, out=dc_dh)
-    dc_dh *= lc.o
+    dc_dh *= o
 
-    dz_ifg = dz[:, :, :3 * h].reshape(steps, batch, 3, h)
-    f = lc.f
+    steps, _, batch = dz.shape
+    dz_ifg = dz[:, :3 * h].reshape(steps, 3, h, batch)
     per_slot = dh_out.ndim == 3
     dh = dh_out[-1] if per_slot else dh_out
     dc = dh * dc_dh[-1]
     for t in range(steps - 1, -1, -1):
-        dz_ifg[t] *= dc[:, None, :]
+        dz_ifg[t] *= dc
         dz_o[t] *= dh
         if t == 0:
             break
-        dh = dz[t] @ u
+        dh = u.T @ dz[t]
         if per_slot:
             dh += dh_out[t - 1]
-        dc_carry = dc * f[t]
-        dc = dh * dc_dh[t - 1]
-        dc += dc_carry
+        dc *= f[t]
+        dc += dh * dc_dh[t - 1]
 
-    rows = dz.reshape(steps * batch, 4 * h)
-    d_w += rows.T @ layer_in.reshape(steps * batch, fan)
-    d_u += dz[1:].reshape(-1, 4 * h).T @ lc.h[:-1].reshape(-1, h)
-    d_b += rows.sum(axis=0)
+    d_w += np.matmul(dz, layer_in.swapaxes(1, 2)).sum(axis=0)
+    d_u += np.matmul(dz[1:], lc.hidden[:-1].swapaxes(1, 2)).sum(axis=0)
+    d_b += dz.sum(axis=(0, 2))
     if want_dx:
-        return (rows @ w).reshape(steps, batch, fan)
+        return np.matmul(w.T, dz)
     return None
 
 
@@ -287,10 +306,10 @@ class ForwardCache:
     """Everything needed to rerun the pass bit-exactly and run BPTT."""
 
     n_params: int
-    inputs: np.ndarray                 # (H, S, F); a stack's G*S rows group-major
-    lstm: list                         # per-layer _LstmLayerCache
-    drop_lstm: np.ndarray | None       # inverted-dropout mask after the stack
-    trunk: list                        # per-layer (input, pre, mask)
+    inputs: np.ndarray                 # (H, F, S); a stack's G*S rows group-major
+    lstm: list                         # per-layer _LstmLayerCache, batch last
+    drop_lstm: np.ndarray | None       # (S, h) inverted-dropout mask after the stack
+    trunk: list                        # per-layer (input, pre, mask), each (S, width)
     trunk_out: np.ndarray              # (S, width)
     head_probs: list                   # per-head (S, actions)
 
@@ -335,21 +354,24 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
 
     lead = x.shape[:-2]
     rows = x.reshape(-1, arch.history_len, arch.input_size)
-    seq = np.ascontiguousarray(np.swapaxes(rows, 0, 1))  # (H, S, F)
+    seq = np.ascontiguousarray(rows.transpose(1, 2, 0))  # (H, F, S)
     masks = [None] * (1 + len(arch.trunk_sizes))
     if dropping:
         groups = lead[0] if len(lead) == 2 else 1
         masks = _dropout_masks(arch, rng, groups, len(rows) // groups)
 
+    # one block holds every layer's gates and states (see the module docstring)
+    block = np.empty((arch.history_len, 7 * sum(arch.lstm_sizes), len(rows)))
     layer_caches = []
-    layer_in = seq
-    for j in range(len(arch.lstm_sizes)):
+    layer_in, start = seq, 0
+    for j, h in enumerate(arch.lstm_sizes):
         cache = _lstm_forward(layer_in, params.view(f"lstm{j}.W"),
-                              params.view(f"lstm{j}.U"), params.view(f"lstm{j}.b"))
+                              params.view(f"lstm{j}.U"), params.view(f"lstm{j}.b"),
+                              block[:, start:start + 7 * h])
         layer_caches.append(cache)
-        layer_in = cache.h
+        layer_in, start = cache.hidden, start + 7 * h
 
-    z = layer_caches[-1].h[-1]  # final-slot hidden state of the top layer
+    z = layer_caches[-1].h[-1]  # (S, h) final-slot hidden state of the top layer
     drop_lstm = masks[0]
     if drop_lstm is not None:
         z = z * drop_lstm
@@ -412,7 +434,7 @@ def backward(params: PolicyParams, arch: PolicyArchitecture, cache: ForwardCache
     """
     if cache.n_params != params.n:
         raise ValueError("cache was produced under a different parameter layout")
-    batch = cache.inputs.shape[1]
+    batch = cache.inputs.shape[2]
     w_vec = np.broadcast_to(np.asarray(weight, dtype=float), (batch,))
 
     grad = PolicyParams(values=np.zeros(params.n), layout=params.layout,
@@ -442,9 +464,11 @@ def backward(params: PolicyParams, arch: PolicyArchitecture, cache: ForwardCache
     if cache.drop_lstm is not None:
         dz = dz * cache.drop_lstm
 
-    # LSTM stack, top layer receives trunk gradient at the final slot only
+    # LSTM stack, batch last; the top layer receives the trunk gradient at
+    # the final slot only
+    dz = dz.T
     for j in reversed(range(len(arch.lstm_sizes))):
-        layer_in = cache.inputs if j == 0 else cache.lstm[j - 1].h
+        layer_in = cache.inputs if j == 0 else cache.lstm[j - 1].hidden
         dz = _lstm_backward(
             cache.lstm[j], layer_in, params.view(f"lstm{j}.W"),
             params.view(f"lstm{j}.U"), dz, grad.view(f"lstm{j}.W"),

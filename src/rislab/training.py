@@ -86,6 +86,8 @@ class Controller:
         agents = range(len(self.head_sizes))
         self.groups = ([tuple(agents)] if self.kind == "centralized"
                        else [(m,) for m in agents])
+        # the group whose net computes each agent's head
+        self._group_of = {m: group for group in self.groups for m in group}
         # column of each agent's one-hot action in its group's net input
         self._offsets = [0] * len(self.head_sizes)
         self.nets = []
@@ -129,21 +131,21 @@ class Controller:
             out.extend(dists)
         return out
 
-    def _group_of(self, agent: int) -> tuple:
-        return next(agents for agents in self.groups if agent in agents)
-
     def sample_input(self, sample, slot: int, agent: int) -> np.ndarray:
         """Input, at `slot` of a replay sample, of the net that computes
         `agent`'s head; memoized on the sample."""
-        agents = self._group_of(agent)
-        return sample.cached_input(
-            (agents, slot, self.history_len),
-            lambda: self.encode([sample.entries_at(m, slot) for m in agents], agents))
+        agents = self._group_of[agent]
+        key = (agents, slot, self.history_len)
+        feats = sample.encoded.get(key)
+        if feats is None:
+            feats = sample.encoded[key] = self.encode(
+                [sample.entries_at(m, slot) for m in agents], agents)
+        return feats
 
     def encode_history(self, history, agent: int) -> np.ndarray:
         """Input, given the global (joint, rate) history tuple, of the net
         that computes `agent`'s head."""
-        agents = self._group_of(agent)
+        agents = self._group_of[agent]
         return self.encode([[(joint[m], rate) for joint, rate in history]
                             for m in agents], agents)
 
@@ -160,7 +162,7 @@ class Controller:
         """Oracle-compatible callable: global (joint, rate) history tuple
         to this agent's distribution. Runs only the net that computes the
         agent's head, so it equals distributions(...)[agent] bitwise."""
-        agents = self._group_of(agent)
+        agents = self._group_of[agent]
         arch, params = self.nets[self.groups.index(agents)]
         head = agents.index(agent)
 
@@ -234,12 +236,13 @@ class ToyGameEnvironment:
 class TrainingSample:
     """Replay unit: per-agent history snapshots at the episode start plus the
     T subsequent joint actions and normalized rates. Encoded network inputs
-    are immutable per sample, so they are memoized on first use."""
+    are immutable per sample, so Controller.sample_input memoizes them in
+    `encoded`, keyed by (agent group, slot, history length)."""
 
     start_entries: tuple     # per agent: tuple of (action, rate) pairs
     actions: tuple           # (T, M) nested tuples
     rates_norm: tuple        # length T
-    _encoded: dict = field(default_factory=dict, compare=False, repr=False)
+    encoded: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def episodic_return(self) -> float:
@@ -249,11 +252,6 @@ class TrainingSample:
         extra = tuple((self.actions[t][agent], self.rates_norm[t])
                       for t in range(slot))
         return self.start_entries[agent] + extra
-
-    def cached_input(self, key, build):
-        if key not in self._encoded:
-            self._encoded[key] = build()
-        return self._encoded[key]
 
 
 class ReplayStore:
@@ -286,18 +284,19 @@ def collect_episode(env, controller: Controller, buffers, horizon: int,
     `forced_actions` (one joint tuple per slot) replaces the policy; used to
     seed the replay with a systematic sweep of the action space. Forced
     slots run no forward and draw nothing from `rng`; their records carry
-    the sweep's behaviour log-probability, -log|A_m| per head.
+    the sweep's behaviour log-probability, -log|A_m| per head, and no
+    distributions.
     """
     start_entries = tuple(tuple(buf.entries()) for buf in buffers)
     sweep_lps = [-math.log(n) for n in controller.head_sizes]
-    actions_out, rates, rates_norm, log_probs = [], [], [], []
+    actions_out, rates, rates_norm, log_probs, slot_dists = [], [], [], [], []
     for t in range(horizon):
         if forced_actions is None:
             dists = controller.distributions(buffers)
             acts = [pol.sample_action(d, rng) for d in dists]
             lps = [pol.log_prob(d, a) for d, a in zip(dists, acts)]
         else:
-            acts, lps = list(forced_actions[t]), list(sweep_lps)
+            dists, acts, lps = None, list(forced_actions[t]), list(sweep_lps)
         profile = ActionProfile(ap_beam=acts[0], ris_phases=tuple(acts[1:]))
         reward, _state = env.step(profile)
         norm = env.rate_norm(reward)
@@ -307,8 +306,9 @@ def collect_episode(env, controller: Controller, buffers, horizon: int,
         rates.append(reward)
         rates_norm.append(norm)
         log_probs.append(lps)
-    record = EpisodeRecord(actions=actions_out, rates=rates,
-                           rates_norm=rates_norm, log_probs=log_probs)
+        slot_dists.append(dists)
+    record = EpisodeRecord(actions=actions_out, rates=rates, rates_norm=rates_norm,
+                           log_probs=log_probs, distributions=slot_dists)
     sample = TrainingSample(
         start_entries=start_entries,
         actions=tuple(tuple(a.as_tuple()) for a in actions_out),
@@ -336,13 +336,14 @@ def estimate_gradient(controller: Controller, batch, mu: float,
     weights = gradient_weight(returns, float(returns.mean()), mu)
     horizon = len(batch[0].rates_norm)
     tiled = np.tile(weights, horizon)
+    actions = np.array([s.actions for s in batch])  # (S, T, M)
     grads = []
     for arch, params, agents in controller.net_heads():
-        feats = np.array([[controller.sample_input(s, t, agents[0]) for s in batch]
-                          for t in range(horizon)])
+        feats = np.concatenate([controller.sample_input(s, t, agents[0])
+                                for t in range(horizon) for s in batch])
+        feats = feats.reshape(horizon, len(batch), arch.history_len, arch.input_size)
         _, cache = pol.forward(params, arch, feats, mode=mode, rng=rng)
-        acts = [np.array([s.actions[t][m] for t in range(horizon) for s in batch])
-                for m in agents]
+        acts = [actions[:, :, m].T.ravel() for m in agents]
         grads.append(pol.backward(params, arch, cache, acts, tiled) / len(batch))
         del cache  # free it before the next net's forward
     return grads
@@ -557,6 +558,7 @@ def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
     for m, net in enumerate(team.nets):
         learner = copy.copy(team)
         learner.head_sizes, learner.nets, learner.groups = (head_sizes[m],), [net], [(0,)]
+        learner._group_of = {0: (0,)}
         learners.append(learner)
     env_c, env_d = env_factory(), env_factory()
     bufs_c = [HistoryBuffer(config.history_len) for _ in head_sizes]

@@ -35,3 +35,84 @@ def random_params(arch, rng, scale=0.6):
 
 def differentiable_at(cache, margin=1e-3):
     return all(float(np.min(np.abs(pre))) > margin for _, pre, _ in cache.trunk)
+
+
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def loop_backward(params, arch, rows, actions, weights, drop_lstm=None,
+                  trunk_masks=None):
+    """Reference gradient of sum_s w_s sum_m log pi_m(a_sm | rows[s]) by plain
+    per-row, per-step BPTT: one (H, F) history at a time, gates from the
+    textbook sigmoid and tanh, no batching and no fused buffers. `drop_lstm`
+    (S, h) and `trunk_masks` (per dense layer, (S, width)) replay the dropout
+    masks of a train-mode pass; None means no dropout."""
+    view = params.view
+    grad = PolicyParams(values=np.zeros(params.n), layout=params.layout)
+    n_dense = len(arch.trunk_sizes)
+    for s, x in enumerate(rows):
+        # forward, keeping every step's operands
+        seq, layers = list(x), []
+        for j, size in enumerate(arch.lstm_sizes):
+            w, u, b = view(f"lstm{j}.W"), view(f"lstm{j}.U"), view(f"lstm{j}.b")
+            h_prev, c_prev, steps = np.zeros(size), np.zeros(size), []
+            for x_t in seq:
+                z = w @ x_t + u @ h_prev + b
+                i, f = _sigmoid(z[:size]), _sigmoid(z[size:2 * size])
+                g, o = np.tanh(z[2 * size:3 * size]), _sigmoid(z[3 * size:])
+                c = f * c_prev + i * g
+                steps.append((x_t, h_prev, c_prev, i, f, g, o, c))
+                h_prev, c_prev = o * np.tanh(c), c
+            layers.append(steps)
+            seq = [st[6] * np.tanh(st[7]) for st in steps]
+        z = seq[-1] * (1.0 if drop_lstm is None else drop_lstm[s])
+        trunk = []
+        for j in range(n_dense):
+            pre = view(f"dense{j}.W") @ z + view(f"dense{j}.b")
+            trunk.append((z, pre))
+            z = np.maximum(pre, 0.0) * (1.0 if trunk_masks is None else trunk_masks[j][s])
+
+        # heads, then the dense trunk in reverse
+        dz = np.zeros_like(z)
+        for m in range(len(arch.head_sizes)):
+            logits = view(f"head{m}.W") @ z + view(f"head{m}.b")
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
+            dlogits = -weights[s] * probs
+            dlogits[actions[m][s]] += weights[s]
+            grad.view(f"head{m}.W")[...] += np.outer(dlogits, z)
+            grad.view(f"head{m}.b")[...] += dlogits
+            dz += view(f"head{m}.W").T @ dlogits
+        for j in reversed(range(n_dense)):
+            layer_in, pre = trunk[j]
+            dpre = dz * (1.0 if trunk_masks is None else trunk_masks[j][s]) * (pre > 0.0)
+            grad.view(f"dense{j}.W")[...] += np.outer(dpre, layer_in)
+            grad.view(f"dense{j}.b")[...] += dpre
+            dz = view(f"dense{j}.W").T @ dpre
+        dz = dz * (1.0 if drop_lstm is None else drop_lstm[s])
+
+        # the LSTM stack in reverse: the top layer's dh is nonzero at the
+        # final slot only, each lower layer's is the input gradient above it
+        dh_seq = [np.zeros_like(dz) for _ in layers[-1]]
+        dh_seq[-1] = dz
+        for j in reversed(range(len(layers))):
+            w, u = view(f"lstm{j}.W"), view(f"lstm{j}.U")
+            dh_next = np.zeros(u.shape[1])
+            dc_next = np.zeros(u.shape[1])
+            dx_seq = [None] * len(layers[j])
+            for t in reversed(range(len(layers[j]))):
+                x_t, h_prev, c_prev, i, f, g, o, c = layers[j][t]
+                dh = dh_seq[t] + dh_next
+                dc = dc_next + dh * o * (1.0 - np.tanh(c) ** 2)
+                dgates = np.concatenate([dc * g * i * (1.0 - i),
+                                         dc * c_prev * f * (1.0 - f),
+                                         dc * i * (1.0 - g ** 2),
+                                         dh * np.tanh(c) * o * (1.0 - o)])
+                grad.view(f"lstm{j}.W")[...] += np.outer(dgates, x_t)
+                grad.view(f"lstm{j}.U")[...] += np.outer(dgates, h_prev)
+                grad.view(f"lstm{j}.b")[...] += dgates
+                dh_next, dc_next = u.T @ dgates, dc * f
+                dx_seq[t] = w.T @ dgates
+            dh_seq = dx_seq
+    return grad.values

@@ -33,7 +33,9 @@ from rislab.cli import (
     save_controller,
     train_config,
 )
-from rislab.training import TrainConfig
+from rislab.cli import _rollout_stats
+from rislab.environment import HistoryBuffer
+from rislab.training import TrainConfig, collect_episode, make_controller
 from dataclasses import replace
 
 
@@ -240,6 +242,34 @@ def test_evaluate_emits_tables(tmp_path):
     assert len(summary) == 3
     episodes = (out / "episodes.csv").read_text().splitlines()
     assert len(episodes) == 2 + cfg.eval_episodes
+
+
+@pytest.mark.parametrize("mode", ["distributed", "centralized"])
+def test_rollout_stats_equals_a_loop_that_closes_every_episode(mode):
+    # _rollout_stats takes each episode's closing distributions from the next
+    # episode's slot 0; a loop that calls distributions() after every
+    # episode, as evaluation used to, gives the same arrays bit for bit
+    cfg = small_cfg(mode=mode)
+    env, heads = build_environment(cfg)
+    controller = make_controller(train_config(cfg), heads, np.random.default_rng(3))
+    got = _rollout_stats(env, controller, cfg, cfg.eval_episodes, 5)
+
+    env, _ = build_environment(cfg)
+    buffers = [HistoryBuffer(cfg.history_len) for _ in heads]
+    rng = np.random.default_rng([5, 77])
+    sums = [np.zeros(n) for n in heads]
+    returns_norm, returns_bits = [], []
+    for k in range(cfg.eval_warmup + cfg.eval_episodes):
+        record, _ = collect_episode(env, controller, buffers, cfg.horizon, rng)
+        for m, d in enumerate(controller.distributions(buffers)):
+            sums[m] += d
+        if k >= cfg.eval_warmup:
+            returns_norm.append(record.episodic_return_norm)
+            returns_bits.append(record.episodic_return)
+    np.testing.assert_array_equal(got[0], returns_norm)
+    np.testing.assert_array_equal(got[1], returns_bits)
+    for hist, total in zip(got[2], sums):
+        np.testing.assert_array_equal(hist, total / (cfg.eval_warmup + cfg.eval_episodes))
 
 
 def test_evaluate_zero_episodes_headers_only(tmp_path):

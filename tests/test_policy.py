@@ -21,7 +21,8 @@ from rislab.policy import (
 )
 
 
-from helpers import differentiable_at, fd_gradient, max_rel_err, random_params
+from helpers import (differentiable_at, fd_gradient, loop_backward, max_rel_err,
+                     random_params)
 
 
 def tiny_arch(kind="distributed", heads=(2,), f=3, h=4, p1=0.0, p2=0.0):
@@ -374,6 +375,50 @@ def test_backward_batched_equals_sum_of_samples():
         _, c1 = forward(params, arch, batch[s])
         want += backward(params, arch, c1, [a[s] for a in acts], weights[s])
     np.testing.assert_allclose(got, want, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("shape", [(16, 3), (5, 16, 3), (2, 3, 16, 3)])
+@pytest.mark.parametrize("kind,heads", [("distributed", (3,)), ("centralized", (2, 3))])
+def test_backward_matches_per_row_loop_bptt(kind, heads, shape, mode):
+    # the batched kernel against plain per-row, per-step BPTT: every layer
+    # below the top takes a dh at each slot, the top layer at the final slot
+    arch = tiny_arch(kind=kind, heads=heads, f=3, h=16, p1=0.2, p2=0.2)
+    rng = np.random.default_rng(91)
+    params = random_params(arch, rng)
+    hist = rng.normal(size=shape)
+    rows = hist.reshape(-1, 16, 3)
+    actions = [rng.integers(0, n, size=len(rows)) for n in heads]
+    weights = rng.normal(size=len(rows))
+    _, cache = forward(params, arch, hist, mode=mode, rng=np.random.default_rng(93))
+    got = backward(params, arch, cache, actions, weights)
+    assert_lstm_gradients_clear_floor(params, arch, got)
+    masks = [mask for _, _, mask in cache.trunk]
+    want = loop_backward(params, arch, rows, actions, weights, cache.drop_lstm,
+                         None if mode == "eval" else masks)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_forward_cache_layout():
+    # the dense trunk and the heads stay row-major whatever the LSTM layout;
+    # the per-gate and per-state accessors read (H, rows, width)
+    arch = tiny_arch(kind="centralized", heads=(3, 2), f=3, h=8, p1=0.2, p2=0.2)
+    params = init_params(arch, np.random.default_rng(93))
+    _, cache = forward(params, arch, np.random.default_rng(94).normal(size=(2, 5, 8, 3)),
+                       mode="train", rng=np.random.default_rng(95))
+    for layer_in, pre, mask in cache.trunk:
+        assert pre.shape == mask.shape == (10, 2)
+        assert layer_in.shape[0] == 10
+    assert cache.drop_lstm.shape == (10, 2)
+    assert [p.shape for p in cache.head_probs] == [(10, 3), (10, 2)]
+    for lc, width in zip(cache.lstm, arch.lstm_sizes):
+        blocks = [lc.gates[:, k * width:(k + 1) * width] for k in range(4)]
+        blocks += [lc.cell, lc.tanh_cell, lc.hidden]
+        for name, block in zip(("i", "f", "g", "o", "c", "tc", "h"), blocks):
+            view = getattr(lc, name)
+            assert view.shape == (8, 10, width)
+            np.testing.assert_array_equal(view, block.swapaxes(1, 2))
+            assert np.shares_memory(view, block)
 
 
 def test_backward_rejects_foreign_cache():

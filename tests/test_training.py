@@ -450,6 +450,7 @@ def test_train_curve_counts_collection_clamps():
     record, _ = collect_episode(ToyGameEnvironment(toy_game(), seed=6), ctrl, buffers,
                                 2, rng, forced_actions=[(1, 1), (0, 1)])
     assert record.log_probs == [[-math.log(2), -math.log(2)]] * 2
+    assert record.distributions == [None, None]
     assert rng.bit_generator.state == state
 
 
