@@ -342,25 +342,26 @@ class BenchReport:
         return self.exponents[(kind, param)]
 
 
-def _episode_forward_seconds(kind: str, history_len: int, n_agents: int,
-                             n_actions: int, horizon: int, repeats: int,
-                             rng: np.random.Generator) -> float:
-    from .policy import forward
+def _episode_nets(kind: str, history_len: int, n_agents: int, n_actions: int,
+                  rng: np.random.Generator) -> list:
+    """(arch, params, history) per net of a fresh controller."""
     from .training import TrainConfig, make_controller
 
     config = TrainConfig(mode=kind, history_len=history_len,
                          dropout_lstm=0.0, dropout_dense=0.0)
     nets = make_controller(config, (n_actions,) * n_agents, rng).nets
-    hists = [rng.normal(size=(a.history_len, a.input_size)) for a, _ in nets]
-    best = math.inf
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            for _slot in range(horizon):
-                for (a, p), h in zip(nets, hists):
-                    forward(p, a, h, mode="eval")
-        best = min(best, time.perf_counter() - start)
-    return best / repeats
+    return [(a, p, rng.normal(size=(a.history_len, a.input_size))) for a, p in nets]
+
+
+def _episode_seconds(nets: list, horizon: int, repeats: int) -> float:
+    from .policy import forward
+
+    start = time.perf_counter()
+    for _ in range(repeats):
+        for _slot in range(horizon):
+            for a, p, h in nets:
+                forward(p, a, h, mode="eval")
+    return (time.perf_counter() - start) / repeats
 
 
 def complexity_bench(kinds=("centralized", "distributed"),
@@ -368,7 +369,9 @@ def complexity_bench(kinds=("centralized", "distributed"),
                      action_counts=(4, 8, 16), agent_counts=(2, 3, 5),
                      repeats: int = 8, seed: int = 0) -> BenchReport:
     """Measure per-episode feedforward cost against each driver parameter and
-    fit log-log growth exponents."""
+    fit log-log growth exponents. Each point is the best of 3 timings, and
+    the 3 rounds run every point of a sweep in turn, so a drift in host
+    speed reaches every point alike instead of bending the fit."""
     rng = np.random.default_rng(seed)
     base = dict(history_len=16, n_agents=3, n_actions=8, horizon=2)
     sweeps = [("T", "horizon", horizons), ("H", "history_len", history_lens),
@@ -377,14 +380,18 @@ def complexity_bench(kinds=("centralized", "distributed"),
     exponents = {}
     for kind in kinds:
         for label, key, values in sweeps:
-            times = []
+            points = []
             for v in values:
                 cfg = dict(base)
                 cfg[key] = v
-                secs = _episode_forward_seconds(kind=kind, repeats=repeats,
-                                                rng=rng, **cfg)
-                rows.append(BenchRow(kind=kind, param=label, value=v, seconds=secs))
-                times.append(secs)
+                horizon = cfg.pop("horizon")
+                points.append((horizon, _episode_nets(kind=kind, rng=rng, **cfg)))
+            times = [math.inf] * len(values)
+            for _ in range(3):
+                for k, (horizon, nets) in enumerate(points):
+                    times[k] = min(times[k], _episode_seconds(nets, horizon, repeats))
+            rows += [BenchRow(kind=kind, param=label, value=v, seconds=secs)
+                     for v, secs in zip(values, times)]
             if len(values) >= 2:
                 slope = np.polyfit(np.log(np.asarray(values, dtype=float)),
                                    np.log(np.asarray(times)), 1)[0]

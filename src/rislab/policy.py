@@ -15,25 +15,36 @@ computes the exact gradient of weight * sum_heads log pi(selected action)
 through the cached forward pass, including the dropout masks, so central
 finite differences on a fixed-seed forward reproduce it.
 
-Each LSTM layer is one fused kernel, laid out batch last: a slot's gates
-are one (4h, S) block and its c, tanh(c) and h are (h, S) blocks, so every
-per-gate operation runs over a contiguous slab and the recurrent term is a
-single (4h, h) @ (h, S) product. The input projection W x + b of all H
-slots is one batched matmul over the (H, F, S) sequence ahead of the time
-loop, which then adds only U h_{t-1} (absent at t = 0, where h = 0). The
-four gates [i | f | g | o] are activated by one tanh over the whole (4h, S)
-pre-activation: sigmoid(z) = 1/2 + 1/2 tanh(z/2), so the i/f/o rows of W, U
-and b are halved once per call and a fixed per-row affine (x 1/2 + 1/2 on
-i/f/o, identity on g) finishes them. tanh saturates instead of
-overflowing, so large pre-activations need no masking. Gates and states
-are written in place into one (H, 7 * sum of layer widths, S) block per
-pass, which the cache keeps: with one large block, glibc's malloc sizes its
-heap-trim threshold from that block, so the heap keeps the pass's memory
-for the next pass instead of returning it and faulting it back in page by
-page. Backward mirrors the forward: its reverse loop carries only the
-(h, S) dh and dc and fills one (H, 4h, S) buffer of pre-activation
-gradients, from which dW, dU and the input gradient are batched matmuls
-over the slots and db is one sum. The dense trunk and the heads stay
+The LSTM stack of L layers runs as one kernel over diagonal waves: in
+wave k, layer j handles slot k - j, so H + L - 1 waves cover every layer's
+H slots, and each wave serves all layers with one op per step. A wave's
+state is batch last: its gates are one (4n, S) block, n being the summed
+layer width, with rows gate-major across layers ([i_0 .. i_{L-1} | f | g |
+o]), and its c, tanh(c) and h are (n, S) blocks, layer after layer. Every
+LSTM weight sits in one stacked matrix A (4n, n + F + 1): the rows of layer
+j hold U_j on its own columns and W_j on layer j-1's, so both terms read
+the previous wave's hidden block and the whole recurrence is one product
+per wave; the remaining columns hold W_0 and the biases, applied to all H
+input slots by one batched matmul over the (H, F + 1, S) inputs (features,
+then a 1) ahead of the loop. A layer that has not started yet gets i = 0,
+which keeps its c and h at 0; after its last slot it runs on through the
+tail waves, which nothing reads. The four gates are activated by one tanh
+over the wave's pre-activation: sigmoid(z) = 1/2 + 1/2 tanh(z/2), so the
+i/f/o rows of A are halved once per call and a fixed per-row affine
+(x 1/2 + 1/2 on i/f/o, identity on g) finishes them. tanh saturates
+instead of overflowing, so large pre-activations need no masking. Gates
+and states are written in place into one (H + L - 1, 7n, S) block per
+pass, which the cache keeps: with one large block, glibc's malloc sizes
+its heap-trim threshold from that block, so the heap keeps the pass's
+memory for the next pass instead of returning it and faulting it back in
+page by page. Backward mirrors the forward with one reverse wave loop that
+carries only the (n, S) dh and dc: M^T dz of a wave, M being A's first n
+columns, is both each layer's recurrent gradient and the input gradient
+of the layer above. A layer's not-started waves (i = 0, c = 0) and its
+tail waves (no gradient reaches them) get dz = 0 without special cases.
+dA is then two batched matmuls over the waves, plus the bias gradient of
+the waves past the input. The index maps between A and the flat parameter
+vector are built once per architecture. The dense trunk and the heads stay
 row-major, (S, width).
 
 Parameters live in one flat float64 vector with named slices, so the
@@ -46,6 +57,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,128 +189,184 @@ def _softmax(logits):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+@dataclass(frozen=True)
+class _WavePlan:
+    """Where each LSTM weight of the flat parameter vector sits in the
+    stacked matrix A of the wave kernel (see _stack_matrix); built once per
+    architecture."""
+
+    starts: tuple          # first row of each layer in an n-row segment, then n
+    shape: tuple           # A's, (4n, n + F + 1)
+    half: np.ndarray       # (4n, 1): 1/2 on the sigmoid gates i/f/o, 1 on g
+    shift: np.ndarray      # (4n, 1): 1 - half
+    src: np.ndarray        # flat-vector index of each LSTM weight and bias
+    dst: np.ndarray        # its index in the flattened A
+    scale: np.ndarray      # half of its row
+
+
+@lru_cache(maxsize=16)
+def _wave_plan(arch: PolicyArchitecture) -> _WavePlan:
+    sizes = arch.lstm_sizes
+    starts = tuple(int(s) for s in np.cumsum((0,) + sizes))
+    n, cols = starts[-1], starts[-1] + arch.input_size + 1
+    # each parameter's own flat index, viewed by name
+    index = PolicyParams(values=np.arange(n_params(arch)), layout=param_layout(arch))
+    src, dst = [], []
+    for j, h in enumerate(sizes):
+        q, u = np.divmod(np.arange(4 * h), h)  # gate and unit of each row of layer j
+        rows = q * n + starts[j] + u
+        # U_j reads layer j's own columns, W_j layer j-1's (the input for j = 0)
+        for part, col in (("W", starts[j - 1] if j else n), ("U", starts[j]),
+                          ("b", cols - 1)):
+            block = index.view(f"lstm{j}.{part}").reshape(4 * h, -1)
+            src.append(block.ravel())
+            dst.append((rows[:, None] * cols + col + np.arange(block.shape[1])).ravel())
+    half = np.repeat([0.5, 0.5, 1.0, 0.5], n)[:, None]
+    dst = np.concatenate(dst)
+    plan = _WavePlan(starts=starts, shape=(4 * n, cols), half=half, shift=1.0 - half,
+                     src=np.concatenate(src), dst=dst, scale=half[dst // cols, 0])
+    for a in (plan.half, plan.shift, plan.src, plan.dst, plan.scale):
+        a.flags.writeable = False
+    return plan
+
+
+def _stack_matrix(values: np.ndarray, plan: _WavePlan, halved: bool) -> np.ndarray:
+    """Every LSTM weight in one (4n, n + F + 1) matrix A over gate-major rows.
+    Its first n columns are M: the rows of layer j hold U_j on layer j's own
+    columns and W_j on layer j-1's, so M @ [h_0 | ... | h_{L-1}] is every
+    layer's recurrent and inter-layer term at once. The other columns hold
+    W_0, then every bias, and act on a slot's inputs followed by a 1.
+    `halved` scales the sigmoid rows by 1/2."""
+    a = np.zeros(plan.shape)
+    a.ravel()[plan.dst] = values[plan.src] * plan.scale if halved else values[plan.src]
+    return a
+
+
 @dataclass
 class _LstmLayerCache:
-    """One layer's pass, batch last: every gate and state block of a slot is
-    a contiguous (rows, S) slab. The i/f/g/o/c/tc/h accessors are (H, S, .)
-    views of the same buffers."""
+    """Layer j's H slots in a pass's wave block: slot t is wave j + t. The
+    i/f/g/o/c/tc/h accessors are (H, S, h) views of the block."""
 
-    gates: np.ndarray                  # (H, 4h, S) activated [i | f | g | o]
-    cell: np.ndarray                   # (H, h, S) cell state c
-    tanh_cell: np.ndarray              # (H, h, S) tanh(c)
-    hidden: np.ndarray                 # (H, h, S) hidden state h
+    waves: np.ndarray      # (H + L - 1, 7n, S), see forward
+    layer: int             # j, also the layer's first wave
+    rows: slice            # the layer's rows in each n-row segment
+    slots: int             # H
 
-    def _gate(self, k: int) -> np.ndarray:
-        width = self.cell.shape[1]
-        return self.gates[:, k * width:(k + 1) * width].swapaxes(1, 2)
+    def _segment(self, k: int) -> np.ndarray:
+        n = self.waves.shape[1] // 7
+        rows = slice(k * n + self.rows.start, k * n + self.rows.stop)
+        return self.waves[self.layer:self.layer + self.slots, rows].swapaxes(1, 2)
 
     @property
     def i(self) -> np.ndarray:
-        return self._gate(0)
+        return self._segment(0)
 
     @property
     def f(self) -> np.ndarray:
-        return self._gate(1)
+        return self._segment(1)
 
     @property
     def g(self) -> np.ndarray:
-        return self._gate(2)
+        return self._segment(2)
 
     @property
     def o(self) -> np.ndarray:
-        return self._gate(3)
+        return self._segment(3)
 
     @property
     def c(self) -> np.ndarray:
-        return self.cell.swapaxes(1, 2)
+        return self._segment(4)
 
     @property
     def tc(self) -> np.ndarray:
-        return self.tanh_cell.swapaxes(1, 2)
+        return self._segment(5)
 
     @property
     def h(self) -> np.ndarray:
-        return self.hidden.swapaxes(1, 2)
+        return self._segment(6)
 
 
-def _lstm_forward(layer_in: np.ndarray, w: np.ndarray, u: np.ndarray,
-                  b: np.ndarray, out: np.ndarray) -> _LstmLayerCache:
-    """One LSTM layer over a (H, F, S) sequence, starting from h = c = 0, in
-    the fused form the module docstring describes. `out`, (H, 7h, S), takes
-    the gates, then c, tanh(c) and h, and the returned cache views it."""
-    h = u.shape[1]
-    # per-row factor over [i | f | g | o]: 1/2 on the sigmoid gates, where
-    # sigmoid(z) = 1/2 + 1/2 tanh(z/2), and 1 on the tanh candidate g
-    half = np.full((4 * h, 1), 0.5)
-    half[2 * h:3 * h] = 1.0
-    shift = 1.0 - half
-    gates, cell, tanh_cell, hidden = (out[:, :4 * h], out[:, 4 * h:5 * h],
-                                      out[:, 5 * h:6 * h], out[:, 6 * h:])
-    np.matmul(w * half, layer_in, out=gates)
-    gates += b[:, None] * half
-    u_half = u * half
-    for t in range(len(out)):
-        z = gates[t]
-        if t > 0:
-            z += u_half @ hidden[t - 1]
+def _wave_forward(a_half: np.ndarray, plan: _WavePlan, inputs: np.ndarray,
+                  waves: np.ndarray) -> None:
+    """The whole LSTM stack over an (H, F + 1, S) sequence from h = c = 0,
+    one wave at a time as the module docstring describes. Writes every
+    wave's activated gates [i | f | g | o], then c, tanh(c) and h, into
+    `waves`, (H + L - 1, 7n, S)."""
+    starts, half = plan.starts, plan.half
+    n, steps = starts[-1], len(inputs)
+    gates, cell, tanh_cell, hidden = (waves[:, :4 * n], waves[:, 4 * n:5 * n],
+                                      waves[:, 5 * n:6 * n], waves[:, 6 * n:])
+    m_half = a_half[:, :n]
+    np.matmul(a_half[:, n:], inputs, out=gates[:steps])
+    gates[steps:] = a_half[:, -1:]  # past the input: the biases only
+    for k in range(len(waves)):
+        z = gates[k]
+        if k:
+            z += m_half @ hidden[k - 1]
         np.tanh(z, out=z)
         z *= half
-        z += shift
-        np.multiply(z[:h], z[2 * h:3 * h], out=cell[t])
-        if t > 0:
-            cell[t] += z[h:2 * h] * cell[t - 1]
-        np.tanh(cell[t], out=tanh_cell[t])
-        np.multiply(z[3 * h:], tanh_cell[t], out=hidden[t])
-    return _LstmLayerCache(gates=gates, cell=cell, tanh_cell=tanh_cell, hidden=hidden)
+        z += plan.shift
+        if k < len(starts) - 2:
+            # layers above k have not started: i = 0 keeps their c = h = 0
+            # and zeroes their pre-activation gradients in backward
+            z[starts[k + 1]:n] = 0.0
+        np.multiply(z[:n], z[2 * n:3 * n], out=cell[k])
+        if k:
+            cell[k] += z[n:2 * n] * cell[k - 1]
+        np.tanh(cell[k], out=tanh_cell[k])
+        np.multiply(z[3 * n:], tanh_cell[k], out=hidden[k])
 
 
-def _lstm_backward(lc: _LstmLayerCache, layer_in: np.ndarray, w: np.ndarray,
-                   u: np.ndarray, dh_out: np.ndarray, d_w: np.ndarray,
-                   d_u: np.ndarray, d_b: np.ndarray, want_dx: bool):
-    """BPTT through one layer given dLoss/dh: an (H, h, S) array for every
-    slot, or an (h, S) array when only the final slot's h feeds forward.
-    Accumulates into d_w, d_u, d_b; returns dLoss/d(layer input), (H, F, S),
-    when `want_dx`, else None."""
-    h = lc.cell.shape[1]
-    i, f, g, o = (lc.gates[:, k * h:(k + 1) * h] for k in range(4))
+def _wave_backward(a: np.ndarray, plan: _WavePlan, inputs: np.ndarray,
+                   waves: np.ndarray, dh_top: np.ndarray) -> np.ndarray:
+    """BPTT through the whole stack given dLoss/dh of the top layer's final
+    slot, (h, S); returns dLoss/dA. One reverse wave loop carries dh and dc
+    for all layers: M^T dz of a wave holds both each layer's recurrent
+    gradient and the input gradient of the layer above, and a layer's tail
+    waves get dz = 0."""
+    starts = plan.starts
+    n, steps = starts[-1], len(inputs)
+    count, _, batch = waves.shape
+    gates = waves[:, :4 * n]
+    i, f, g, o, cell, tanh_cell, hidden = (waves[:, k * n:(k + 1) * n] for k in range(7))
+    # one block per pass: dz, then dc_dh = o (1 - tanh(c)^2)
+    work = np.empty((count, 5 * n, batch))
+    dz, dc_dh = work[:, :4 * n], work[:, 4 * n:]
     # dz starts as the coefficient that turns dc (i, f, g rows) or dh (o rows)
     # into the pre-activation gradient: the gate slope times the gate's partner
-    dz = np.subtract(1.0, lc.gates)
-    dz *= lc.gates
-    dz_i, dz_f, dz_g, dz_o = (dz[:, k * h:(k + 1) * h] for k in range(4))
+    np.subtract(1.0, gates, out=dz)
+    dz *= gates
+    dz_i, dz_f, dz_g, dz_o = (dz[:, k * n:(k + 1) * n] for k in range(4))
     np.square(g, out=dz_g)
     np.subtract(1.0, dz_g, out=dz_g)
     dz_i *= g
     dz_f[0] = 0.0
-    dz_f[1:] *= lc.cell[:-1]
+    dz_f[1:] *= cell[:-1]
     dz_g *= i
-    dz_o *= lc.tanh_cell
-    dc_dh = np.square(lc.tanh_cell)
+    dz_o *= tanh_cell
+    np.square(tanh_cell, out=dc_dh)
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
 
-    steps, _, batch = dz.shape
-    dz_ifg = dz[:, :3 * h].reshape(steps, 3, h, batch)
-    per_slot = dh_out.ndim == 3
-    dh = dh_out[-1] if per_slot else dh_out
+    m_t = a[:, :n].T
+    dz_ifg = dz[:, :3 * n].reshape(count, 3, n, batch)
+    dh = np.zeros((n, batch))
+    dh[starts[-2]:] = dh_top
     dc = dh * dc_dh[-1]
-    for t in range(steps - 1, -1, -1):
-        dz_ifg[t] *= dc
-        dz_o[t] *= dh
-        if t == 0:
+    for k in range(count - 1, -1, -1):
+        dz_ifg[k] *= dc
+        dz_o[k] *= dh
+        if k == 0:
             break
-        dh = u.T @ dz[t]
-        if per_slot:
-            dh += dh_out[t - 1]
-        dc *= f[t]
-        dc += dh * dc_dh[t - 1]
+        dh = m_t @ dz[k]
+        dc *= f[k]
+        dc += dh * dc_dh[k - 1]
 
-    d_w += np.matmul(dz, layer_in.swapaxes(1, 2)).sum(axis=0)
-    d_u += np.matmul(dz[1:], lc.hidden[:-1].swapaxes(1, 2)).sum(axis=0)
-    d_b += dz.sum(axis=(0, 2))
-    if want_dx:
-        return np.matmul(w.T, dz)
-    return None
+    d_a = np.empty_like(a)
+    np.matmul(dz[1:], hidden[:-1].swapaxes(1, 2)).sum(axis=0, out=d_a[:, :n])
+    np.matmul(dz[:steps], inputs.swapaxes(1, 2)).sum(axis=0, out=d_a[:, n:])
+    d_a[:, -1] += dz[steps:].sum(axis=(0, 2))
+    return d_a
 
 
 @dataclass
@@ -306,8 +374,10 @@ class ForwardCache:
     """Everything needed to rerun the pass bit-exactly and run BPTT."""
 
     n_params: int
-    inputs: np.ndarray                 # (H, F, S); a stack's G*S rows group-major
-    lstm: list                         # per-layer _LstmLayerCache, batch last
+    inputs: np.ndarray                 # (H, F + 1, S): features, then a 1 for the biases;
+                                       # a stack's G*S rows group-major
+    waves: np.ndarray                  # (H + L - 1, 7n, S) LSTM gates and states
+    lstm: list                         # per-layer _LstmLayerCache views of `waves`
     drop_lstm: np.ndarray | None       # (S, h) inverted-dropout mask after the stack
     trunk: list                        # per-layer (input, pre, mask), each (S, width)
     trunk_out: np.ndarray              # (S, width)
@@ -354,24 +424,24 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
 
     lead = x.shape[:-2]
     rows = x.reshape(-1, arch.history_len, arch.input_size)
-    seq = np.ascontiguousarray(rows.transpose(1, 2, 0))  # (H, F, S)
+    inputs = np.empty((arch.history_len, arch.input_size + 1, len(rows)))  # (H, F + 1, S)
+    inputs[:, :-1] = rows.transpose(1, 2, 0)
+    inputs[:, -1] = 1.0
     masks = [None] * (1 + len(arch.trunk_sizes))
     if dropping:
         groups = lead[0] if len(lead) == 2 else 1
         masks = _dropout_masks(arch, rng, groups, len(rows) // groups)
 
-    # one block holds every layer's gates and states (see the module docstring)
-    block = np.empty((arch.history_len, 7 * sum(arch.lstm_sizes), len(rows)))
-    layer_caches = []
-    layer_in, start = seq, 0
-    for j, h in enumerate(arch.lstm_sizes):
-        cache = _lstm_forward(layer_in, params.view(f"lstm{j}.W"),
-                              params.view(f"lstm{j}.U"), params.view(f"lstm{j}.b"),
-                              block[:, start:start + 7 * h])
-        layer_caches.append(cache)
-        layer_in, start = cache.hidden, start + 7 * h
+    # one block holds every wave's gates and states (see the module docstring)
+    plan = _wave_plan(arch)
+    sizes = arch.lstm_sizes
+    waves = np.empty((arch.history_len + len(sizes) - 1, 7 * plan.starts[-1], len(rows)))
+    _wave_forward(_stack_matrix(params.values, plan, halved=True), plan, inputs, waves)
+    layer_caches = [_LstmLayerCache(waves=waves, layer=j, rows=slice(start, start + h),
+                                    slots=arch.history_len)
+                    for j, (start, h) in enumerate(zip(plan.starts, sizes))]
 
-    z = layer_caches[-1].h[-1]  # (S, h) final-slot hidden state of the top layer
+    z = waves[-1, -sizes[-1]:].T  # (S, h) final-slot hidden state of the top layer
     drop_lstm = masks[0]
     if drop_lstm is not None:
         z = z * drop_lstm
@@ -393,7 +463,7 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
         b = params.view(f"head{m}.b")
         probs.append(_softmax(z @ w.T + b))
 
-    cache = ForwardCache(n_params=params.n, inputs=seq, lstm=layer_caches,
+    cache = ForwardCache(n_params=params.n, inputs=inputs, waves=waves, lstm=layer_caches,
                          drop_lstm=drop_lstm, trunk=trunk, trunk_out=z, head_probs=probs)
     return [p.reshape(lead + p.shape[1:]) for p in probs], cache
 
@@ -464,15 +534,11 @@ def backward(params: PolicyParams, arch: PolicyArchitecture, cache: ForwardCache
     if cache.drop_lstm is not None:
         dz = dz * cache.drop_lstm
 
-    # LSTM stack, batch last; the top layer receives the trunk gradient at
-    # the final slot only
-    dz = dz.T
-    for j in reversed(range(len(arch.lstm_sizes))):
-        layer_in = cache.inputs if j == 0 else cache.lstm[j - 1].hidden
-        dz = _lstm_backward(
-            cache.lstm[j], layer_in, params.view(f"lstm{j}.W"),
-            params.view(f"lstm{j}.U"), dz, grad.view(f"lstm{j}.W"),
-            grad.view(f"lstm{j}.U"), grad.view(f"lstm{j}.b"), want_dx=j > 0)
+    # LSTM stack: the top layer receives the trunk gradient at its final slot
+    plan = _wave_plan(arch)
+    a = _stack_matrix(params.values, plan, halved=False)
+    d_a = _wave_backward(a, plan, cache.inputs, cache.waves, dz.T)
+    grad.values[plan.src] += d_a.ravel()[plan.dst]
 
     return grad.values
 

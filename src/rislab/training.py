@@ -10,7 +10,6 @@ budget's absolute scale. Learning-curve columns report the same units.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -79,8 +78,10 @@ class Controller:
 
     kind: str
 
-    def __init__(self, head_sizes, history_len: int, rng: np.random.Generator,
-                 dropout_lstm: float = 0.2, dropout_dense: float = 0.4):
+    def __init__(self, head_sizes, history_len: int, rng: np.random.Generator | None,
+                 dropout_lstm: float = 0.2, dropout_dense: float = 0.4, params=None):
+        """`params`, one PolicyParams per group, makes the nets share those
+        arrays instead of drawing fresh ones from `rng`."""
         self.head_sizes = tuple(head_sizes)
         self.history_len = history_len
         agents = range(len(self.head_sizes))
@@ -91,14 +92,19 @@ class Controller:
         # column of each agent's one-hot action in its group's net input
         self._offsets = [0] * len(self.head_sizes)
         self.nets = []
-        for group in self.groups:
+        for net, group in enumerate(self.groups):
             sizes = tuple(self.head_sizes[m] for m in group)
             for k, m in enumerate(group):
                 self._offsets[m] = sum(sizes[:k])
             arch = pol.PolicyArchitecture(
                 kind=self.kind, history_len=history_len, input_size=sum(sizes) + 1,
                 head_sizes=sizes, dropout_lstm=dropout_lstm, dropout_dense=dropout_dense)
-            self.nets.append((arch, pol.init_params(arch, rng)))
+            if params is None:
+                self.nets.append((arch, pol.init_params(arch, rng)))
+            elif params[net].layout != pol.param_layout(arch):
+                raise ValueError(f"params of net {net} do not fit its architecture")
+            else:
+                self.nets.append((arch, params[net]))
 
     @property
     def n_agents(self) -> int:
@@ -554,12 +560,10 @@ def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
                                      dropout_lstm=0.0, dropout_dense=0.0)
 
     central, team = build(), build()
-    learners = []
-    for m, net in enumerate(team.nets):
-        learner = copy.copy(team)
-        learner.head_sizes, learner.nets, learner.groups = (head_sizes[m],), [net], [(0,)]
-        learner._group_of = {0: (0,)}
-        learners.append(learner)
+    # each learner is a one-agent controller over its agent's net in the team
+    learners = [DistributedController((size,), config.history_len, None, dropout_lstm=0.0,
+                                      dropout_dense=0.0, params=[params])
+                for size, (_, params) in zip(head_sizes, team.nets)]
     env_c, env_d = env_factory(), env_factory()
     bufs_c = [HistoryBuffer(config.history_len) for _ in head_sizes]
     bufs_d = [HistoryBuffer(config.history_len) for _ in head_sizes]

@@ -123,12 +123,18 @@ def test_forward_heads_sum_to_one():
         assert np.all(d >= 0.0)
 
 
-def test_forward_matches_scalar_loop_reference():
-    # independent scalar-loop LSTM + dense forward, no shared code
-    arch = tiny_arch(kind="distributed", heads=(3,), f=2, h=4)
+@pytest.mark.parametrize("kind,heads,h", [("distributed", (3,), 4),
+                                           ("centralized", (3, 2), 4),
+                                           ("centralized", (3, 2), 8)])
+def test_forward_matches_scalar_loop_reference(kind, heads, h):
+    # independent scalar-loop LSTM + dense forward, no shared code; on the
+    # 3-layer net every cached gate and state of a layer is checked, so a
+    # wave kernel's not-started layers and tail waves are covered too;
+    # nonzero biases, since with zero ones a layer run early stays at 0
+    arch = tiny_arch(kind=kind, heads=heads, f=2, h=h)
     rng = np.random.default_rng(8)
-    params = init_params(arch, rng)
-    hist = rng.normal(size=(4, 2))
+    params = random_params(arch, rng)
+    hist = rng.normal(size=(h, 2))
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -142,7 +148,7 @@ def test_forward_matches_scalar_loop_reference():
         h_prev = np.zeros(hsz)
         c_prev = np.zeros(hsz)
         steps = {k: [] for k in "ifgoch"}
-        for t in range(4):
+        for t in range(h):
             z = w @ x_seq[t] + u @ h_prev + b
             i, f, g, o = (sig(z[:hsz]), sig(z[hsz:2 * hsz]),
                           np.tanh(z[2 * hsz:3 * hsz]), sig(z[3 * hsz:]))
@@ -155,12 +161,11 @@ def test_forward_matches_scalar_loop_reference():
     z = x_seq[-1]
     for j in range(len(arch.trunk_sizes)):
         z = np.maximum(params.view(f"dense{j}.W") @ z + params.view(f"dense{j}.b"), 0.0)
-    logits = params.view("head0.W") @ z + params.view("head0.b")
-    want = np.exp(logits - logits.max())
-    want /= want.sum()
-
     got, cache = forward(params, arch, hist, mode="eval")
-    np.testing.assert_allclose(got[0], want, rtol=1e-10)
+    for m in range(len(heads)):
+        logits = params.view(f"head{m}.W") @ z + params.view(f"head{m}.b")
+        want = np.exp(logits - logits.max())
+        np.testing.assert_allclose(got[m], want / want.sum(), rtol=1e-10)
     # the cached per-slot gates and states are the loop's, slot by slot
     for lc, ref in zip(cache.lstm, layers):
         for k in "ifgoch":
@@ -401,7 +406,9 @@ def test_backward_matches_per_row_loop_bptt(kind, heads, shape, mode):
 
 def test_forward_cache_layout():
     # the dense trunk and the heads stay row-major whatever the LSTM layout;
-    # the per-gate and per-state accessors read (H, rows, width)
+    # the per-gate and per-state accessors read (H, rows, width) from the
+    # wave block: slot t of layer j is wave j + t, and each of the seven
+    # n-row segments [i | f | g | o | c | tc | h] holds the layers in order
     arch = tiny_arch(kind="centralized", heads=(3, 2), f=3, h=8, p1=0.2, p2=0.2)
     params = init_params(arch, np.random.default_rng(93))
     _, cache = forward(params, arch, np.random.default_rng(94).normal(size=(2, 5, 8, 3)),
@@ -411,14 +418,39 @@ def test_forward_cache_layout():
         assert layer_in.shape[0] == 10
     assert cache.drop_lstm.shape == (10, 2)
     assert [p.shape for p in cache.head_probs] == [(10, 3), (10, 2)]
-    for lc, width in zip(cache.lstm, arch.lstm_sizes):
-        blocks = [lc.gates[:, k * width:(k + 1) * width] for k in range(4)]
-        blocks += [lc.cell, lc.tanh_cell, lc.hidden]
-        for name, block in zip(("i", "f", "g", "o", "c", "tc", "h"), blocks):
+    n = sum(arch.lstm_sizes)
+    assert cache.waves.shape == (8 + 2, 7 * n, 10)
+    assert cache.inputs.shape == (8, 3 + 1, 10)
+    start = 0
+    for j, (lc, width) in enumerate(zip(cache.lstm, arch.lstm_sizes)):
+        for k, name in enumerate(("i", "f", "g", "o", "c", "tc", "h")):
             view = getattr(lc, name)
             assert view.shape == (8, 10, width)
-            np.testing.assert_array_equal(view, block.swapaxes(1, 2))
-            assert np.shares_memory(view, block)
+            for t in range(8):
+                rows = cache.waves[j + t, k * n + start:k * n + start + width]
+                np.testing.assert_array_equal(view[t], rows.T)
+        start += width
+    # the trunk reads the top layer's final slot
+    np.testing.assert_array_equal(cache.trunk[0][0],
+                                  cache.lstm[-1].h[-1] * cache.drop_lstm)
+
+
+def test_lstm_views_share_one_block_per_pass():
+    # every gate and state of every layer is a view of the pass's one wave
+    # block; separate per-layer or per-gate buffers fault their pages back
+    # in on every pass
+    arch = tiny_arch(kind="centralized", heads=(3, 2), f=3, h=8)
+    params = init_params(arch, np.random.default_rng(96))
+    hist = np.random.default_rng(97).normal(size=(6, 8, 3))
+    _, first = forward(params, arch, hist)
+    _, second = forward(params, arch, hist)
+    for cache, other in ((first, second), (second, first)):
+        assert cache.waves.base is None and cache.waves.flags.c_contiguous
+        for lc in cache.lstm:
+            for name in ("i", "f", "g", "o", "c", "tc", "h"):
+                view = getattr(lc, name)
+                assert np.shares_memory(view, cache.waves)
+                assert not np.shares_memory(view, other.waves)
 
 
 def test_backward_rejects_foreign_cache():
@@ -548,9 +580,9 @@ def test_forward_cache_unchanged_by_later_forward():
     acts = [rng.integers(0, n, size=4) for n in (3, 2)]
     _, cache = forward(params, arch, rng.normal(size=(4, 8, 3)), mode="train",
                        rng=np.random.default_rng(82))
-    arrays = [cache.inputs, cache.drop_lstm, cache.trunk_out, *cache.head_probs]
+    arrays = [cache.inputs, cache.waves, cache.drop_lstm, cache.trunk_out, *cache.head_probs]
     for lc in cache.lstm:
-        arrays += [lc.gates, lc.c, lc.tc, lc.h]
+        arrays += [lc.i, lc.f, lc.g, lc.o, lc.c, lc.tc, lc.h]
     for layer_in, pre, mask in cache.trunk:
         arrays += [layer_in, pre, mask]
     saved = [a.copy() for a in arrays]

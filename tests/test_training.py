@@ -146,6 +146,17 @@ def test_distributed_policy_fn_runs_only_its_own_net(monkeypatch):
             assert len(calls) == 1 and calls[0] is ctrl.nets[m][1]
 
 
+def test_controller_over_given_params_shares_their_arrays():
+    # a one-agent learner built over a team net reads and steps the team's
+    # own parameter arrays; params that do not fit the net are refused
+    team = DistributedController((3, 2), 4, np.random.default_rng(38))
+    learner = DistributedController((2,), 4, None, params=[team.nets[1][1]])
+    assert learner.nets[0][1] is team.nets[1][1]
+    assert learner.nets[0][0] == team.nets[1][0]
+    with pytest.raises(ValueError):
+        DistributedController((3,), 4, None, params=[team.nets[1][1]])
+
+
 @pytest.mark.parametrize("kind", [CentralizedController, DistributedController])
 def test_policy_fn_equals_joint_distributions(kind):
     # the oracle-facing policy_fn(m) and the collection-facing
