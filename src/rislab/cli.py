@@ -55,6 +55,7 @@ from .oracle import (
 from .policy import load_checkpoint, save_checkpoint
 from .training import (
     DivergenceError,
+    GameTree,
     ToyGameEnvironment,
     TrainConfig,
     collect_episode,
@@ -518,7 +519,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
         controller = make_controller(tc, heads, np.random.default_rng(cfg.seed))
     else:
         controller = load_controller(cfg, checkpoint_dir, heads)
-    policies = [controller.policy_fn(m) for m in range(controller.n_agents)]
+    # one eval forward per net prices every history the readouts ask about
+    _, policies = GameTree(game, controller).forward(controller)
     best = optimal_policy(game, cfg.mu)
     hists = uniform_histories(game)
     rmse = policy_rmse_multi(policies, best.policy_fns(game),

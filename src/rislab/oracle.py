@@ -12,8 +12,11 @@ agent's own view is the projection own_history(hist, m).
 enumerate_trajectories is the one walk over the game tree. An open-loop
 sequence, a closed-loop tree and a Nash deviation are one-hot policies
 scored through it; deterministic_assignments enumerates them over the
-nodes each one reaches. policy_table memoizes policies per oracle call, so
-a policy held fixed runs once per history.
+nodes each one reaches. policy_table memoizes plain callables per oracle
+call, so a policy held fixed runs once per history it is asked about.
+tree_nodes lists the (history, joint) nodes that full-support policies
+reach, so a trained net can price all of them in one batched forward
+(training.GameTree) and the walk then reads its policies from that pass.
 """
 
 from __future__ import annotations
@@ -133,6 +136,18 @@ def policy_table(policy_fns) -> list:
     every policy runs once per history. Build one per oracle call: the
     parameters behind a policy may change between calls."""
     return [functools.cache(fn) for fn in policy_fns]
+
+
+def tree_nodes(game: ToyGame) -> list:
+    """Every (global history, joint action) node of the game tree that
+    full-support policies reach, in the order enumerate_trajectories first
+    visits them: depth first, slot by slot along each trajectory. Uniform
+    policies reach every node that any profile reaches."""
+    nodes = {}
+    for traj in enumerate_trajectories(game, uniform_policies(game)):
+        for _state, joint, _rate, hist in traj.steps:
+            nodes.setdefault((hist, joint))
+    return list(nodes)
 
 
 def onehot_policy(n_actions: int, choose):
@@ -289,9 +304,7 @@ def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> Optim
 def uniform_histories(game: ToyGame) -> list:
     """Every global history a slot starts from under uniform policies, i.e.
     every history a full-support profile can reach, shortest first."""
-    hists = {h for traj in enumerate_trajectories(game, uniform_policies(game))
-             for _s, _j, _r, h in traj.steps}
-    return sorted(hists, key=lambda h: (len(h), str(h)))
+    return sorted({hist for hist, _ in tree_nodes(game)}, key=lambda h: (len(h), str(h)))
 
 
 def greedy_sequence(game: ToyGame, policy_fns) -> tuple:

@@ -355,36 +355,70 @@ def estimate_gradient(controller: Controller, batch, mu: float,
     return grads
 
 
-def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float) -> list[np.ndarray]:
+class GameTree:
+    """The (global history, joint action) nodes of an enumerable game's
+    full-support tree, in the order enumerate_trajectories first visits
+    them, with each of a controller's nets' inputs at every node: one row
+    per node. Softmax policies reach every node, so one eval forward per
+    net over the rows gives the policy at every history the enumeration
+    asks about, and its cache serves the gradient's backward too. The rows
+    depend on the game and the controller's encoding, not on its
+    parameters, so one tree serves every step of an ascent."""
+
+    def __init__(self, game: ToyGame, controller: Controller):
+        from .oracle import tree_nodes
+
+        self.nodes = tree_nodes(game)
+        self.row = {node: k for k, node in enumerate(self.nodes)}
+        # the first row of each history: where its policy is read
+        self.first = {}
+        for k, (hist, _) in enumerate(self.nodes):
+            self.first.setdefault(hist, k)
+        self.actions = [np.array([joint[m] for _, joint in self.nodes])
+                        for m in range(controller.n_agents)]
+        self.feats = [np.stack([controller.encode_history(hist, agents[0])
+                                for hist, _ in self.nodes])
+                      for _, _, agents in controller.net_heads()]
+
+    def forward(self, controller: Controller):
+        """One eval forward per net over every row. Returns the caches, one
+        per net, and per agent an oracle-compatible callable: a history of
+        the tree to the agent's distribution, read off the pass."""
+        caches, policies = [], [None] * controller.n_agents
+        for (arch, params, agents), feats in zip(controller.net_heads(), self.feats):
+            dists, cache = pol.forward(params, arch, feats, mode="eval")
+            caches.append(cache)
+            for head, m in enumerate(agents):
+                policies[m] = {hist: dists[head][k] for hist, k in self.first.items()}.__getitem__
+        return caches, policies
+
+
+def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float,
+                          tree: GameTree | None = None) -> list[np.ndarray]:
     """Exact expectation of the score-function gradient on an enumerable
     game: sum over all trajectories of Pi(T) * grad log Pi * weight(R, E[R]).
 
-    Trajectory/slot terms are grouped by (observed history, joint action), so
-    each parameter block needs a single batched forward/backward pass.
+    Each net runs one eval forward over the rows of the game's tree (built
+    here unless `tree` is given). The enumeration reads its policies from
+    that pass; trajectory/slot terms are grouped by (history, joint action)
+    into the tree's rows, 0 at nodes the policy does not reach, and one
+    weighted backward per net runs through the same cache.
     """
-    from .oracle import enumerate_trajectories, policy_table
+    from .oracle import enumerate_trajectories
 
-    policy_fns = policy_table([controller.policy_fn(m)
-                               for m in range(controller.n_agents)])
-    trajs = enumerate_trajectories(game, policy_fns)
+    if tree is None:
+        tree = GameTree(game, controller)
+    caches, policies = tree.forward(controller)
+    trajs = enumerate_trajectories(game, policies)
     mean = sum(t.prob * t.ret for t in trajs)
     weights = gradient_weight(np.array([t.ret for t in trajs]), mean, mu)
-    buckets: dict = {}
+    coefs = np.zeros(len(tree.nodes))
     for traj, weight in zip(trajs, weights):
         w = traj.prob * weight
         for _state, joint, _rate, hist in traj.steps:
-            key = (hist, joint)
-            buckets[key] = buckets.get(key, 0.0) + w
-    keys = list(buckets.keys())
-    coefs = np.array([buckets[k] for k in keys])
-
-    grads = []
-    for arch, params, agents in controller.net_heads():
-        feats = np.stack([controller.encode_history(h, agents[0]) for h, _ in keys])
-        _, cache = pol.forward(params, arch, feats, mode="eval")
-        acts = [np.array([joint[m] for _, joint in keys]) for m in agents]
-        grads.append(pol.backward(params, arch, cache, acts, coefs))
-    return grads
+            coefs[tree.row[hist, joint]] += w
+    return [pol.backward(params, arch, cache, [tree.actions[m] for m in agents], coefs)
+            for (arch, params, agents), cache in zip(controller.net_heads(), caches)]
 
 
 def exact_ascent(game: ToyGame, controller: Controller, mu: float,
@@ -393,16 +427,18 @@ def exact_ascent(game: ToyGame, controller: Controller, mu: float,
     """Gradient ascent driven by the exact enumerated gradient; returns the
     exact objective sampled every `trace_every` steps. This is the update
     rule itself with its expectation computed in closed form, used to reach
-    convergence on toys. It takes the unclipped step, as theorem1_harness does."""
+    convergence on toys. It takes the unclipped step, as theorem1_harness does.
+    The game's tree is built once: a step is one forward and one backward
+    per net over its rows, and a trace point one more forward per net."""
     from .oracle import enumerate_exact_J
 
+    tree = GameTree(game, controller)
     trace = []
     for k in range(steps):
-        _apply_update(controller, exact_policy_gradient(game, controller, mu),
+        _apply_update(controller, exact_policy_gradient(game, controller, mu, tree=tree),
                       learning_rate, grad_clip=0.0)
         if (k + 1) % trace_every == 0 or k + 1 == steps:
-            trace.append(enumerate_exact_J(
-                game, [controller.policy_fn(m) for m in range(controller.n_agents)], mu))
+            trace.append(enumerate_exact_J(game, tree.forward(controller)[1], mu))
     return trace
 
 

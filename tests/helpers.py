@@ -4,7 +4,11 @@ one pytest run collects both directories."""
 
 import numpy as np
 
+from rislab import policy as pol
+from rislab.oracle import ToyGame, enumerate_exact_J, enumerate_trajectories, policy_table
 from rislab.policy import PolicyParams, n_params, param_layout
+from rislab.risk import gradient_weight
+from rislab.training import _apply_update
 
 
 def fd_gradient(fun, values, step=1e-5):
@@ -116,3 +120,61 @@ def loop_backward(params, arch, rows, actions, weights, drop_lstm=None,
                 dx_seq[t] = w.T @ dgates
             dh_seq = dx_seq
     return grad.values
+
+
+def stochastic_toy_game(seed):
+    """A 2x2 game over two states with random rates, random non-dyadic
+    transition probabilities and a random initial state, horizon 2."""
+    joints = [(b, p) for b in range(2) for p in range(2)]
+    rng = np.random.default_rng(seed)
+    rates = {(s, j): float(rng.uniform(0, 3)) for s in "ab" for j in joints}
+    transitions = {}
+    for s, other in (("a", "b"), ("b", "a")):
+        for j in joints:
+            stay = float(rng.uniform(0.05, 0.95))
+            transitions[(s, j)] = ((stay, s), (1 - stay, other))
+    q = float(rng.uniform(0.1, 0.9))
+    return ToyGame(n_beams=2, n_phases=2, n_ris=1, horizon=2, rates=rates,
+                   initial=((q, "a"), (1 - q, "b")), transitions=transitions,
+                   frozen=False)
+
+
+def reference_exact_gradient(game, controller, mu):
+    """The exact enumerated gradient in its per-history form: one
+    single-history forward per (agent, history) drives the enumeration,
+    then each net runs a batched forward and backward over the reached
+    (history, joint) nodes, weighted by P(tau) * w(R_tau)."""
+    policy_fns = policy_table([controller.policy_fn(m)
+                               for m in range(controller.n_agents)])
+    trajs = enumerate_trajectories(game, policy_fns)
+    mean = sum(t.prob * t.ret for t in trajs)
+    weights = gradient_weight(np.array([t.ret for t in trajs]), mean, mu)
+    buckets: dict = {}
+    for traj, weight in zip(trajs, weights):
+        w = traj.prob * weight
+        for _state, joint, _rate, hist in traj.steps:
+            key = (hist, joint)
+            buckets[key] = buckets.get(key, 0.0) + w
+    keys = list(buckets.keys())
+    coefs = np.array([buckets[k] for k in keys])
+
+    grads = []
+    for arch, params, agents in controller.net_heads():
+        feats = np.stack([controller.encode_history(h, agents[0]) for h, _ in keys])
+        _, cache = pol.forward(params, arch, feats, mode="eval")
+        acts = [np.array([joint[m] for _, joint in keys]) for m in agents]
+        grads.append(pol.backward(params, arch, cache, acts, coefs))
+    return grads
+
+
+def reference_exact_ascent(game, controller, mu, steps, learning_rate, trace_every=50):
+    """training.exact_ascent driven by reference_exact_gradient, its trace
+    scored through per-history policy_fn calls."""
+    trace = []
+    for k in range(steps):
+        _apply_update(controller, reference_exact_gradient(game, controller, mu),
+                      learning_rate, grad_clip=0.0)
+        if (k + 1) % trace_every == 0 or k + 1 == steps:
+            trace.append(enumerate_exact_J(
+                game, [controller.policy_fn(m) for m in range(controller.n_agents)], mu))
+    return trace

@@ -5,7 +5,7 @@ oracle, and RMSE fixtures."""
 import numpy as np
 import pytest
 
-from helpers import fd_gradient
+from helpers import fd_gradient, stochastic_toy_game
 
 from rislab.oracle import (
     EnumerabilityError,
@@ -21,6 +21,7 @@ from rislab.oracle import (
     optimal_policy,
     policy_table,
     policy_rmse_multi,
+    tree_nodes,
     uniform_histories,
     uniform_policies,
 )
@@ -201,19 +202,8 @@ def test_optimum_scores_its_j_star_with_risk_on_stochastic_toys():
     # non-dyadic transition probabilities and mu > 0: the optimum's j_star is
     # the exact objective of its own one-hot policies, bit for bit, because
     # optimal_policy scores every candidate through enumerate_exact_J
-    joints = [(b, p) for b in range(2) for p in range(2)]
     for seed in range(4):
-        rng = np.random.default_rng(500 + seed)
-        rates = {(s, j): float(rng.uniform(0, 3)) for s in "ab" for j in joints}
-        transitions = {}
-        for s, other in (("a", "b"), ("b", "a")):
-            for j in joints:
-                stay = float(rng.uniform(0.05, 0.95))
-                transitions[(s, j)] = ((stay, s), (1 - stay, other))
-        q = float(rng.uniform(0.1, 0.9))
-        game = ToyGame(n_beams=2, n_phases=2, n_ris=1, horizon=2, rates=rates,
-                       initial=((q, "a"), (1 - q, "b")), transitions=transitions,
-                       frozen=False)
+        game = stochastic_toy_game(500 + seed)
         for mu in (0.25, 0.8, 1.3):
             for closed_loop in (False, True):
                 best = optimal_policy(game, mu, closed_loop=closed_loop)
@@ -287,6 +277,22 @@ def test_uniform_histories_cover_every_slot_start_once():
     assert hists[0] == ()
     assert len(hists) == 1 + 4 and len(set(hists)) == len(hists)
     assert [len(h) for h in hists] == [0, 1, 1, 1, 1]
+
+
+def test_tree_nodes_list_every_node_in_first_visit_order():
+    game = two_by_two_game(horizon=2)
+    nodes = tree_nodes(game)
+    joints = game.joint_actions
+    # the root with its first joint, then that joint's 4 second-slot nodes, ...
+    want = []
+    for first in joints:
+        want.append(((), first))
+        want += [(((first, game.rate("s0", first)),), second) for second in joints]
+    assert nodes == want
+    stochastic = stochastic_toy_game(502)
+    reached = {(hist, joint) for traj in enumerate_trajectories(
+        stochastic, uniform_policies(stochastic)) for _s, joint, _r, hist in traj.steps}
+    assert len(tree_nodes(stochastic)) == len(reached) == 4 + 2 * 4 * 4
 
 
 def test_greedy_sequence_follows_argmax_and_history():

@@ -2,20 +2,29 @@
 enumeration oracle, replay uniformity, the training loop's contracts, and
 both theorem harnesses."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import fd_gradient
+from helpers import (
+    fd_gradient,
+    reference_exact_ascent,
+    reference_exact_gradient,
+    stochastic_toy_game,
+)
 
+from rislab import policy as pol
+from rislab import training as tr
 from rislab.environment import HistoryBuffer
 from rislab.oracle import (
     enumerate_exact_J,
     frozen_toy_game,
     optimal_policy,
     own_history,
+    uniform_histories,
 )
 from rislab.risk import gradient_weight
 from rislab.training import (
@@ -352,6 +361,74 @@ def test_exact_gradient_centralized_mode():
     j_of(joined)
     rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
     assert rel < 1e-6
+
+
+def history_dependent(ctrl, game):
+    """Whether every agent plays a different distribution at every history:
+    at H = 4 a net's trunk is one unit wide, and a dead ReLU makes its
+    policy ignore the history."""
+    hists = uniform_histories(game)
+    return all(len({ctrl.policy_fn(m)(h).tobytes() for h in hists}) == len(hists)
+               for m in range(ctrl.n_agents))
+
+
+@pytest.mark.parametrize("mode,game,seed", [("distributed", toy_game(), 6),
+                                            ("centralized", toy_game(), 11),
+                                            ("distributed", stochastic_toy_game(501), 6)])
+def test_exact_gradient_bitwise_equals_per_history_reference(mode, game, seed):
+    # one batched forward per net over the game tree reads the same
+    # probabilities as single-history forwards at toy sizes, and its rows
+    # are the reference's reached nodes in the reference's order
+    rng = np.random.default_rng(seed)
+    ctrl = make_controller(toy_config(mode=mode), (2, 2), rng)
+    randomize(ctrl, rng)
+    assert history_dependent(ctrl, game)
+    for mu in (0.0, 0.7):
+        got = exact_policy_gradient(game, ctrl, mu)
+        want = reference_exact_gradient(game, ctrl, mu)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_exact_ascent_bitwise_equals_per_history_reference():
+    game = toy_game()
+    rng = np.random.default_rng(6)
+    ctrl = make_controller(toy_config(), (2, 2), rng)
+    randomize(ctrl, rng)
+    assert history_dependent(ctrl, game)
+    ref = copy.deepcopy(ctrl)
+    trace = exact_ascent(game, ctrl, mu=0.0, steps=300, learning_rate=0.5, trace_every=50)
+    want = reference_exact_ascent(game, ref, mu=0.0, steps=300, learning_rate=0.5,
+                                  trace_every=50)
+    assert trace == want
+    for a, b in zip(ctrl.parameter_vectors(), ref.parameter_vectors()):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode,nets", [("distributed", 2), ("centralized", 1)])
+def test_exact_ascent_runs_one_eval_forward_per_net_per_step(monkeypatch, mode, nets):
+    modes, per_call = [], []
+    forward, gradient = pol.forward, tr.exact_policy_gradient
+
+    def counted_forward(*args, **kwargs):
+        modes.append(kwargs.get("mode", "eval"))
+        return forward(*args, **kwargs)
+
+    def counted_gradient(*args, **kwargs):
+        start = len(modes)
+        out = gradient(*args, **kwargs)
+        per_call.append(modes[start:])
+        return out
+
+    monkeypatch.setattr(pol, "forward", counted_forward)
+    monkeypatch.setattr(tr, "exact_policy_gradient", counted_gradient)
+    rng = np.random.default_rng(43)
+    ctrl = make_controller(toy_config(mode=mode), (2, 2), rng)
+    exact_ascent(toy_game(), ctrl, mu=0.0, steps=6, learning_rate=0.5, trace_every=3)
+    assert per_call == [["eval"] * nets] * 6
+    # plus one forward per net at each of the 2 trace points
+    assert modes == ["eval"] * nets * (6 + 2)
 
 
 def test_estimator_unbiased_at_mu_zero():
