@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,21 +282,21 @@ class ActionProfile:
 
 
 class HistoryBuffer:
-    """Sliding window of the last H (own action, normalized rate) pairs."""
+    """Sliding window of one agent's last `capacity` (own action, normalized
+    rate) pairs, newest last: `actions` (C,) int, -1 in slots not yet filled,
+    and `rates` (C,) float, 0 there; push shifts both in place. A controller
+    reads agent 0's `rates` as the shared rate, so all agents' buffers must
+    be pushed in step with the same rate, as collect_episode does."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._entries = deque(maxlen=capacity)
+        self.actions = np.full(capacity, -1)
+        self.rates = np.zeros(capacity)
 
     def push(self, action: int, rate_norm: float) -> None:
-        self._entries.append((int(action), float(rate_norm)))
-
-    def entries(self) -> list[tuple[int, float]]:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        self.actions[:-1], self.actions[-1] = self.actions[1:], action
+        self.rates[:-1], self.rates[-1] = self.rates[1:], rate_norm
 
 
 @dataclass

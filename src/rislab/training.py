@@ -6,12 +6,16 @@ Returns used by the objective and the gradient weights are normalized rates
 (rate / (bandwidth * rate_norm_max)) summed over the T-slot episode, which
 keeps the risk sensitivity mu in [0, 1) meaningful regardless of the link
 budget's absolute scale. Learning-curve columns report the same units.
+
+Every history a net reads, from buffers, replay samples or oracle tuples,
+is one array window (Controller.window) and reaches the net through one
+vectorized Controller.encode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -65,7 +69,7 @@ class TrainConfig:
 
 
 class Controller:
-    """Maps per-agent history buffers to per-agent action distributions and
+    """Maps per-agent history windows to per-agent action distributions and
     owns the trainable parameter vectors.
 
     The controller is a list of nets over agent groups: `nets[k]`, an
@@ -74,7 +78,8 @@ class Controller:
     one group per agent (2 LSTM + 2 dense + head, fed by the agent's own
     action/rate window); a centralized one has a single group of all agents
     (3 LSTM + 3 dense + M heads, fed by every agent's action and the rate).
-    Subclasses only name their `kind`."""
+    Subclasses only name their `kind`. A history window is (H, M) joint
+    actions, -1 in slots not yet filled, plus (H,) rates, newest last."""
 
     kind: str
 
@@ -87,15 +92,11 @@ class Controller:
         agents = range(len(self.head_sizes))
         self.groups = ([tuple(agents)] if self.kind == "centralized"
                        else [(m,) for m in agents])
-        # the group whose net computes each agent's head
-        self._group_of = {m: group for group in self.groups for m in group}
-        # column of each agent's one-hot action in its group's net input
-        self._offsets = [0] * len(self.head_sizes)
+        # per agent: one-hot rows of its actions, then the all-zero row -1
+        self._onehot = [np.eye(n + 1, n) for n in self.head_sizes]
         self.nets = []
         for net, group in enumerate(self.groups):
             sizes = tuple(self.head_sizes[m] for m in group)
-            for k, m in enumerate(group):
-                self._offsets[m] = sum(sizes[:k])
             arch = pol.PolicyArchitecture(
                 kind=self.kind, history_len=history_len, input_size=sum(sizes) + 1,
                 head_sizes=sizes, dropout_lstm=dropout_lstm, dropout_dense=dropout_dense)
@@ -110,50 +111,36 @@ class Controller:
     def n_agents(self) -> int:
         return len(self.head_sizes)
 
-    def encode(self, windows, agents) -> np.ndarray:
-        """Net input of one group: `windows` holds one sequence of (action,
-        rate) entries per agent in `agents`. Each of the H rows carries every
-        agent's one-hot action at that agent's column offset, then the shared
-        rate; only the last H entries are kept, and missing leading slots are
-        zero rows."""
-        last = agents[-1]
-        width = self._offsets[last] + self.head_sizes[last] + 1
-        out = np.zeros((self.history_len, width))
-        for window, m in zip(windows, agents):
-            window = window[-self.history_len:]
-            pad = self.history_len - len(window)
-            for k, (action, rate) in enumerate(window):
-                out[pad + k, self._offsets[m] + action] = 1.0
-                out[pad + k, -1] = rate
-        return out
+    def window(self, actions=(), rates=()):
+        """The H-slot window of a history of n joint actions, (n, M) ints,
+        and their (n,) rates, oldest first: the last H entries, with -1
+        actions and 0 rates padding the front. Returns new arrays."""
+        h = self.history_len
+        kept = min(len(rates), h)
+        window = np.full((h, self.n_agents), -1), np.zeros(h)
+        if kept:
+            window[0][-kept:] = actions[-kept:]
+            window[1][-kept:] = rates[-kept:]
+        return window
+
+    def encode(self, actions, rates, net: int) -> np.ndarray:
+        """Input of net `net` for windows of any batch shape, (..., H, M)
+        actions and (..., H) rates: per group agent in group order, one
+        gather from its one-hot table, whose row -1 is all zeros, then the
+        shared rate."""
+        return np.concatenate([self._onehot[m].take(actions[..., m], axis=0)
+                               for m in self.groups[net]] + [rates[..., None]], axis=-1)
 
     def distributions(self, buffers):
         """Per-agent action distributions given every agent's HistoryBuffer."""
-        windows = [buf.entries() for buf in buffers]
+        actions, rates = self.window(np.array([buf.actions for buf in buffers]).T,
+                                     buffers[0].rates)
         out = []
-        for (arch, params), agents in zip(self.nets, self.groups):
-            feats = self.encode([windows[m] for m in agents], agents)
-            dists, _ = pol.forward(params, arch, feats, mode="eval")
+        for net, (arch, params) in enumerate(self.nets):
+            dists, _ = pol.forward(params, arch, self.encode(actions, rates, net),
+                                   mode="eval")
             out.extend(dists)
         return out
-
-    def sample_input(self, sample, slot: int, agent: int) -> np.ndarray:
-        """Input, at `slot` of a replay sample, of the net that computes
-        `agent`'s head; memoized on the sample."""
-        agents = self._group_of[agent]
-        key = (agents, slot, self.history_len)
-        feats = sample.encoded.get(key)
-        if feats is None:
-            feats = sample.encoded[key] = self.encode(
-                [sample.entries_at(m, slot) for m in agents], agents)
-        return feats
-
-    def encode_history(self, history, agent: int) -> np.ndarray:
-        """Input, given the global (joint, rate) history tuple, of the net
-        that computes `agent`'s head."""
-        agents = self._group_of[agent]
-        return self.encode([[(joint[m], rate) for joint, rate in history]
-                            for m in agents], agents)
 
     def net_heads(self) -> list:
         """(arch, params, agents) per net, `agents` being the agents whose
@@ -165,16 +152,17 @@ class Controller:
         return [params.values for _, params in self.nets]
 
     def policy_fn(self, agent: int):
-        """Oracle-compatible callable: global (joint, rate) history tuple
-        to this agent's distribution. Runs only the net that computes the
-        agent's head, so it equals distributions(...)[agent] bitwise."""
-        agents = self._group_of[agent]
-        arch, params = self.nets[self.groups.index(agents)]
-        head = agents.index(agent)
+        """Oracle-compatible callable: global (joint, rate) history tuple,
+        unzipped into window(joints, rates), to this agent's distribution.
+        Runs only the net that computes the agent's head, so it equals
+        distributions(...)[agent] bitwise."""
+        net = next(k for k, group in enumerate(self.groups) if agent in group)
+        arch, params = self.nets[net]
+        head = self.groups[net].index(agent)
 
         def fn(history):
-            dists, _ = pol.forward(params, arch, self.encode_history(history, agent),
-                                   mode="eval")
+            feats = self.encode(*self.window(*zip(*history)), net)
+            dists, _ = pol.forward(params, arch, feats, mode="eval")
             return dists[head]
 
         return fn
@@ -238,54 +226,45 @@ class ToyGameEnvironment:
 # episode collection and replay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSample:
-    """Replay unit: per-agent history snapshots at the episode start plus the
-    T subsequent joint actions and normalized rates. Encoded network inputs
-    are immutable per sample, so Controller.sample_input memoizes them in
-    `encoded`, keyed by (agent group, slot, history length)."""
+    """Replay unit: the controller's history window at the episode start,
+    (H, M) actions with -1 in slots not yet filled and (H,) rates, plus the
+    episode's (T, M) joint actions and (T,) normalized rates."""
 
-    start_entries: tuple     # per agent: tuple of (action, rate) pairs
-    actions: tuple           # (T, M) nested tuples
-    rates_norm: tuple        # length T
-    encoded: dict = field(default_factory=dict, compare=False, repr=False)
+    start_actions: np.ndarray
+    start_rates: np.ndarray
+    actions: np.ndarray
+    rates_norm: np.ndarray
 
     @property
     def episodic_return(self) -> float:
         return float(sum(self.rates_norm))
 
-    def entries_at(self, agent: int, slot: int):
-        extra = tuple((self.actions[t][agent], self.rates_norm[t])
-                      for t in range(slot))
-        return self.start_entries[agent] + extra
+    @property
+    def start_entries(self) -> tuple:
+        """Per agent, the filled (action, rate) pairs of the start window,
+        oldest first. Read-only: perfbench/checks.py::own_inputs reads it
+        in its reference encoder, which is independent of `encode`."""
+        rates = self.start_rates.tolist()
+        return tuple(tuple((a, r) for a, r in zip(column.tolist(), rates) if a >= 0)
+                     for column in self.start_actions.T)
 
 
-class ReplayStore:
-    """Growing set of immutable samples with uniform minibatch draws."""
-
-    def __init__(self):
-        self._samples: list[TrainingSample] = []
-
-    def add(self, sample: TrainingSample) -> None:
-        self._samples.append(sample)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def minibatch(self, size: int, rng: np.random.Generator) -> list[TrainingSample]:
-        if not self._samples:
-            raise ValueError("replay store is empty")
-        if len(self._samples) <= size:
-            return list(self._samples)
-        idx = rng.choice(len(self._samples), size=size, replace=False)
-        return [self._samples[int(i)] for i in idx]
+def _minibatch(replay: list, size: int, rng: np.random.Generator) -> list:
+    """Uniform draw of `size` distinct samples; all of them when the replay
+    holds no more."""
+    if len(replay) <= size:
+        return list(replay)
+    return [replay[int(i)] for i in rng.choice(len(replay), size=size, replace=False)]
 
 
 def collect_episode(env, controller: Controller, buffers, horizon: int,
                     rng: np.random.Generator, forced_actions=None):
     """Roll the controller for T slots: sample actions from the current
-    policy, step the environment, and append the shared reward to every
-    agent's window. Returns the EpisodeRecord and the replay sample.
+    policy, step the environment, and push each agent's action with the
+    shared reward onto its window. Returns the EpisodeRecord and the replay
+    sample.
 
     `forced_actions` (one joint tuple per slot) replaces the policy; used to
     seed the replay with a systematic sweep of the action space. Forced
@@ -293,7 +272,8 @@ def collect_episode(env, controller: Controller, buffers, horizon: int,
     the sweep's behaviour log-probability, -log|A_m| per head, and no
     distributions.
     """
-    start_entries = tuple(tuple(buf.entries()) for buf in buffers)
+    start = controller.window(np.array([buf.actions for buf in buffers]).T,
+                              buffers[0].rates)
     sweep_lps = [-math.log(n) for n in controller.head_sizes]
     actions_out, rates, rates_norm, log_probs, slot_dists = [], [], [], [], []
     for t in range(horizon):
@@ -315,15 +295,23 @@ def collect_episode(env, controller: Controller, buffers, horizon: int,
         slot_dists.append(dists)
     record = EpisodeRecord(actions=actions_out, rates=rates, rates_norm=rates_norm,
                            log_probs=log_probs, distributions=slot_dists)
-    sample = TrainingSample(
-        start_entries=start_entries,
-        actions=tuple(tuple(a.as_tuple()) for a in actions_out),
-        rates_norm=tuple(rates_norm))
+    sample = TrainingSample(*start, actions=np.array([a.as_tuple() for a in actions_out]),
+                            rates_norm=np.array(rates_norm, dtype=float))
     return record, sample
 
 
 # ---------------------------------------------------------------------------
 # gradient estimation
+
+
+def slot_windows(batch):
+    """Every slot's window of every sample: slot t reads entries t .. t+H-1
+    of the start window followed by the episode. Returns (T, S, H, M)
+    actions and (T, S, H) rates."""
+    actions = np.stack([np.concatenate([s.start_actions, s.actions]) for s in batch])
+    rates = np.stack([np.concatenate([s.start_rates, s.rates_norm]) for s in batch])
+    idx = np.arange(len(batch[0].rates_norm))[:, None] + np.arange(len(batch[0].start_rates))
+    return actions[:, idx].swapaxes(0, 1), rates[:, idx].swapaxes(0, 1)
 
 
 def estimate_gradient(controller: Controller, batch, mu: float,
@@ -332,10 +320,11 @@ def estimate_gradient(controller: Controller, batch, mu: float,
     """Sample-mean score-function gradient: (1/S) sum_s grad log Pi^(s) *
     weight(R_s, batch mean, mu), one vector per parameter block.
 
-    Each net makes one forward and one backward pass: the inputs of all T
-    slots form one (T, S, H, F) stack and the weights are tiled over the
-    slots. The stacked forward draws its dropout masks slot by slot, so
-    `rng` yields the masks of T per-slot passes, net by net."""
+    Each net makes one forward and one backward pass over one (T, S, H, F)
+    stack, encoded from the slot windows right before its forward and
+    dropped with its cache; the weights are tiled over the slots. The
+    stacked forward draws its dropout masks slot by slot, so `rng` yields
+    the masks of T per-slot passes, net by net."""
     if not batch:
         raise ValueError("batch must be nonempty")
     returns = np.array([s.episodic_return for s in batch])
@@ -343,27 +332,27 @@ def estimate_gradient(controller: Controller, batch, mu: float,
     horizon = len(batch[0].rates_norm)
     tiled = np.tile(weights, horizon)
     actions = np.array([s.actions for s in batch])  # (S, T, M)
+    windows = slot_windows(batch)
     grads = []
-    for arch, params, agents in controller.net_heads():
-        feats = np.concatenate([controller.sample_input(s, t, agents[0])
-                                for t in range(horizon) for s in batch])
-        feats = feats.reshape(horizon, len(batch), arch.history_len, arch.input_size)
-        _, cache = pol.forward(params, arch, feats, mode=mode, rng=rng)
+    for net, (arch, params, agents) in enumerate(controller.net_heads()):
+        _, cache = pol.forward(params, arch, controller.encode(*windows, net),
+                               mode=mode, rng=rng)
         acts = [actions[:, :, m].T.ravel() for m in agents]
         grads.append(pol.backward(params, arch, cache, acts, tiled) / len(batch))
-        del cache  # free it before the next net's forward
+        del cache  # free it, and the input it holds, before the next net's forward
     return grads
 
 
 class GameTree:
     """The (global history, joint action) nodes of an enumerable game's
     full-support tree, in the order enumerate_trajectories first visits
-    them, with each of a controller's nets' inputs at every node: one row
-    per node. Softmax policies reach every node, so one eval forward per
-    net over the rows gives the policy at every history the enumeration
-    asks about, and its cache serves the gradient's backward too. The rows
-    depend on the game and the controller's encoding, not on its
-    parameters, so one tree serves every step of an ascent."""
+    them, with each of a controller's nets' inputs at every node, encoded
+    once from the stacked node windows: one row per node. Softmax policies
+    reach every node, so one eval forward per net over the rows gives the
+    policy at every history the enumeration asks about, and its cache
+    serves the gradient's backward too. The rows depend on the game and the
+    controller's encoding, not on its parameters, so one tree serves every
+    step of an ascent."""
 
     def __init__(self, game: ToyGame, controller: Controller):
         from .oracle import tree_nodes
@@ -374,11 +363,11 @@ class GameTree:
         self.first = {}
         for k, (hist, _) in enumerate(self.nodes):
             self.first.setdefault(hist, k)
-        self.actions = [np.array([joint[m] for _, joint in self.nodes])
-                        for m in range(controller.n_agents)]
-        self.feats = [np.stack([controller.encode_history(hist, agents[0])
-                                for hist, _ in self.nodes])
-                      for _, _, agents in controller.net_heads()]
+        self.actions = np.array([joint for _, joint in self.nodes]).T
+        actions, rates = zip(*(controller.window(*zip(*hist)) for hist, _ in self.nodes))
+        actions, rates = np.stack(actions), np.stack(rates)
+        self.feats = [controller.encode(actions, rates, net)
+                      for net in range(len(controller.nets))]
 
     def forward(self, controller: Controller):
         """One eval forward per net over every row. Returns the caches, one
@@ -499,7 +488,7 @@ def train(env, controller: Controller, config: TrainConfig,
     rng_dropout = np.random.default_rng([config.seed, 3])
     buffers = buffers or [HistoryBuffer(config.history_len)
                           for _ in range(controller.n_agents)]
-    store = ReplayStore()
+    replay: list[TrainingSample] = []
     curves: list[CurveRow] = []
     clip_events = 0
     update = 0
@@ -507,7 +496,7 @@ def train(env, controller: Controller, config: TrainConfig,
 
     def do_update(clamps: int):
         nonlocal update, clip_events
-        batch = store.minibatch(config.minibatch, rng_batch)
+        batch = _minibatch(replay, config.minibatch, rng_batch)
         grads = estimate_gradient(controller, batch, config.mu, rng=rng_dropout)
         norm, clipped = _apply_update(controller, grads, config.learning_rate,
                                       config.grad_clip)
@@ -532,7 +521,7 @@ def train(env, controller: Controller, config: TrainConfig,
         _, sample = collect_episode(env, controller, buffers,
                                     config.horizon, rng_collect,
                                     forced_actions=forced)
-        store.add(sample)
+        replay.append(sample)
     for _ in range(config.offline_epochs):
         do_update(clamps=0)
 
@@ -541,7 +530,7 @@ def train(env, controller: Controller, config: TrainConfig,
     while update < config.offline_epochs + config.max_updates:
         record, sample = collect_episode(env, controller, buffers,
                                          config.horizon, rng_collect)
-        store.add(sample)
+        replay.append(sample)
         do_update(int(np.count_nonzero(np.array(record.log_probs) <= np.log(pol.PROB_FLOOR))))
         w = config.convergence_window
         if len(j_history) >= 2 * w:
@@ -551,7 +540,7 @@ def train(env, controller: Controller, config: TrainConfig,
                 converged = True
                 break
     return TrainResult(curves=curves, converged=converged, updates=update,
-                       clip_events=clip_events, replay_size=len(store))
+                       clip_events=clip_events, replay_size=len(replay))
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +560,11 @@ def _seeded(seed, *tags) -> np.random.Generator:
 
 
 def _agent_view(sample: TrainingSample, agent: int) -> TrainingSample:
-    """What one agent observes of a sample: its own entries and actions
-    and the shared rates."""
-    return TrainingSample(start_entries=(sample.start_entries[agent],),
-                          actions=tuple((joint[agent],) for joint in sample.actions),
-                          rates_norm=sample.rates_norm)
+    """What one agent observes of a sample: its own action column and the
+    shared rates."""
+    return TrainingSample(start_actions=sample.start_actions[:, [agent]],
+                          start_rates=sample.start_rates,
+                          actions=sample.actions[:, [agent]], rates_norm=sample.rates_norm)
 
 
 def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
@@ -603,7 +592,7 @@ def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
     env_c, env_d = env_factory(), env_factory()
     bufs_c = [HistoryBuffer(config.history_len) for _ in head_sizes]
     bufs_d = [HistoryBuffer(config.history_len) for _ in head_sizes]
-    store_c, stores_d = ReplayStore(), [ReplayStore() for _ in head_sizes]
+    replay_c, replays_d = [], [[] for _ in head_sizes]
 
     max_div = 0.0
     fact_gap = 0.0
@@ -611,30 +600,31 @@ def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
     for step in range(n_updates):
         _, sample = collect_episode(env_c, central, bufs_c, config.horizon,
                                     _seeded(config.seed, 10, step))
-        store_c.add(sample)
+        replay_c.append(sample)
         _, sample = collect_episode(env_d, team, bufs_d, config.horizon,
                                     _seeded(config.seed, 10, step))
-        for m, store in enumerate(stores_d):
-            store.add(_agent_view(sample, m))
+        for m, replay in enumerate(replays_d):
+            replay.append(_agent_view(sample, m))
 
         # central server: one gradient call over every agent's net
-        batch_c = store_c.minibatch(config.minibatch, _seeded(config.seed, 20, step))
+        batch_c = _minibatch(replay_c, config.minibatch, _seeded(config.seed, 20, step))
         grads_central = estimate_gradient(central, batch_c, config.mu, mode="eval")
         # per-agent learners: each runs its own update routine on its view
         grads_agents = [
-            estimate_gradient(learner, store.minibatch(config.minibatch,
-                                                      _seeded(config.seed, 20, step)),
+            estimate_gradient(learner, _minibatch(replay, config.minibatch,
+                                                  _seeded(config.seed, 20, step)),
                               config.mu, mode="eval")[0]
-            for learner, store in zip(learners, stores_d)]
+            for learner, replay in zip(learners, replays_d)]
 
         # factorization identity on the central batch: joint one-pass slot-major
         # accumulation vs the agent-major vectors above
         returns = np.array([s.episodic_return for s in batch_c])
         weights = gradient_weight(returns, float(returns.mean()), config.mu)
         joint = [np.zeros(params.n) for _, params in central.nets]
+        actions, rates = slot_windows(batch_c)
         for t in range(config.horizon):
             for m, (arch, params) in enumerate(central.nets):
-                feats = np.stack([central.sample_input(s, t, m) for s in batch_c])
+                feats = central.encode(actions[t], rates[t], m)
                 _, cache = pol.forward(params, arch, feats, mode="eval")
                 acts = [np.array([s.actions[t][m] for s in batch_c])]
                 joint[m] += pol.backward(params, arch, cache, acts, weights)

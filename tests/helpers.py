@@ -159,8 +159,9 @@ def reference_exact_gradient(game, controller, mu):
     coefs = np.array([buckets[k] for k in keys])
 
     grads = []
-    for arch, params, agents in controller.net_heads():
-        feats = np.stack([controller.encode_history(h, agents[0]) for h, _ in keys])
+    for net, (arch, params, agents) in enumerate(controller.net_heads()):
+        feats = np.stack([controller.encode(*controller.window(
+            [joint for joint, _ in h], [rate for _, rate in h]), net) for h, _ in keys])
         _, cache = pol.forward(params, arch, feats, mode="eval")
         acts = [np.array([joint[m] for _, joint in keys]) for m in agents]
         grads.append(pol.backward(params, arch, cache, acts, coefs))

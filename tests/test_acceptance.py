@@ -27,7 +27,6 @@ from rislab.cli import (
     train_config,
     _rollout_stats,
 )
-from rislab.environment import HistoryBuffer
 from rislab.oracle import (
     complexity_bench,
     enumerate_exact_J,

@@ -256,7 +256,7 @@ def test_reward_nonnegative_and_identical_for_agents():
         norm = env.rate_norm(reward)
         for m, buf in enumerate(buffers):
             buf.push(a.as_tuple()[m], norm)
-        stored = {buf.entries()[-1][1] for buf in buffers}
+        stored = {buf.rates[-1] for buf in buffers}
         assert len(stored) == 1  # bitwise-identical observation
 
 
@@ -504,8 +504,8 @@ def test_environment_replay_follows_trajectory():
 
 
 def encoder(kind, head_sizes, history_len):
-    # a controller used only for its history encoder, which reads H from
-    # history_len; its nets need a multiple of 4 and are not run here
+    # a controller used only for its history window and encoder, which read
+    # H from history_len; its nets need a multiple of 4 and are not run here
     ctrl = kind(head_sizes, 4, np.random.default_rng(0))
     ctrl.history_len = history_len
     return ctrl
@@ -515,10 +515,12 @@ def test_history_buffer_eviction_and_encoding():
     buf = HistoryBuffer(3)
     for k in range(5):
         buf.push(k % 2, 0.1 * k)
-    assert len(buf) == 3
-    enc = encoder(DistributedController, (2,), 3).encode([buf.entries()], (0,))
-    assert enc.shape == (3, 3)
     # newest last; entries 2, 3, 4 survive
+    np.testing.assert_array_equal(buf.actions, [0, 1, 0])
+    np.testing.assert_array_equal(buf.rates, [0.1 * k for k in (2, 3, 4)])
+    ctrl = encoder(DistributedController, (2,), 3)
+    enc = ctrl.encode(*ctrl.window(buf.actions[:, None], buf.rates), 0)
+    assert enc.shape == (3, 3)
     np.testing.assert_allclose(enc[:, 2], [0.2, 0.3, 0.4])
     assert enc[0, 0] == 1.0 and enc[1, 1] == 1.0
 
@@ -526,7 +528,10 @@ def test_history_buffer_eviction_and_encoding():
 def test_history_buffer_pads_leading_zeros():
     buf = HistoryBuffer(4)
     buf.push(1, 0.5)
-    enc = encoder(DistributedController, (2,), 4).encode([buf.entries()], (0,))
+    np.testing.assert_array_equal(buf.actions, [-1, -1, -1, 1])
+    np.testing.assert_array_equal(buf.rates, [0.0, 0.0, 0.0, 0.5])
+    ctrl = encoder(DistributedController, (2,), 4)
+    enc = ctrl.encode(*ctrl.window(buf.actions[:, None], buf.rates), 0)
     np.testing.assert_array_equal(enc[:3], 0.0)
     assert enc[3, 1] == 1.0 and enc[3, 2] == 0.5
 
@@ -535,8 +540,9 @@ def test_encode_global_concatenates_onehots():
     bufs = [HistoryBuffer(2), HistoryBuffer(2)]
     bufs[0].push(1, 0.25)
     bufs[1].push(0, 0.25)
-    enc = encoder(CentralizedController, (2, 3), 2).encode(
-        [buf.entries() for buf in bufs], (0, 1))
+    ctrl = encoder(CentralizedController, (2, 3), 2)
+    enc = ctrl.encode(*ctrl.window(np.stack([buf.actions for buf in bufs], axis=1),
+                                   bufs[0].rates), 0)
     assert enc.shape == (2, 6)
     np.testing.assert_array_equal(enc[0], 0.0)
     np.testing.assert_allclose(enc[1], [0, 1, 1, 0, 0, 0.25])

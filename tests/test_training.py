@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import (
@@ -31,7 +33,6 @@ from rislab.training import (
     CentralizedController,
     DistributedController,
     DivergenceError,
-    ReplayStore,
     ToyGameEnvironment,
     TrainConfig,
     TrainingSample,
@@ -41,6 +42,7 @@ from rislab.training import (
     exact_policy_gradient,
     make_controller,
     nash_check,
+    slot_windows,
     theorem1_harness,
     train,
 )
@@ -87,7 +89,7 @@ def test_collect_episode_horizon_one():
     record, sample = collect_episode(env, ctrl, buffers, 1, np.random.default_rng(2))
     assert record.horizon == 1
     assert record.episodic_return == pytest.approx(record.rates[0])
-    assert sample.actions[0] == tuple(record.actions[0].as_tuple())
+    assert tuple(sample.actions[0]) == record.actions[0].as_tuple()
 
 
 def test_collect_episode_deterministic_with_onehot_policies():
@@ -114,17 +116,23 @@ def test_collect_episode_updates_all_buffers_identically():
     env = ToyGameEnvironment(toy_game(), seed=5)
     buffers = [HistoryBuffer(cfg.history_len) for _ in range(2)]
     collect_episode(env, ctrl, buffers, 2, np.random.default_rng(6))
-    rates0 = [r for _, r in buffers[0].entries()]
-    rates1 = [r for _, r in buffers[1].entries()]
-    assert rates0 == rates1
+    np.testing.assert_array_equal(buffers[0].rates, buffers[1].rates)
 
 
 def test_training_sample_entry_reconstruction():
-    sample = TrainingSample(start_entries=(((1, 0.5),), ((0, 0.5),)),
-                            actions=((1, 0), (0, 1)), rates_norm=(0.3, 0.6))
-    assert sample.entries_at(0, 0) == ((1, 0.5),)
-    assert sample.entries_at(0, 2) == ((1, 0.5), (1, 0.3), (0, 0.6))
-    assert sample.entries_at(1, 1) == ((0, 0.5), (0, 0.3))
+    # a 3-slot start window holding one entry, then a 2-slot episode: slot t
+    # reads entries t .. t+2 of the start window followed by the episode
+    sample = TrainingSample(start_actions=np.array([[-1, -1], [-1, -1], [1, 0]]),
+                            start_rates=np.array([0.0, 0.0, 0.5]),
+                            actions=np.array([[1, 0], [0, 1]]),
+                            rates_norm=np.array([0.3, 0.6]))
+    assert sample.start_entries == (((1, 0.5),), ((0, 0.5),))
+    actions, rates = slot_windows([sample])
+    assert actions.shape == (2, 1, 3, 2) and rates.shape == (2, 1, 3)
+    np.testing.assert_array_equal(actions[0, 0], [[-1, -1], [-1, -1], [1, 0]])
+    np.testing.assert_array_equal(rates[0, 0], [0.0, 0.0, 0.5])
+    np.testing.assert_array_equal(actions[1, 0], [[-1, -1], [1, 0], [1, 0]])
+    np.testing.assert_array_equal(rates[1, 0], [0.0, 0.5, 0.3])
     assert sample.episodic_return == pytest.approx(0.9)
 
 
@@ -197,12 +205,13 @@ def reference_input(history, head_sizes, agents, history_len):
 
 @pytest.mark.parametrize("kind", [CentralizedController, DistributedController])
 def test_one_encoder_behind_every_entry_point(kind, monkeypatch):
-    # distributions(buffers)'s net input, sample_input(sample, t, m) and
-    # encode_history(hist, m) are the same encoding of one history, bit for
-    # bit, and all equal a plain loop; the 6-slot history overruns H = 4
+    # distributions(buffers), policy_fn(m)(hist) and the gathered slot-t
+    # windows of an estimate_gradient batch feed their nets the same
+    # encoding of one history, bit for bit, and all equal a plain loop; the
+    # 6-slot history overruns H = 4
     from rislab import policy as pol
 
-    heads, history_len = (3, 2, 2), 4
+    heads, history_len, horizon = (3, 2, 2), 4, 3
     ctrl = kind(heads, history_len, np.random.default_rng(45))
     assert ctrl.groups == ([(0, 1, 2)] if kind is CentralizedController
                            else [(0,), (1,), (2,)])
@@ -216,23 +225,95 @@ def test_one_encoder_behind_every_entry_point(kind, monkeypatch):
         return forward(params, arch, history, **kwargs)
 
     monkeypatch.setattr(pol, "forward", recording)
+    batch, wants = [], []
     for cut in (0, 1, 4, len(history)):
         hist = history[:cut]
+        want = [reference_input(hist, heads, agents, history_len) for agents in ctrl.groups]
         inputs.clear()
         ctrl.distributions(buffers_from_history(hist, ctrl.n_agents, history_len))
-        assert len(inputs) == len(ctrl.groups)
+        for m in range(ctrl.n_agents):
+            ctrl.policy_fn(m)(hist)
+        policy_nets = [next(k for k, g in enumerate(ctrl.groups) if m in g)
+                       for m in range(ctrl.n_agents)]
+        assert len(inputs) == len(ctrl.groups) + ctrl.n_agents
+        for net_input, net in zip(inputs, list(range(len(ctrl.groups))) + policy_nets):
+            np.testing.assert_array_equal(net_input, want[net])
+        # a sample whose slot-`slot` window is this history: the start window
+        # holds all but its last `slot` entries, the episode the rest
         slot = min(cut, 2)
-        sample = TrainingSample(
-            start_entries=tuple(tuple((joint[m], rate) for joint, rate in hist[:cut - slot])
-                                for m in range(ctrl.n_agents)),
-            actions=tuple(joint for joint, _ in hist[cut - slot:]),
-            rates_norm=tuple(rate for _, rate in hist[cut - slot:]))
-        for net_input, agents in zip(inputs, ctrl.groups):
-            want = reference_input(hist, heads, agents, history_len)
-            np.testing.assert_array_equal(net_input, want)
-            for m in agents:
-                np.testing.assert_array_equal(ctrl.sample_input(sample, slot, m), want)
-                np.testing.assert_array_equal(ctrl.encode_history(hist, m), want)
+        start, episode = hist[:cut - slot], hist[cut - slot:]
+        episode += (((0, 0, 0), 0.1),) * (horizon - slot)
+        batch.append(TrainingSample(
+            *ctrl.window([j for j, _ in start], [r for _, r in start]),
+            actions=np.array([j for j, _ in episode]),
+            rates_norm=np.array([r for _, r in episode])))
+        wants.append((slot, want))
+    inputs.clear()
+    estimate_gradient(ctrl, batch, mu=0.0, mode="eval")
+    assert len(inputs) == len(ctrl.groups)
+    for net, net_input in enumerate(inputs):
+        assert net_input.shape[:3] == (horizon, len(batch), history_len)
+        for k, (slot, want) in enumerate(wants):
+            np.testing.assert_array_equal(net_input[slot, k], want[net])
+
+
+@st.composite
+def head_histories(draw, count=1):
+    """(head sizes, H, histories): 1-4 agents with 1-6 actions each,
+    H in {4, 8}, and `count` global histories of 0 .. 2H+1 entries."""
+    heads = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    history_len = draw(st.sampled_from([4, 8]))
+    entry = st.tuples(st.tuples(*[st.integers(0, n - 1) for n in heads]),
+                      st.floats(0.0, 10.0, allow_nan=False))
+    hists = [tuple(draw(st.lists(entry, max_size=2 * history_len + 1)))
+             for _ in range(count)]
+    return heads, history_len, hists
+
+
+def history_window(ctrl, hist):
+    return ctrl.window([joint for joint, _ in hist], [rate for _, rate in hist])
+
+
+@pytest.mark.parametrize("kind", [CentralizedController, DistributedController])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=head_histories())
+def test_fuzz_encoded_window_equals_plain_loop(kind, case):
+    heads, history_len, (hist,) = case
+    ctrl = kind(heads, history_len, np.random.default_rng(0))
+    actions, rates = history_window(ctrl, hist)
+    assert actions.shape == (history_len, len(heads)) and rates.shape == (history_len,)
+    for net, agents in enumerate(ctrl.groups):
+        np.testing.assert_array_equal(ctrl.encode(actions, rates, net),
+                                      reference_input(hist, heads, agents, history_len))
+
+
+@pytest.mark.parametrize("kind", [CentralizedController, DistributedController])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=head_histories(count=3))
+def test_fuzz_stacked_encode_equals_per_window_encodes(kind, case):
+    heads, history_len, hists = case
+    ctrl = kind(heads, history_len, np.random.default_rng(0))
+    windows = [history_window(ctrl, hist) for hist in hists]
+    actions = np.stack([a for a, _ in windows])
+    rates = np.stack([r for _, r in windows])
+    for net in range(len(ctrl.groups)):
+        stacked = ctrl.encode(actions, rates, net)
+        for row, window in zip(stacked, windows):
+            np.testing.assert_array_equal(row, ctrl.encode(*window, net))
+
+
+@pytest.mark.parametrize("kind", [CentralizedController, DistributedController])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=head_histories(), extra=st.integers(0, 3))
+def test_fuzz_buffers_hold_the_window_of_their_history(kind, case, extra):
+    # buffers of H or more slots, pushed in step with a history, give the
+    # window of that history
+    heads, history_len, (hist,) = case
+    ctrl = kind(heads, history_len, np.random.default_rng(0))
+    buffers = buffers_from_history(hist, len(heads), history_len + extra)
+    got = ctrl.window(np.stack([buf.actions for buf in buffers], axis=1), buffers[0].rates)
+    for a, b in zip(got, history_window(ctrl, hist)):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +333,11 @@ def test_estimate_gradient_single_sample_is_reinforce():
     _, sample = collect_episode(env, ctrl, buffers, 2, np.random.default_rng(10))
     grads = estimate_gradient(ctrl, [sample], mu=0.0, mode="eval")
     ret = sample.episodic_return
+    actions, rates = slot_windows([sample])
     for m, (arch, params) in enumerate(ctrl.nets):
         want = np.zeros(params.n)
         for t in range(2):
-            feats = ctrl.sample_input(sample, t, m)
+            feats = ctrl.encode(actions[t, 0], rates[t, 0], m)
             _, cache = pol.forward(params, arch, feats, mode="eval")
             want += pol.backward(params, arch, cache,
                                  [sample.actions[t][m]], ret)
@@ -297,11 +379,12 @@ def test_estimate_gradient_matches_per_slot_passes_with_dropout(mode):
     groups = [(0, 1)] if mode == "centralized" else [(0,), (1,)]
     nets = [(arch, params, agents) for (arch, params), agents in zip(ctrl.nets, groups)]
     rng = np.random.default_rng(44)
+    actions, rates = slot_windows(batch)
     assert len(grads) == len(nets)
-    for (arch, params, agents), got in zip(nets, grads):
+    for net, ((arch, params, agents), got) in enumerate(zip(nets, grads)):
         want = np.zeros(params.n)
         for t in range(horizon):
-            feats = np.stack([ctrl.sample_input(s, t, agents[0]) for s in batch])
+            feats = ctrl.encode(actions[t], rates[t], net)
             _, cache = pol.forward(params, arch, feats, mode="train", rng=rng)
             acts = [np.array([s.actions[t][m] for s in batch]) for m in agents]
             want += pol.backward(params, arch, cache, acts, weights)
@@ -315,16 +398,41 @@ def test_estimate_gradient_rejects_empty_batch():
         estimate_gradient(ctrl, [], mu=0.0)
 
 
-def test_exact_gradient_matches_fd_of_exact_J():
+def history_dependent(ctrl, game):
+    """Whether every agent plays a different distribution at every history:
+    at H = 4 a net's trunk is one unit wide, and a dead ReLU makes its
+    policy ignore the history."""
+    hists = uniform_histories(game)
+    return all(len({ctrl.policy_fn(m)(h).tobytes() for h in hists}) == len(hists)
+               for m in range(ctrl.n_agents))
+
+
+def lstm_blocks(ctrl, grads):
+    """Per net, the LSTM layers' slice of a gradient."""
+    return [np.concatenate([pol.PolicyParams(values=g, layout=params.layout).view(name).ravel()
+                            for name, _ in params.layout if name.startswith("lstm")])
+            for (_, params), g in zip(ctrl.nets, grads)]
+
+
+# At seeds 16 and 17 a dead ReLU cuts every net's policy off its history, so
+# the LSTM block of the gradient is 0; at seeds 6 and 11 every net's policy
+# depends on the history, so the comparison reaches the LSTM.
+@pytest.mark.parametrize("seed,reaches_lstm", [(16, False), (6, True)],
+                         ids=["seed16", "seed6"])
+def test_exact_gradient_matches_fd_of_exact_J(seed, reaches_lstm):
     # Eq-12-weighted exact-expectation gradient == d/dtheta of the exact
     # surrogate objective (the executable core of the gradient proposition)
     game = toy_game()
     cfg = toy_config()
-    rng = np.random.default_rng(16)
+    rng = np.random.default_rng(seed)
     ctrl = make_controller(cfg, (2, 2), rng)
     randomize(ctrl, rng)
+    assert history_dependent(ctrl, game) == reaches_lstm
     mu = 0.7
-    exact = np.concatenate(exact_policy_gradient(game, ctrl, mu))
+    grads = exact_policy_gradient(game, ctrl, mu)
+    if reaches_lstm:
+        assert all(np.any(block != 0) for block in lstm_blocks(ctrl, grads))
+    exact = np.concatenate(grads)
     vecs = ctrl.parameter_vectors()
     sizes = [v.size for v in vecs]
     joined = np.concatenate([v.copy() for v in vecs])
@@ -342,14 +450,20 @@ def test_exact_gradient_matches_fd_of_exact_J():
     assert rel < 1e-6
 
 
-def test_exact_gradient_centralized_mode():
+@pytest.mark.parametrize("seed,reaches_lstm", [(17, False), (11, True)],
+                         ids=["seed17", "seed11"])
+def test_exact_gradient_centralized_mode(seed, reaches_lstm):
     game = toy_game()
     cfg = toy_config(mode="centralized")
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(seed)
     ctrl = make_controller(cfg, (2, 2), rng)
     randomize(ctrl, rng)
+    assert history_dependent(ctrl, game) == reaches_lstm
     mu = 0.3
-    exact = np.concatenate(exact_policy_gradient(game, ctrl, mu))
+    grads = exact_policy_gradient(game, ctrl, mu)
+    if reaches_lstm:
+        assert all(np.any(block != 0) for block in lstm_blocks(ctrl, grads))
+    exact = np.concatenate(grads)
     vec = ctrl.parameter_vectors()[0]
     joined = vec.copy()
 
@@ -361,15 +475,6 @@ def test_exact_gradient_centralized_mode():
     j_of(joined)
     rel = np.linalg.norm(fd - exact) / np.linalg.norm(exact)
     assert rel < 1e-6
-
-
-def history_dependent(ctrl, game):
-    """Whether every agent plays a different distribution at every history:
-    at H = 4 a net's trunk is one unit wide, and a dead ReLU makes its
-    policy ignore the history."""
-    hists = uniform_histories(game)
-    return all(len({ctrl.policy_fn(m)(h).tobytes() for h in hists}) == len(hists)
-               for m in range(ctrl.n_agents))
 
 
 @pytest.mark.parametrize("mode,game,seed", [("distributed", toy_game(), 6),
@@ -468,31 +573,35 @@ def test_estimator_unbiased_at_mu_zero():
 # replay store
 
 
+def replay_of(n, n_agents):
+    # samples with empty 1-slot start windows, told apart by their one rate
+    return [TrainingSample(start_actions=np.full((1, n_agents), -1), start_rates=np.zeros(1),
+                           actions=np.zeros((1, n_agents), dtype=int),
+                           rates_norm=np.array([float(k)]))
+            for k in range(n)]
+
+
 def test_replay_uniform_minibatch_chisquare():
-    store = ReplayStore()
     n = 60
-    for k in range(n):
-        store.add(TrainingSample(start_entries=((), ()), actions=((0, 0),),
-                                 rates_norm=(float(k),)))
+    replay = replay_of(n, 2)
     rng = np.random.default_rng(22)
     counts = np.zeros(n)
     draws = 20_000
     for _ in range(draws):
-        for s in store.minibatch(5, rng):
+        for s in tr._minibatch(replay, 5, rng):
             counts[int(s.rates_norm[0])] += 1
     _, p_value = stats.chisquare(counts)
     assert p_value > 0.01
 
 
 def test_replay_returns_all_when_small():
-    store = ReplayStore()
-    for k in range(3):
-        store.add(TrainingSample(start_entries=((),), actions=((0,),),
-                                 rates_norm=(float(k),)))
-    batch = store.minibatch(10, np.random.default_rng(0))
-    assert len(batch) == 3
-    with pytest.raises(ValueError):
-        ReplayStore().minibatch(1, np.random.default_rng(0))
+    replay = replay_of(3, 1)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    batch = tr._minibatch(replay, 10, rng)
+    assert batch == replay and batch is not replay
+    assert rng.bit_generator.state == state  # no draw when every sample fits
+    assert tr._minibatch([], 1, rng) == []
 
 
 # ---------------------------------------------------------------------------
