@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config error, 3 training divergence, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -67,6 +68,18 @@ from .training import (
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError raised while objects are built from config values
+    or read from input files (scenario, dataset, checkpoint) as a
+    ConfigError. Training and evaluation run outside it: an error there is
+    a bug and keeps its traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def dbm(value: float) -> float:
@@ -375,10 +388,11 @@ def load_controller(cfg: ExperimentConfig, checkpoint_dir, head_sizes):
 
 def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    grid = build_grid(cfg)
+    with _config_errors():
+        grid = build_grid(cfg)
+        rng = np.random.default_rng(cfg.seed)
     path = os.path.join(out_dir, "trajectories.csv")
-    generate_dataset(grid, cfg.n_trajectories, cfg.trajectory_len,
-                     np.random.default_rng(cfg.seed), path)
+    generate_dataset(grid, cfg.n_trajectories, cfg.trajectory_len, rng, path)
     scn_path = os.path.join(out_dir, "scenario.scn")
     save_scenario(grid, scn_path)
     with open(scn_path, "rb") as fh:
@@ -400,11 +414,12 @@ def cmd_generate(cfg: ExperimentConfig, out_dir) -> int:
 def cmd_train(cfg: ExperimentConfig, out_dir, dataset=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     trajectories = None
-    if dataset is not None and cfg.profile != "toy":
-        trajectories = ingest_dataset(dataset, build_grid(cfg))
-    env, head_sizes = build_environment(cfg, trajectories=trajectories)
-    tc = train_config(cfg)
-    controller = make_controller(tc, head_sizes, np.random.default_rng(cfg.seed))
+    with _config_errors():
+        if dataset is not None and cfg.profile != "toy":
+            trajectories = ingest_dataset(dataset, build_grid(cfg))
+        env, head_sizes = build_environment(cfg, trajectories=trajectories)
+        tc = train_config(cfg)
+        controller = make_controller(tc, head_sizes, np.random.default_rng(cfg.seed))
     result = train(env, controller, tc)
     if cfg.profile == "toy" and cfg.polish_steps > 0:
         exact_ascent(builtin_toy_game(cfg), controller, cfg.mu,
@@ -420,8 +435,11 @@ def cmd_train(cfg: ExperimentConfig, out_dir, dataset=None) -> int:
     write_gnuplot(os.path.join(out_dir, "curves.gp"), "surrogate return",
                   "curves.csv", "1:2", "update", "J estimate")
     paths = save_controller(controller, out_dir)
+    replayed = "" if trajectories is None else (
+        f"; dataset {trajectories.n_rows} rows, {trajectories.n_clamped} moved "
+        f"to the nearest free cell")
     print(f"wrote {curves} ({result.updates} updates, {result.clip_events} clipped, "
-          f"converged={result.converged}) and {len(paths)} checkpoint file(s)")
+          f"converged={result.converged}) and {len(paths)} checkpoint file(s){replayed}")
     return 0
 
 
@@ -437,12 +455,12 @@ def _rollout_stats(env, controller, cfg: ExperimentConfig, episodes: int,
     n_obs = cfg.eval_warmup + episodes
     returns_norm, returns_bits = [], []
     for k in range(n_obs):
-        record, _ = collect_episode(env, controller, buffers, cfg.horizon, rng)
+        record, sample = collect_episode(env, controller, buffers, cfg.horizon, rng)
         if k > 0:
             for m, d in enumerate(record.distributions[0]):
                 dist_sums[m] += d
         if k >= cfg.eval_warmup:
-            returns_norm.append(record.episodic_return_norm)
+            returns_norm.append(sample.episodic_return)
             returns_bits.append(record.episodic_return)
     if n_obs:
         for m, d in enumerate(controller.distributions(buffers)):
@@ -453,8 +471,9 @@ def _rollout_stats(env, controller, cfg: ExperimentConfig, episodes: int,
 
 def cmd_evaluate(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    env, head_sizes = build_environment(cfg)
-    controller = load_controller(cfg, checkpoint_dir, head_sizes)
+    with _config_errors():
+        env, head_sizes = build_environment(cfg)
+        controller = load_controller(cfg, checkpoint_dir, head_sizes)
 
     returns_norm, returns_bits, hist = _rollout_stats(
         env, controller, cfg, cfg.eval_episodes, cfg.seed)
@@ -512,13 +531,14 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    game = builtin_toy_game(cfg)
-    heads = tuple(len(s) for s in game.action_sets)
-    if checkpoint_dir is None:
-        tc = train_config(cfg)
-        controller = make_controller(tc, heads, np.random.default_rng(cfg.seed))
-    else:
-        controller = load_controller(cfg, checkpoint_dir, heads)
+    with _config_errors():
+        game = builtin_toy_game(cfg)
+        heads = tuple(len(s) for s in game.action_sets)
+        if checkpoint_dir is None:
+            controller = make_controller(train_config(cfg), heads,
+                                         np.random.default_rng(cfg.seed))
+        else:
+            controller = load_controller(cfg, checkpoint_dir, heads)
     # one eval forward per net prices every history the readouts ask about
     _, policies = GameTree(game, controller).forward(controller)
     best = optimal_policy(game, cfg.mu)

@@ -269,7 +269,7 @@ def blockage_step(flags: np.ndarray, markov: MarkovBlockage,
 
 
 # ---------------------------------------------------------------------------
-# actions, histories, episodes
+# actions and histories
 
 
 @dataclass(frozen=True)
@@ -297,36 +297,6 @@ class HistoryBuffer:
     def push(self, action: int, rate_norm: float) -> None:
         self.actions[:-1], self.actions[-1] = self.actions[1:], action
         self.rates[:-1], self.rates[-1] = self.rates[1:], rate_norm
-
-
-@dataclass
-class EpisodeRecord:
-    actions: list
-    rates: list                      # bits/s, as observed
-    rates_norm: list                 # rate / (bandwidth * rate_norm_max)
-    log_probs: list                  # per slot, one entry per agent
-    # per slot, the per-agent distributions the actions were drawn from
-    # (None in a forced slot); None when the collector kept none
-    distributions: list | None = None
-
-    def __post_init__(self):
-        if not (len(self.actions) == len(self.rates) == len(self.rates_norm)
-                == len(self.log_probs)):
-            raise ValueError("episode fields must share one length")
-        if self.distributions is not None and len(self.distributions) != len(self.rates):
-            raise ValueError("episode fields must share one length")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.rates)
-
-    @property
-    def episodic_return(self) -> float:
-        return float(sum(self.rates))
-
-    @property
-    def episodic_return_norm(self) -> float:
-        return float(sum(self.rates_norm))
 
 
 # ---------------------------------------------------------------------------

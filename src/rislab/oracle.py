@@ -351,9 +351,6 @@ class BenchReport:
     rows: list
     exponents: dict      # (kind, param) -> fitted log-log slope
 
-    def exponent(self, kind: str, param: str) -> float:
-        return self.exponents[(kind, param)]
-
 
 def _episode_nets(kind: str, history_len: int, n_agents: int, n_actions: int,
                   rng: np.random.Generator) -> list:

@@ -34,18 +34,18 @@ i/f/o rows of A are halved once per call and a fixed per-row affine
 (x 1/2 + 1/2 on i/f/o, identity on g) finishes them. tanh saturates
 instead of overflowing, so large pre-activations need no masking. Gates
 and states are written in place into one (H + L - 1, 7n, S) block per
-pass, which the cache keeps: with one large block, glibc's malloc sizes
-its heap-trim threshold from that block, so the heap keeps the pass's
-memory for the next pass instead of returning it and faulting it back in
-page by page. Backward mirrors the forward with one reverse wave loop that
-carries only the (n, S) dh and dc: M^T dz of a wave, M being A's first n
-columns, is both each layer's recurrent gradient and the input gradient
-of the layer above. A layer's not-started waves (i = 0, c = 0) and its
-tail waves (no gradient reaches them) get dz = 0 without special cases.
-dA is then two batched matmuls over the waves, plus the bias gradient of
-the waves past the input. The index maps between A and the flat parameter
-vector are built once per architecture. The dense trunk and the heads stay
-row-major, (S, width).
+pass, and the cache keeps that block as the pass's only LSTM state. With
+one large block, glibc's malloc sizes its heap-trim threshold from it, so
+the heap keeps the pass's memory for the next pass instead of returning
+it and faulting it back in page by page. Backward mirrors the forward
+with one reverse wave loop that carries only the (n, S) dh and dc: M^T dz
+of a wave, M being A's first n columns, is both each layer's recurrent
+gradient and the input gradient of the layer above. A layer's not-started
+waves (i = 0, c = 0) and its tail waves (no gradient reaches them) get
+dz = 0 without special cases. dA is then two batched matmuls over the
+waves, plus the bias gradient of the waves past the input. The index maps
+between A and the flat parameter vector are built once per architecture.
+The dense trunk and the heads stay row-major, (S, width).
 
 Parameters live in one flat float64 vector with named slices, so the
 optimizer, the checkpoint format, and finite-difference probes all see the
@@ -242,50 +242,6 @@ def _stack_matrix(values: np.ndarray, plan: _WavePlan, halved: bool) -> np.ndarr
     return a
 
 
-@dataclass
-class _LstmLayerCache:
-    """Layer j's H slots in a pass's wave block: slot t is wave j + t. The
-    i/f/g/o/c/tc/h accessors are (H, S, h) views of the block."""
-
-    waves: np.ndarray      # (H + L - 1, 7n, S), see forward
-    layer: int             # j, also the layer's first wave
-    rows: slice            # the layer's rows in each n-row segment
-    slots: int             # H
-
-    def _segment(self, k: int) -> np.ndarray:
-        n = self.waves.shape[1] // 7
-        rows = slice(k * n + self.rows.start, k * n + self.rows.stop)
-        return self.waves[self.layer:self.layer + self.slots, rows].swapaxes(1, 2)
-
-    @property
-    def i(self) -> np.ndarray:
-        return self._segment(0)
-
-    @property
-    def f(self) -> np.ndarray:
-        return self._segment(1)
-
-    @property
-    def g(self) -> np.ndarray:
-        return self._segment(2)
-
-    @property
-    def o(self) -> np.ndarray:
-        return self._segment(3)
-
-    @property
-    def c(self) -> np.ndarray:
-        return self._segment(4)
-
-    @property
-    def tc(self) -> np.ndarray:
-        return self._segment(5)
-
-    @property
-    def h(self) -> np.ndarray:
-        return self._segment(6)
-
-
 def _wave_forward(a_half: np.ndarray, plan: _WavePlan, inputs: np.ndarray,
                   waves: np.ndarray) -> None:
     """The whole LSTM stack over an (H, F + 1, S) sequence from h = c = 0,
@@ -371,13 +327,15 @@ def _wave_backward(a: np.ndarray, plan: _WavePlan, inputs: np.ndarray,
 
 @dataclass
 class ForwardCache:
-    """Everything needed to rerun the pass bit-exactly and run BPTT."""
+    """Everything needed to rerun the pass bit-exactly and run BPTT. The
+    LSTM stack's gates and states are held once, in the pass's wave block:
+    layer j's slot t is wave j + t, and each of its seven n-row segments
+    [i | f | g | o | c | tc | h] holds the layers in order."""
 
     n_params: int
     inputs: np.ndarray                 # (H, F + 1, S): features, then a 1 for the biases;
                                        # a stack's G*S rows group-major
     waves: np.ndarray                  # (H + L - 1, 7n, S) LSTM gates and states
-    lstm: list                         # per-layer _LstmLayerCache views of `waves`
     drop_lstm: np.ndarray | None       # (S, h) inverted-dropout mask after the stack
     trunk: list                        # per-layer (input, pre, mask), each (S, width)
     trunk_out: np.ndarray              # (S, width)
@@ -437,9 +395,6 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
     sizes = arch.lstm_sizes
     waves = np.empty((arch.history_len + len(sizes) - 1, 7 * plan.starts[-1], len(rows)))
     _wave_forward(_stack_matrix(params.values, plan, halved=True), plan, inputs, waves)
-    layer_caches = [_LstmLayerCache(waves=waves, layer=j, rows=slice(start, start + h),
-                                    slots=arch.history_len)
-                    for j, (start, h) in enumerate(zip(plan.starts, sizes))]
 
     z = waves[-1, -sizes[-1]:].T  # (S, h) final-slot hidden state of the top layer
     drop_lstm = masks[0]
@@ -463,8 +418,8 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
         b = params.view(f"head{m}.b")
         probs.append(_softmax(z @ w.T + b))
 
-    cache = ForwardCache(n_params=params.n, inputs=inputs, waves=waves, lstm=layer_caches,
-                         drop_lstm=drop_lstm, trunk=trunk, trunk_out=z, head_probs=probs)
+    cache = ForwardCache(n_params=params.n, inputs=inputs, waves=waves, drop_lstm=drop_lstm,
+                         trunk=trunk, trunk_out=z, head_probs=probs)
     return [p.reshape(lead + p.shape[1:]) for p in probs], cache
 
 

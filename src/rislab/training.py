@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from . import policy as pol
-from .environment import ActionProfile, EpisodeRecord, HistoryBuffer
+from .environment import ActionProfile, HistoryBuffer
 from .oracle import ToyGame
 from .risk import gradient_weight, surrogate_return
 
@@ -230,12 +230,15 @@ class ToyGameEnvironment:
 class TrainingSample:
     """Replay unit: the controller's history window at the episode start,
     (H, M) actions with -1 in slots not yet filled and (H,) rates, plus the
-    episode's (T, M) joint actions and (T,) normalized rates."""
+    episode's (T, M) joint actions, (T,) normalized rates and (T, M)
+    behaviour log-probs: the floored log-prob of each sampled action, or
+    -log|A_m| per head in a forced sweep slot."""
 
     start_actions: np.ndarray
     start_rates: np.ndarray
     actions: np.ndarray
     rates_norm: np.ndarray
+    log_probs: np.ndarray
 
     @property
     def episodic_return(self) -> float:
@@ -249,6 +252,21 @@ class TrainingSample:
         rates = self.start_rates.tolist()
         return tuple(tuple((a, r) for a, r in zip(column.tolist(), rates) if a >= 0)
                      for column in self.start_actions.T)
+
+
+@dataclass(frozen=True, eq=False)
+class EpisodeRecord:
+    """What collect_episode observes beyond its replay sample: the T slot
+    rates in bits/s and, per slot, the per-agent distributions the actions
+    were drawn from (None in a forced slot)."""
+
+    rates: list
+    distributions: list
+
+    @property
+    def episodic_return(self) -> float:
+        """The episode's return in bits/s; the sample's is normalized."""
+        return float(sum(self.rates))
 
 
 def _minibatch(replay: list, size: int, rng: np.random.Generator) -> list:
@@ -268,36 +286,34 @@ def collect_episode(env, controller: Controller, buffers, horizon: int,
 
     `forced_actions` (one joint tuple per slot) replaces the policy; used to
     seed the replay with a systematic sweep of the action space. Forced
-    slots run no forward and draw nothing from `rng`; their records carry
-    the sweep's behaviour log-probability, -log|A_m| per head, and no
-    distributions.
+    slots run no forward and draw nothing from `rng`; the sample carries
+    the sweep's behaviour log-probability, -log|A_m| per head, and the
+    record no distributions.
     """
     start = controller.window(np.array([buf.actions for buf in buffers]).T,
                               buffers[0].rates)
     sweep_lps = [-math.log(n) for n in controller.head_sizes]
-    actions_out, rates, rates_norm, log_probs, slot_dists = [], [], [], [], []
+    joints, rates, rates_norm, log_probs, slot_dists = [], [], [], [], []
     for t in range(horizon):
         if forced_actions is None:
             dists = controller.distributions(buffers)
             acts = [pol.sample_action(d, rng) for d in dists]
             lps = [pol.log_prob(d, a) for d, a in zip(dists, acts)]
         else:
-            dists, acts, lps = None, list(forced_actions[t]), list(sweep_lps)
-        profile = ActionProfile(ap_beam=acts[0], ris_phases=tuple(acts[1:]))
-        reward, _state = env.step(profile)
+            dists, acts, lps = None, list(forced_actions[t]), sweep_lps
+        reward, _state = env.step(ActionProfile(ap_beam=acts[0], ris_phases=tuple(acts[1:])))
         norm = env.rate_norm(reward)
         for m, buf in enumerate(buffers):
             buf.push(acts[m], norm)
-        actions_out.append(profile)
+        joints.append(acts)
         rates.append(reward)
         rates_norm.append(norm)
         log_probs.append(lps)
         slot_dists.append(dists)
-    record = EpisodeRecord(actions=actions_out, rates=rates, rates_norm=rates_norm,
-                           log_probs=log_probs, distributions=slot_dists)
-    sample = TrainingSample(*start, actions=np.array([a.as_tuple() for a in actions_out]),
-                            rates_norm=np.array(rates_norm, dtype=float))
-    return record, sample
+    sample = TrainingSample(*start, actions=np.array(joints),
+                            rates_norm=np.array(rates_norm, dtype=float),
+                            log_probs=np.array(log_probs, dtype=float))
+    return EpisodeRecord(rates=rates, distributions=slot_dists), sample
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +544,10 @@ def train(env, controller: Controller, config: TrainConfig,
     # Phase III: online loop
     converged = False
     while update < config.offline_epochs + config.max_updates:
-        record, sample = collect_episode(env, controller, buffers,
-                                         config.horizon, rng_collect)
+        _, sample = collect_episode(env, controller, buffers,
+                                    config.horizon, rng_collect)
         replay.append(sample)
-        do_update(int(np.count_nonzero(np.array(record.log_probs) <= np.log(pol.PROB_FLOOR))))
+        do_update(int(np.count_nonzero(sample.log_probs <= np.log(pol.PROB_FLOOR))))
         w = config.convergence_window
         if len(j_history) >= 2 * w:
             recent = float(np.mean(j_history[-w:]))
@@ -564,7 +580,8 @@ def _agent_view(sample: TrainingSample, agent: int) -> TrainingSample:
     shared rates."""
     return TrainingSample(start_actions=sample.start_actions[:, [agent]],
                           start_rates=sample.start_rates,
-                          actions=sample.actions[:, [agent]], rates_norm=sample.rates_norm)
+                          actions=sample.actions[:, [agent]], rates_norm=sample.rates_norm,
+                          log_probs=sample.log_probs[:, [agent]])
 
 
 def theorem1_harness(env_factory, head_sizes, config: TrainConfig,

@@ -41,6 +41,24 @@ def differentiable_at(cache, margin=1e-3):
     return all(float(np.min(np.abs(pre))) > margin for _, pre, _ in cache.trunk)
 
 
+LSTM_STATES = ("i", "f", "g", "o", "c", "tc", "h")
+
+
+def lstm_states(cache, arch):
+    """Per LSTM layer, its gates and states as (H, S, width) views of the
+    pass's wave block, keyed by LSTM_STATES: layer j's slot t is wave j + t,
+    and each of the block's seven n-row segments [i | f | g | o | c | tc | h]
+    holds the layers in order."""
+    sizes, h = arch.lstm_sizes, arch.history_len
+    n = sum(sizes)
+    states, start = [], 0
+    for j, width in enumerate(sizes):
+        states.append({name: cache.waves[j:j + h, k * n + start:k * n + start + width]
+                       .swapaxes(1, 2) for k, name in enumerate(LSTM_STATES)})
+        start += width
+    return states
+
+
 def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 

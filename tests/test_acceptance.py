@@ -417,6 +417,6 @@ def test_c11_complexity_trend():
     bench = complexity_bench(kinds=("centralized",), horizons=(1, 2, 4, 8),
                              history_lens=(16,), action_counts=(8,),
                              agent_counts=(3,), repeats=12, seed=1)
-    slope = bench.exponent("centralized", "T")
+    slope = bench.exponents[("centralized", "T")]
     report(11, "feedforward cost vs T fits a linear trend (exponent 1.0 +- 0.3)",
            0.7 <= slope <= 1.3, f"fitted exponent {slope:.3f}")

@@ -260,11 +260,11 @@ def test_rollout_stats_equals_a_loop_that_closes_every_episode(mode):
     sums = [np.zeros(n) for n in heads]
     returns_norm, returns_bits = [], []
     for k in range(cfg.eval_warmup + cfg.eval_episodes):
-        record, _ = collect_episode(env, controller, buffers, cfg.horizon, rng)
+        record, sample = collect_episode(env, controller, buffers, cfg.horizon, rng)
         for m, d in enumerate(controller.distributions(buffers)):
             sums[m] += d
         if k >= cfg.eval_warmup:
-            returns_norm.append(record.episodic_return_norm)
+            returns_norm.append(sample.episodic_return)
             returns_bits.append(record.episodic_return)
     np.testing.assert_array_equal(got[0], returns_norm)
     np.testing.assert_array_equal(got[1], returns_bits)
@@ -386,6 +386,48 @@ def test_main_config_error_exit_2(tmp_path):
 def test_main_missing_checkpoint_exit_2(tmp_path):
     code = main(["evaluate", "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, line, extra", [
+    ("train", "train.mu 1.5", []),
+    ("train", "train.mode banana", []),
+    ("train", "train.history_len 6", []),
+    ("train", "env.p_block 2", []),
+    ("train", "codebook.n_beams 1", []),
+    ("train", "channel.n_rays 0", []),
+    ("train", "seed -3", []),
+    ("train", "env.scenario {tmp}/bad.scn", []),
+    ("train", "", ["--dataset", "{tmp}/bad.csv"]),
+    ("evaluate", "", ["--checkpoint", "{tmp}/ckpt"]),
+])
+def test_main_rejected_input_exits_2_with_one_line(tmp_path, capsys, command, line, extra):
+    # a ValueError raised while the CLI builds objects from config values or
+    # reads an input file is a config error: exit 2 and one line, no traceback
+    (tmp_path / "bad.scn").write_text("version 1\ncell_size 0.5\nap 0 0\n"
+                                      "presence rows\n1 1\n1 1\nmask\n.x\n..\n")
+    (tmp_path / "bad.csv").write_text("traj_id,t,x,y\n0,0,a,1\n")
+    (tmp_path / "ckpt").mkdir()
+    (tmp_path / "ckpt" / "checkpoint_agent0.bin").write_bytes(b"not a checkpoint")
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"version 1\n{line.format(tmp=tmp_path)}\n")
+    code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                 *(arg.format(tmp=tmp_path) for arg in extra)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_train_summary_reports_the_dataset_counters(tmp_path, capsys):
+    # rows off the grid or on an obstacle move to the nearest free cell, and
+    # the summary line says how many did
+    path = tmp_path / "walk.csv"
+    path.write_text("traj_id,t,x,y\n"
+                    "0,0,-3.0,1.5\n"    # left of the grid
+                    "0,1,1.5,1.5\n"
+                    "0,2,99.0,99.0\n"   # far corner
+                    "0,3,1.5,1.5\n")
+    assert cmd_train(small_cfg(seed=4), tmp_path / "run", dataset=path) == 0
+    assert "; dataset 4 rows, 2 moved to the nearest free cell" in capsys.readouterr().out
 
 
 def test_main_generate_runs(tmp_path):

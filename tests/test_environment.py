@@ -24,7 +24,6 @@ from rislab.environment import (
     DatasetFormatError,
     EnvConfig,
     Environment,
-    EpisodeRecord,
     HistoryBuffer,
     MarkovBlockage,
     OccupancyGrid,
@@ -45,7 +44,7 @@ from rislab.environment import (
     save_scenario,
     segment_blocked,
 )
-from rislab.training import CentralizedController, DistributedController
+from rislab.training import CentralizedController, DistributedController, EpisodeRecord
 
 
 def small_scenario(markov=None, n_rays=2, scatter_var=0.05):
@@ -549,13 +548,9 @@ def test_encode_global_concatenates_onehots():
 
 
 def test_episode_record_return_sums():
-    rec = EpisodeRecord(actions=[ActionProfile(0, (0,))] * 2, rates=[1.5, 2.5],
-                        rates_norm=[0.15, 0.25], log_probs=[[-0.1], [-0.2]])
-    assert rec.horizon == 2
+    # the record's return is in bits/s; the normalized one is the sample's
+    rec = EpisodeRecord(rates=[1.5, 2.5], distributions=[None, None])
     assert rec.episodic_return == pytest.approx(4.0)
-    assert rec.episodic_return_norm == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        EpisodeRecord(actions=[], rates=[1.0], rates_norm=[0.1], log_probs=[])
 
 
 # ---------------------------------------------------------------------------

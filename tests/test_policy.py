@@ -21,8 +21,8 @@ from rislab.policy import (
 )
 
 
-from helpers import (differentiable_at, fd_gradient, loop_backward, max_rel_err,
-                     random_params)
+from helpers import (LSTM_STATES, differentiable_at, fd_gradient, loop_backward,
+                     lstm_states, max_rel_err, random_params)
 
 
 def tiny_arch(kind="distributed", heads=(2,), f=3, h=4, p1=0.0, p2=0.0):
@@ -167,11 +167,11 @@ def test_forward_matches_scalar_loop_reference(kind, heads, h):
         want = np.exp(logits - logits.max())
         np.testing.assert_allclose(got[m], want / want.sum(), rtol=1e-10)
     # the cached per-slot gates and states are the loop's, slot by slot
-    for lc, ref in zip(cache.lstm, layers):
+    for states, ref in zip(lstm_states(cache, arch), layers):
         for k in "ifgoch":
-            np.testing.assert_allclose(getattr(lc, k)[:, 0, :], ref[k],
+            np.testing.assert_allclose(states[k][:, 0, :], ref[k],
                                        rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(lc.tc[:, 0, :], np.tanh(ref["c"]),
+        np.testing.assert_allclose(states["tc"][:, 0, :], np.tanh(ref["c"]),
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -406,9 +406,9 @@ def test_backward_matches_per_row_loop_bptt(kind, heads, shape, mode):
 
 def test_forward_cache_layout():
     # the dense trunk and the heads stay row-major whatever the LSTM layout;
-    # the per-gate and per-state accessors read (H, rows, width) from the
-    # wave block: slot t of layer j is wave j + t, and each of the seven
-    # n-row segments [i | f | g | o | c | tc | h] holds the layers in order
+    # the wave block holds every gate and state once: slot t of layer j is
+    # wave j + t, and each of the seven n-row segments [i | f | g | o | c |
+    # tc | h] holds the layers in order, as lstm_states reads it
     arch = tiny_arch(kind="centralized", heads=(3, 2), f=3, h=8, p1=0.2, p2=0.2)
     params = init_params(arch, np.random.default_rng(93))
     _, cache = forward(params, arch, np.random.default_rng(94).normal(size=(2, 5, 8, 3)),
@@ -421,22 +421,22 @@ def test_forward_cache_layout():
     n = sum(arch.lstm_sizes)
     assert cache.waves.shape == (8 + 2, 7 * n, 10)
     assert cache.inputs.shape == (8, 3 + 1, 10)
+    segments = cache.waves.reshape(8 + 2, 7, n, 10)
     start = 0
-    for j, (lc, width) in enumerate(zip(cache.lstm, arch.lstm_sizes)):
-        for k, name in enumerate(("i", "f", "g", "o", "c", "tc", "h")):
-            view = getattr(lc, name)
+    for j, (states, width) in enumerate(zip(lstm_states(cache, arch), arch.lstm_sizes)):
+        for k, name in enumerate(LSTM_STATES):
+            view = states[name]
             assert view.shape == (8, 10, width)
             for t in range(8):
-                rows = cache.waves[j + t, k * n + start:k * n + start + width]
-                np.testing.assert_array_equal(view[t], rows.T)
+                np.testing.assert_array_equal(view[t], segments[j + t, k, start:start + width].T)
         start += width
     # the trunk reads the top layer's final slot
     np.testing.assert_array_equal(cache.trunk[0][0],
-                                  cache.lstm[-1].h[-1] * cache.drop_lstm)
+                                  lstm_states(cache, arch)[-1]["h"][-1] * cache.drop_lstm)
 
 
 def test_lstm_views_share_one_block_per_pass():
-    # every gate and state of every layer is a view of the pass's one wave
+    # every gate and state of every layer lives in the pass's one wave
     # block; separate per-layer or per-gate buffers fault their pages back
     # in on every pass
     arch = tiny_arch(kind="centralized", heads=(3, 2), f=3, h=8)
@@ -446,9 +446,8 @@ def test_lstm_views_share_one_block_per_pass():
     _, second = forward(params, arch, hist)
     for cache, other in ((first, second), (second, first)):
         assert cache.waves.base is None and cache.waves.flags.c_contiguous
-        for lc in cache.lstm:
-            for name in ("i", "f", "g", "o", "c", "tc", "h"):
-                view = getattr(lc, name)
+        for states in lstm_states(cache, arch):
+            for view in states.values():
                 assert np.shares_memory(view, cache.waves)
                 assert not np.shares_memory(view, other.waves)
 
@@ -563,10 +562,10 @@ def test_saturated_gates_raise_no_floating_point_error(kind, heads):
             dists, cache = forward(params, arch, hist, mode=mode,
                                    rng=np.random.default_rng(80))
             grad = backward(params, arch, cache, actions, np.ones(5))
-            for lc in cache.lstm:
-                for gate in (lc.i, lc.f, lc.o):
-                    assert np.all((gate >= 0.0) & (gate <= 1.0))
-                assert np.all(np.abs(lc.g) <= 1.0)
+            for states in lstm_states(cache, arch):
+                for gate in "ifo":
+                    assert np.all((states[gate] >= 0.0) & (states[gate] <= 1.0))
+                assert np.all(np.abs(states["g"]) <= 1.0)
             assert all(np.all(np.isfinite(d)) for d in dists)
             assert np.all(np.isfinite(grad))
 
@@ -581,8 +580,8 @@ def test_forward_cache_unchanged_by_later_forward():
     _, cache = forward(params, arch, rng.normal(size=(4, 8, 3)), mode="train",
                        rng=np.random.default_rng(82))
     arrays = [cache.inputs, cache.waves, cache.drop_lstm, cache.trunk_out, *cache.head_probs]
-    for lc in cache.lstm:
-        arrays += [lc.i, lc.f, lc.g, lc.o, lc.c, lc.tc, lc.h]
+    for states in lstm_states(cache, arch):
+        arrays += list(states.values())
     for layer_in, pre, mask in cache.trunk:
         arrays += [layer_in, pre, mask]
     saved = [a.copy() for a in arrays]

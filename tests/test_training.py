@@ -87,9 +87,33 @@ def test_collect_episode_horizon_one():
     env = ToyGameEnvironment(toy_game(1), seed=1)
     buffers = [HistoryBuffer(cfg.history_len) for _ in range(2)]
     record, sample = collect_episode(env, ctrl, buffers, 1, np.random.default_rng(2))
-    assert record.horizon == 1
+    assert len(record.rates) == len(record.distributions) == 1
+    assert sample.actions.shape == sample.log_probs.shape == (1, 2)
+    assert sample.rates_norm.shape == (1,)
     assert record.episodic_return == pytest.approx(record.rates[0])
-    assert tuple(sample.actions[0]) == record.actions[0].as_tuple()
+    # the toy's rates are already normalized
+    assert sample.episodic_return == record.episodic_return
+
+
+def test_collect_episode_keeps_the_behaviour_log_probs():
+    # a sampled slot stores the floored log-prob of each drawn action under
+    # the distributions it was drawn from; a forced slot stores -log|A_m|
+    cfg = toy_config()
+    ctrl = make_controller(cfg, (2, 3), np.random.default_rng(11))
+    randomize(ctrl, np.random.default_rng(12))
+    env = ToyGameEnvironment(frozen_toy_game({(a, b): 0.1 * (a + b) for a in range(2)
+                                              for b in range(3)},
+                                             n_beams=2, n_phases=3, n_ris=1, horizon=2),
+                             seed=13)
+    buffers = [HistoryBuffer(cfg.history_len) for _ in range(2)]
+    record, sample = collect_episode(env, ctrl, buffers, 2, np.random.default_rng(14))
+    assert sample.log_probs.shape == (2, 2) and sample.log_probs.dtype == float
+    for t, dists in enumerate(record.distributions):
+        for m, d in enumerate(dists):
+            assert sample.log_probs[t, m] == pol.log_prob(d, sample.actions[t, m])
+    _, forced = collect_episode(env, ctrl, buffers, 2, np.random.default_rng(14),
+                                forced_actions=[(1, 2), (0, 0)])
+    np.testing.assert_array_equal(forced.log_probs, [[-math.log(2), -math.log(3)]] * 2)
 
 
 def test_collect_episode_deterministic_with_onehot_policies():
@@ -125,7 +149,8 @@ def test_training_sample_entry_reconstruction():
     sample = TrainingSample(start_actions=np.array([[-1, -1], [-1, -1], [1, 0]]),
                             start_rates=np.array([0.0, 0.0, 0.5]),
                             actions=np.array([[1, 0], [0, 1]]),
-                            rates_norm=np.array([0.3, 0.6]))
+                            rates_norm=np.array([0.3, 0.6]),
+                            log_probs=np.log([[0.5, 0.5], [0.5, 0.5]]))
     assert sample.start_entries == (((1, 0.5),), ((0, 0.5),))
     actions, rates = slot_windows([sample])
     assert actions.shape == (2, 1, 3, 2) and rates.shape == (2, 1, 3)
@@ -246,7 +271,8 @@ def test_one_encoder_behind_every_entry_point(kind, monkeypatch):
         batch.append(TrainingSample(
             *ctrl.window([j for j, _ in start], [r for _, r in start]),
             actions=np.array([j for j, _ in episode]),
-            rates_norm=np.array([r for _, r in episode])))
+            rates_norm=np.array([r for _, r in episode]),
+            log_probs=np.zeros((horizon, ctrl.n_agents))))
         wants.append((slot, want))
     inputs.clear()
     estimate_gradient(ctrl, batch, mu=0.0, mode="eval")
@@ -577,7 +603,7 @@ def replay_of(n, n_agents):
     # samples with empty 1-slot start windows, told apart by their one rate
     return [TrainingSample(start_actions=np.full((1, n_agents), -1), start_rates=np.zeros(1),
                            actions=np.zeros((1, n_agents), dtype=int),
-                           rates_norm=np.array([float(k)]))
+                           rates_norm=np.array([float(k)]), log_probs=np.zeros((1, n_agents)))
             for k in range(n)]
 
 
@@ -644,9 +670,9 @@ def test_train_curve_counts_collection_clamps():
     buffers = [HistoryBuffer(cfg.history_len) for _ in range(2)]
     rng = np.random.default_rng(7)
     state = rng.bit_generator.state
-    record, _ = collect_episode(ToyGameEnvironment(toy_game(), seed=6), ctrl, buffers,
-                                2, rng, forced_actions=[(1, 1), (0, 1)])
-    assert record.log_probs == [[-math.log(2), -math.log(2)]] * 2
+    record, sample = collect_episode(ToyGameEnvironment(toy_game(), seed=6), ctrl, buffers,
+                                     2, rng, forced_actions=[(1, 1), (0, 1)])
+    np.testing.assert_array_equal(sample.log_probs, [[-math.log(2), -math.log(2)]] * 2)
     assert record.distributions == [None, None]
     assert rng.bit_generator.state == state
 
@@ -782,6 +808,21 @@ def test_theorem1_negative_control_detects_seed_change(monkeypatch):
     assert calls["n"] == 24
     assert report.max_param_divergence > 0.0
     assert report.diverged_at is not None and report.diverged_at > 5
+
+
+def test_agent_view_keeps_the_agents_own_columns():
+    # an agent sees its own action and log-prob columns and the shared rates
+    sample = TrainingSample(start_actions=np.array([[-1, -1, -1], [2, 0, 1]]),
+                            start_rates=np.array([0.0, 0.4]),
+                            actions=np.array([[1, 0, 3], [0, 1, 2]]),
+                            rates_norm=np.array([0.3, 0.6]),
+                            log_probs=np.array([[-0.1, -0.2, -0.3], [-0.4, -0.5, -0.6]]))
+    for m in range(3):
+        view = tr._agent_view(sample, m)
+        for name in ("start_actions", "actions", "log_probs"):
+            np.testing.assert_array_equal(getattr(view, name), getattr(sample, name)[:, [m]])
+        assert view.start_rates is sample.start_rates
+        assert view.rates_norm is sample.rates_norm
 
 
 def test_theorem1_requires_distributed_mode():
