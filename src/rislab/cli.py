@@ -2,6 +2,7 @@
 ingestion, training, evaluation sweeps, oracle comparisons, and benchmark
 tables, all emitted as CSV plus gnuplot scripts.
 
+ExperimentConfig declares, defaults and validates every knob, the trainer's too.
 Config files are flat `key value` lines (`_KEY_ALIASES` is the schema); every
 emitted metric CSV starts with a manifest comment carrying the config hash
 and seed, and all writes go through a temp-file rename so reruns are atomic
@@ -58,7 +59,6 @@ from .training import (
     DivergenceError,
     GameTree,
     ToyGameEnvironment,
-    TrainConfig,
     collect_episode,
     exact_ascent,
     make_controller,
@@ -91,7 +91,7 @@ def dbm(value: float) -> float:
 # experiment configuration
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     profile: str = "desk"
     seed: int = 0
@@ -147,6 +147,22 @@ class ExperimentConfig:
     eval_episodes: int = 200
     eval_warmup: int = 20
     obstacle_counts: tuple = (0, 1, 2, 3)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.mode not in ("centralized", "distributed"):
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.learning_rate < 0:
+            raise ConfigError("learning rate must be nonnegative")
+        if self.minibatch < 1:
+            raise ConfigError("minibatch must be >= 1")
+        if self.horizon < 1:
+            raise ConfigError("horizon must be >= 1")
+        if not 0.0 <= self.mu < 1.0:
+            raise ConfigError("mu must lie in [0, 1)")
+        if self.n_trajectories < 1 or self.trajectory_len < 1:
+            raise ConfigError("need n_trajectories >= 1 and length >= 1")
 
     def config_hash(self) -> str:
         parts = []
@@ -302,9 +318,10 @@ def build_scenario(cfg: ExperimentConfig, grid=None) -> Scenario:
                     beams=beams, phases=phases, cfg=env_cfg)
 
 
-def train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)
-                          if f.name in _FIELD_TYPES})
+def train_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Returns `cfg`, which the trainer reads; perfbench/workloads.py and
+    tools/fingerprint.py still call this."""
+    return cfg
 
 
 def builtin_toy_game(cfg: ExperimentConfig):
@@ -371,8 +388,7 @@ def save_controller(controller, out_dir) -> list:
 
 
 def load_controller(cfg: ExperimentConfig, checkpoint_dir, head_sizes):
-    ctrl = make_controller(train_config(cfg), head_sizes,
-                           np.random.default_rng(cfg.seed))
+    ctrl = make_controller(cfg, head_sizes, np.random.default_rng(cfg.seed))
     paths = checkpoint_paths(checkpoint_dir, ctrl.kind, len(head_sizes))
     for k, path in enumerate(paths):
         params, arch = load_checkpoint(path)
@@ -415,12 +431,13 @@ def cmd_train(cfg: ExperimentConfig, out_dir, dataset=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     trajectories = None
     with _config_errors():
-        if dataset is not None and cfg.profile != "toy":
+        if dataset is not None:
+            if cfg.profile == "toy":
+                raise ConfigError("the toy profile has no grid to replay a dataset on")
             trajectories = ingest_dataset(dataset, build_grid(cfg))
         env, head_sizes = build_environment(cfg, trajectories=trajectories)
-        tc = train_config(cfg)
-        controller = make_controller(tc, head_sizes, np.random.default_rng(cfg.seed))
-    result = train(env, controller, tc)
+        controller = make_controller(cfg, head_sizes, np.random.default_rng(cfg.seed))
+    result = train(env, controller, cfg)
     if cfg.profile == "toy" and cfg.polish_steps > 0:
         exact_ascent(builtin_toy_game(cfg), controller, cfg.mu,
                      steps=cfg.polish_steps, learning_rate=0.5,
@@ -535,8 +552,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
         game = builtin_toy_game(cfg)
         heads = tuple(len(s) for s in game.action_sets)
         if checkpoint_dir is None:
-            controller = make_controller(train_config(cfg), heads,
-                                         np.random.default_rng(cfg.seed))
+            controller = make_controller(cfg, heads, np.random.default_rng(cfg.seed))
         else:
             controller = load_controller(cfg, checkpoint_dir, heads)
     # one eval forward per net prices every history the readouts ask about

@@ -355,11 +355,11 @@ class BenchReport:
 def _episode_nets(kind: str, history_len: int, n_agents: int, n_actions: int,
                   rng: np.random.Generator) -> list:
     """(arch, params, history) per net of a fresh controller."""
-    from .training import TrainConfig, make_controller
+    from .training import CentralizedController, DistributedController
 
-    config = TrainConfig(mode=kind, history_len=history_len,
-                         dropout_lstm=0.0, dropout_dense=0.0)
-    nets = make_controller(config, (n_actions,) * n_agents, rng).nets
+    cls = CentralizedController if kind == "centralized" else DistributedController
+    nets = cls((n_actions,) * n_agents, history_len, rng,
+               dropout_lstm=0.0, dropout_dense=0.0).nets
     return [(a, p, rng.normal(size=(a.history_len, a.input_size))) for a, p in nets]
 
 

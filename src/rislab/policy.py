@@ -524,19 +524,23 @@ def save_checkpoint(path, params: PolicyParams, arch: PolicyArchitecture) -> Non
 
 def load_checkpoint(path) -> tuple[PolicyParams, PolicyArchitecture]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
+        head = fh.read(10)
+        if head[:4] != CHECKPOINT_MAGIC or len(head) != 10:
             raise ValueError(f"{path}: not a policy checkpoint")
-        version, blob_len = struct.unpack("<HI", fh.read(6))
+        version, blob_len = struct.unpack("<HI", head[4:])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         header = json.loads(fh.read(blob_len).decode())
         raw = fh.read()
-    arch = PolicyArchitecture(
-        kind=header["kind"], history_len=header["history_len"],
-        input_size=header["input_size"], head_sizes=tuple(header["head_sizes"]),
-        dropout_lstm=header["dropout_lstm"], dropout_dense=header["dropout_dense"])
+    try:
+        arch = PolicyArchitecture(
+            kind=header["kind"], history_len=header["history_len"],
+            input_size=header["input_size"], head_sizes=tuple(header["head_sizes"]),
+            dropout_lstm=header["dropout_lstm"], dropout_dense=header["dropout_dense"])
+        expected = header["n_params"]
+    except (KeyError, TypeError) as exc:  # a key missing, or a value of the wrong type
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if values.size != header["n_params"] or values.size != n_params(arch):
+    if values.size != expected or values.size != n_params(arch):
         raise ValueError(f"{path}: parameter count mismatch")
     return PolicyParams(values=values, layout=param_layout(arch)), arch

@@ -10,6 +10,9 @@ budget's absolute scale. Learning-curve columns report the same units.
 Every history a net reads, from buffers, replay samples or oracle tuples,
 is one array window (Controller.window) and reaches the net through one
 vectorized Controller.encode.
+
+A `config` is the experiment config, cli.ExperimentConfig, which declares,
+defaults and validates every knob; each function names the fields it reads.
 """
 
 from __future__ import annotations
@@ -31,37 +34,6 @@ DIVERGENCE_LIMIT = 1e6
 
 class DivergenceError(RuntimeError):
     """Parameter magnitudes exploded; training aborted."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    mode: str = "distributed"              # "centralized" | "distributed"
-    mu: float = 0.0
-    horizon: int = 2                       # T
-    history_len: int = 16                  # H
-    learning_rate: float = 0.01
-    minibatch: int = 32                    # S_b
-    seed_episodes: int = 32                # initial replay content
-    offline_epochs: int = 20
-    max_updates: int = 500
-    convergence_window: int = 50
-    convergence_tol: float = 1e-3
-    dropout_lstm: float = 0.2
-    dropout_dense: float = 0.4
-    grad_clip: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("centralized", "distributed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
-        if not 1 <= self.minibatch:
-            raise ValueError("minibatch must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError("mu must lie in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +158,9 @@ class CentralizedController(Controller):
     distributions = Controller.distributions
 
 
-def make_controller(config: TrainConfig, head_sizes, rng) -> Controller:
+def make_controller(config, head_sizes, rng) -> Controller:
+    """A fresh controller; reads `mode`, `history_len`, `dropout_lstm` and
+    `dropout_dense`."""
     cls = CentralizedController if config.mode == "centralized" else DistributedController
     return cls(head_sizes, config.history_len, rng,
                dropout_lstm=config.dropout_lstm, dropout_dense=config.dropout_dense)
@@ -199,23 +173,18 @@ class ToyGameEnvironment:
     def __init__(self, game: ToyGame, seed: int = 0):
         self.game = game
         self.rng = np.random.default_rng(seed)
-        self.reset(seed)
+        self.state = self._draw(game.initial)
 
-    def reset(self, seed: int | None = None):
-        if seed is not None:
-            self.rng = np.random.default_rng(seed)
-        states = [s for _, s in self.game.initial]
-        probs = np.array([p for p, _ in self.game.initial])
-        self.state = states[int(self.rng.choice(len(states), p=probs))]
-        return self.state
+    def _draw(self, outcomes):
+        """One state of a [(probability, state), ...] distribution."""
+        states = [s for _, s in outcomes]
+        probs = np.array([p for p, _ in outcomes])
+        return states[int(self.rng.choice(len(states), p=probs))]
 
     def step(self, profile: ActionProfile):
         joint = profile.as_tuple()
         reward = self.game.rate(self.state, joint)
-        outcomes = self.game.step(self.state, joint)
-        states = [s for _, s in outcomes]
-        probs = np.array([p for p, _ in outcomes])
-        self.state = states[int(self.rng.choice(len(states), p=probs))]
+        self.state = self._draw(self.game.step(self.state, joint))
         return reward, self.state
 
     def rate_norm(self, reward: float) -> float:
@@ -491,19 +460,20 @@ def _apply_update(controller: Controller, grads, learning_rate: float,
     return norm, clipped
 
 
-def train(env, controller: Controller, config: TrainConfig,
-          buffers=None) -> TrainResult:
+def train(env, controller: Controller, config) -> TrainResult:
     """Algorithm phases: collect a seed replay set by a forced sweep of the
     joint action space, pre-train offline over it, then run the online
     collect/update loop until t_end or until the windowed surrogate-return
     average stalls. Every update is estimate_gradient then _apply_update.
     A row's `clamps` counts the sampled per-head log-probs at the floor in
-    the episode collected just before it (0 offline: the sweep samples none)."""
+    the episode collected just before it (0 offline: the sweep samples none).
+    Reads `seed`, `history_len`, `horizon`, `seed_episodes`, `offline_epochs`,
+    `max_updates`, `minibatch`, `mu`, `learning_rate`, `grad_clip`,
+    `convergence_window` and `convergence_tol`."""
     rng_collect = np.random.default_rng([config.seed, 1])
     rng_batch = np.random.default_rng([config.seed, 2])
     rng_dropout = np.random.default_rng([config.seed, 3])
-    buffers = buffers or [HistoryBuffer(config.history_len)
-                          for _ in range(controller.n_agents)]
+    buffers = [HistoryBuffer(config.history_len) for _ in range(controller.n_agents)]
     replay: list[TrainingSample] = []
     curves: list[CurveRow] = []
     clip_events = 0
@@ -584,15 +554,15 @@ def _agent_view(sample: TrainingSample, agent: int) -> TrainingSample:
                           log_probs=sample.log_probs[:, [agent]])
 
 
-def theorem1_harness(env_factory, head_sizes, config: TrainConfig,
-                     n_updates: int = 100) -> Theorem1Report:
+def theorem1_harness(env_factory, head_sizes, config, n_updates: int = 100) -> Theorem1Report:
     """Run the same seeded history stream through (a) a central server that
     updates every agent's net from the joint samples and (b) independent
     per-agent learners, each updating its own net from its own view of the
     samples, and compare parameter trajectories bitwise. Both sides collect
     with collect_episode, differentiate with estimate_gradient and step with
     _apply_update. Also checks that the one-pass slot-major joint gradient
-    equals the per-agent gradients exactly."""
+    equals the per-agent gradients exactly. Reads `mode` (distributed only),
+    `seed`, `history_len`, `horizon`, `minibatch`, `mu` and `learning_rate`."""
     if config.mode != "distributed":
         raise ValueError("the equivalence harness drives distributed controllers")
 

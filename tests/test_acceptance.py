@@ -24,7 +24,6 @@ from rislab.cli import (
     cmd_generate,
     cmd_train,
     profile_config,
-    train_config,
     _rollout_stats,
 )
 from rislab.oracle import (
@@ -65,9 +64,8 @@ def trained_toy():
     cfg = replace(profile_config("toy"), seed=5, max_updates=1200)
     game = builtin_toy_game(cfg)
     env = ToyGameEnvironment(game, seed=cfg.seed)
-    tc = train_config(cfg)
-    controller = make_controller(tc, (2, 2), np.random.default_rng(cfg.seed))
-    train(env, controller, tc)
+    controller = make_controller(cfg, (2, 2), np.random.default_rng(cfg.seed))
+    train(env, controller, cfg)
     exact_ascent(game, controller, cfg.mu, steps=2500, learning_rate=0.5,
                  trace_every=2500)
     return cfg, game, controller
@@ -84,9 +82,8 @@ def risk_sweep():
             cfg = replace(profile_config("desk"), mu=mu, seed=seed,
                           eval_episodes=400, eval_warmup=20)
             env, heads = build_environment(cfg)
-            tc = train_config(cfg)
-            controller = make_controller(tc, heads, np.random.default_rng(seed))
-            train(env, controller, tc)
+            controller = make_controller(cfg, heads, np.random.default_rng(seed))
+            train(env, controller, cfg)
             eval_env, _ = build_environment(replace(cfg, seed=seed + 1000))
             returns, _, _ = _rollout_stats(eval_env, controller, cfg,
                                            cfg.eval_episodes, seed + 1000)
@@ -147,9 +144,8 @@ def test_c02_proposition_gradient_identity():
     start = time.time()
     cfg = replace(profile_config("toy"), seed=21)
     game = builtin_toy_game(cfg)
-    tc = train_config(cfg)
     rng = np.random.default_rng(21)
-    controller = make_controller(tc, (2, 2), rng)
+    controller = make_controller(cfg, (2, 2), rng)
     for vec in controller.parameter_vectors():
         vec[:] = rng.uniform(-0.6, 0.6, size=vec.size)
     mu = 0.7
@@ -181,9 +177,8 @@ def test_c02_proposition_gradient_identity():
 def test_c03_update_equivalence_harness():
     cfg = replace(profile_config("toy"), seed=31)
     game = builtin_toy_game(cfg)
-    tc = train_config(cfg)
     reportee = theorem1_harness(lambda: ToyGameEnvironment(game, seed=31),
-                                (2, 2), tc, n_updates=100)
+                                (2, 2), cfg, n_updates=100)
     report(3, "per-agent vs central-driver updates bitwise identical over 100 steps",
            reportee.max_param_divergence == 0.0
            and reportee.factorization_gap <= 1e-12,

@@ -2,6 +2,7 @@
 emitted metric files, and exit codes."""
 
 import os
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -31,11 +32,10 @@ from rislab.cli import (
     main,
     profile_config,
     save_controller,
-    train_config,
 )
 from rislab.cli import _rollout_stats
 from rislab.environment import HistoryBuffer
-from rislab.training import TrainConfig, collect_episode, make_controller
+from rislab.training import collect_episode, make_controller
 from dataclasses import replace
 
 
@@ -128,13 +128,6 @@ def test_key_aliases_name_every_field_once(tmp_path):
     path = tmp_path / "all.cfg"
     path.write_text("\n".join(lines) + "\n")
     assert load_config(path) == base
-
-
-def test_train_config_copies_every_trainer_field():
-    cfg = replace(profile_config("toy"), mu=0.3, grad_clip=2.5, seed=4)
-    tc = train_config(cfg)
-    for f in fields(TrainConfig):
-        assert getattr(tc, f.name) == getattr(cfg, f.name)
 
 
 def test_import_loads_no_test_only_dependency():
@@ -251,7 +244,7 @@ def test_rollout_stats_equals_a_loop_that_closes_every_episode(mode):
     # episode, as evaluation used to, gives the same arrays bit for bit
     cfg = small_cfg(mode=mode)
     env, heads = build_environment(cfg)
-    controller = make_controller(train_config(cfg), heads, np.random.default_rng(3))
+    controller = make_controller(cfg, heads, np.random.default_rng(3))
     got = _rollout_stats(env, controller, cfg, cfg.eval_episodes, 5)
 
     env, _ = build_environment(cfg)
@@ -399,6 +392,13 @@ def test_main_missing_checkpoint_exit_2(tmp_path):
     ("train", "env.scenario {tmp}/bad.scn", []),
     ("train", "", ["--dataset", "{tmp}/bad.csv"]),
     ("evaluate", "", ["--checkpoint", "{tmp}/ckpt"]),
+    ("evaluate", "", ["--checkpoint", "{tmp}/short"]),
+    ("evaluate", "", ["--checkpoint", "{tmp}/nokind"]),
+    ("evaluate", "", ["--checkpoint", "{tmp}/list"]),
+    ("generate", "dataset.trajectories 0", []),
+    ("generate", "train.mu 1.5", []),
+    ("bench", "", ["--seed", "-3"]),
+    ("train", "", ["--profile", "toy", "--dataset", "{tmp}/bad.csv"]),
 ])
 def test_main_rejected_input_exits_2_with_one_line(tmp_path, capsys, command, line, extra):
     # a ValueError raised while the CLI builds objects from config values or
@@ -406,8 +406,14 @@ def test_main_rejected_input_exits_2_with_one_line(tmp_path, capsys, command, li
     (tmp_path / "bad.scn").write_text("version 1\ncell_size 0.5\nap 0 0\n"
                                       "presence rows\n1 1\n1 1\nmask\n.x\n..\n")
     (tmp_path / "bad.csv").write_text("traj_id,t,x,y\n0,0,a,1\n")
-    (tmp_path / "ckpt").mkdir()
-    (tmp_path / "ckpt" / "checkpoint_agent0.bin").write_bytes(b"not a checkpoint")
+    def checkpoint(header):
+        return b"RLPC" + struct.pack("<HI", 1, len(header)) + header
+
+    for name, data in [("ckpt", b"not a checkpoint"), ("short", b"RLPC\x01\x00"),
+                       ("nokind", checkpoint(b'{"history_len": 16}')),
+                       ("list", checkpoint(b"[]"))]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "checkpoint_agent0.bin").write_bytes(data)
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(f"version 1\n{line.format(tmp=tmp_path)}\n")
     code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o"),

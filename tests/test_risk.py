@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
+from rislab.cli import ExperimentConfig
 from rislab.risk import evar_literal, gradient_weight, surrogate_return
-from rislab.training import TrainConfig
 
 
 def test_risk_config_bounds():
-    # the risk sensitivity and horizon bounds live on TrainConfig
-    TrainConfig(mu=0.0, horizon=1)
-    TrainConfig(mu=0.99, horizon=4)
+    # the risk sensitivity and horizon bounds live on ExperimentConfig, which
+    # is frozen, so a validated config stays valid
+    cfg = ExperimentConfig(mu=0.0, horizon=1)
+    with pytest.raises(AttributeError):
+        cfg.mu = 1.0
+    ExperimentConfig(mu=0.99, horizon=4)
     with pytest.raises(ValueError):
-        TrainConfig(mu=1.0, horizon=1)
+        ExperimentConfig(mu=1.0, horizon=1)
     with pytest.raises(ValueError):
-        TrainConfig(mu=0.5, horizon=0)
+        ExperimentConfig(mu=0.5, horizon=0)
     with pytest.raises(ValueError):
-        TrainConfig(mu=-0.1, horizon=1)
+        ExperimentConfig(mu=-0.1, horizon=1)
 
 
 def test_evar_constant_returns():

@@ -20,6 +20,7 @@ from helpers import (
 
 from rislab import policy as pol
 from rislab import training as tr
+from rislab.cli import ExperimentConfig
 from rislab.environment import HistoryBuffer
 from rislab.oracle import (
     enumerate_exact_J,
@@ -34,7 +35,6 @@ from rislab.training import (
     DistributedController,
     DivergenceError,
     ToyGameEnvironment,
-    TrainConfig,
     TrainingSample,
     collect_episode,
     estimate_gradient,
@@ -60,7 +60,7 @@ def toy_config(**kw):
                 offline_epochs=3, max_updates=40, convergence_window=10 ** 6,
                 dropout_lstm=0.0, dropout_dense=0.0, seed=0)
     base.update(kw)
-    return TrainConfig(**base)
+    return ExperimentConfig(**base)
 
 
 def randomize(controller, rng, scale=0.6):

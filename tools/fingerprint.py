@@ -9,7 +9,9 @@ Prints one `<output> <sha256 prefix>` line per output:
 - `theorem1_harness` on the toy at seed 31, as acceptance criterion c03 runs it;
 - every file `rislab train` / `evaluate` / `compare` writes, for the toy
   profile and a reduced desk budget in both modes, with the manifest lines
-  (which carry the config hash) stripped.
+  (which carry the config hash) stripped;
+- `config_hash()` of the desk, paper and toy profiles, so a config change
+  that would alter every manifest shows.
 
 A change meant to keep every number bitwise equal is checked by running the
 script on the change and on an export of its parent, then diffing:
@@ -114,6 +116,11 @@ def toy_lines(cli, training):
                                             report.factorization_gap, report.diverged_at)
 
 
+def config_lines(cli):
+    for name in ("desk", "paper", "toy"):
+        yield f"config_hash.{name}", cli.profile_config(name).config_hash()
+
+
 def file_digest(path: Path) -> str:
     data = path.read_bytes()
     if path.suffix == ".csv":
@@ -155,7 +162,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, value in [*desk_lines(cli, training), *toy_lines(cli, training),
-                            *cli_lines(cli, Path(tmp))]:
+                            *cli_lines(cli, Path(tmp)), *config_lines(cli)]:
             print(name, value, flush=True)
     return 0
 
