@@ -168,27 +168,46 @@ def _phase_ramp(n: int) -> np.ndarray:
     return ramp
 
 
+@lru_cache(maxsize=64)
+def _phase_ramp_j(n: int) -> np.ndarray:
+    """1j * _phase_ramp(n), read-only. cos(angle) * (1j * ramp) and
+    1j * (cos(angle) * ramp) share their imaginary part, cos(angle) * ramp
+    rounded once, and both have a zero real part, so their exponentials
+    are equal bit for bit."""
+    ramp = 1j * _phase_ramp(n)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def steering_vector_ula(angle, n: int) -> np.ndarray:
     """ULA response: element k = exp(j * ((n-1)/2 - k) * pi * cos(angle)).
 
-    A scalar angle gives shape (n,); an array of L angles gives (L, n).
+    A scalar angle gives shape (n,); an array of angles of shape S gives
+    S + (n,).
     """
     if n < 1:
         raise ValueError("array size must be >= 1")
-    return np.exp(1j * np.multiply.outer(np.cos(angle), _phase_ramp(n)))
+    out = np.cos(angle)[..., None] * _phase_ramp_j(n)
+    return np.exp(out, out=out)
 
 
 def steering_vector_upa(azimuth, elevation, n_h: int, n_v: int) -> np.ndarray:
     """UPA response: kron of the vertical vector (phase law cos(elevation))
     with the horizontal vector (phase law cos(azimuth)*sin(elevation)).
 
-    Scalar angles give shape (n_h*n_v,); arrays of L angles give (L, n_h*n_v).
+    Scalar angles give shape (n_h*n_v,); arrays of angles of one shape S
+    give S + (n_h*n_v,). The horizontal phase is the outer product with the
+    ramp first, then the scaling by sin(elevation): the other order rounds
+    differently.
     """
     if n_h < 1 or n_v < 1:
         raise ValueError("array dimensions must be >= 1")
-    b_el = np.exp(1j * np.multiply.outer(np.cos(elevation), _phase_ramp(n_v)))
-    b_az = np.exp(1j * (np.multiply.outer(np.cos(azimuth), _phase_ramp(n_h))
-                        * np.sin(elevation)[..., None]))
+    b_el = np.cos(elevation)[..., None] * _phase_ramp_j(n_v)
+    np.exp(b_el, out=b_el)
+    phase = np.cos(azimuth)[..., None] * _phase_ramp(n_h)
+    phase *= np.sin(elevation)[..., None]
+    b_az = phase * 1j
+    np.exp(b_az, out=b_az)
     return (b_el[..., :, None] * b_az[..., None, :]).reshape(b_el.shape[:-1] + (n_h * n_v,))
 
 
@@ -208,8 +227,12 @@ def free_space_gain(distance, carrier_freq: float, exponent):
 def ris_core(in_rows: np.ndarray, weights: np.ndarray, out_rows: np.ndarray) -> np.ndarray:
     """L_in x L_out ray core of one RIS: entry (l, m) = b_in,l^H diag(weights) b_out,m
     for the incident and departing UPA steering rows (L, N_g) and the
-    surface's unit-modulus reflection weights exp(j*phases) (N_g,)."""
-    return (in_rows.conj() * weights) @ out_rows.T
+    surface's unit-modulus reflection weights exp(j*phases) (N_g,).
+
+    Leading axes broadcast: rows (G, L, N_g) and weights (G, N_g) give the
+    G cores (G, L_in, L_out) in one batched product, each equal bit for bit
+    to its own call."""
+    return (in_rows.conj() * weights[..., None, :]) @ out_rows.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +242,14 @@ def ris_core(in_rows: np.ndarray, weights: np.ndarray, out_rows: np.ndarray) -> 
 def _require_finite(*arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("channel contains non-finite entries")
+
+
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _dense_gram(mat: np.ndarray) -> np.ndarray:
@@ -251,8 +282,10 @@ def achievable_rate(h, budget: LinkBudget) -> float:
         n_a = mat.shape[0]
         gram = _dense_gram(mat)
     c = budget.tx_power / (n_a * budget.bandwidth * budget.noise_density)
-    gram = np.where(np.abs(gram) < 1e-300, 0.0, gram)  # flush denormals
-    sign, logdet = np.linalg.slogdet(np.eye(gram.shape[0]) + c * gram)
+    scaled = c * gram
+    scaled[np.abs(gram) < 1e-300] = 0.0  # flush denormals
+    scaled += _identity(gram.shape[0])
+    sign, logdet = np.linalg.slogdet(scaled)
     rate = budget.bandwidth * logdet / math.log(2.0)
     return max(rate, 0.0)
 

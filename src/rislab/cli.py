@@ -163,6 +163,11 @@ class ExperimentConfig:
             raise ConfigError("mu must lie in [0, 1)")
         if self.n_trajectories < 1 or self.trajectory_len < 1:
             raise ConfigError("need n_trajectories >= 1 and length >= 1")
+        if min(self.seed_episodes, self.offline_epochs, self.max_updates) < 0:
+            raise ConfigError("seed_episodes, offline_epochs and max_updates must be >= 0")
+        if self.offline_epochs > 0 and self.seed_episodes == 0:
+            raise ConfigError("offline_epochs >= 1 needs seed_episodes >= 1: "
+                              "the offline updates draw from the seed episodes")
 
     def config_hash(self) -> str:
         parts = []

@@ -10,14 +10,21 @@ from slot to slot; the AP, the RIS panels and the grid do not. So the
 channel is assembled from three parts:
 
 - per scenario, built with it: the dark and RIS-shadow maps, one AP steering
-  vector per beam and the reflection weights exp(j*phases) per codebook
-  entry (the ULA/UPA phase ramps are shared per array size in `channel`);
+  vector per beam, the (B, N_g) stack of reflection weights exp(j*phases),
+  one per codebook entry, and the r x r core template that already holds
+  the direct block's identity (the ULA/UPA phase ramps are shared per array
+  size in `channel`). Every panel takes every codebook entry, so all G
+  panels share one n_h x n_v shape, with n_h * n_v = N_g;
 - per user cell, built on the cell's first visit and kept: the LoS bearings,
   distances and static blocked flags, the LoS and NLoS amplitudes of each
-  link's LoS ray, the AP-side LoS steering rows and the RIS-side LoS UPA
-  rows (`Scenario.cell_geometry`);
-- per slot: the scattered-ray rows, the orientation-dependent UE rows, the
-  beam alignment and the RIS cores (`build_channel`).
+  link's LoS ray, the AP-side LoS steering rows and the (G, 2, N_g)
+  RIS-side LoS UPA rows (`Scenario.cell_geometry`);
+- per slot, for all G panels at once (`build_channel`): the scattered-ray
+  rows (one ULA call for the AP side, one UPA call over a (G, 2, L-1)
+  block of RIS-side angles), the orientation-dependent UE rows, the beam
+  alignment of every AP row in one product, and the G ray cores in one
+  batched product, written into a copy of the core template. G = 0 runs
+  the same code on empty blocks.
 
 The grid likewise keeps the presence CDF and, per cell on first use, the
 mobility candidates and their CDF.
@@ -339,19 +346,45 @@ class Scenario:
             raise ValueError("geometry and grid disagree on the RIS count")
         if len(self.phases) < 2:
             raise ValueError("phase codebook must offer at least 2 actions")
+        # every panel takes every codebook entry, so all share one shape
+        n_g = len(self.phases.entries[0])
+        if any(len(entry) != n_g for entry in self.phases.entries):
+            raise ValueError("phase codebook entries differ in length")
+        shapes = self.geometry.ris_shapes
+        for g, (n_h, n_v) in enumerate(shapes):
+            if (n_h, n_v) != shapes[0]:
+                raise ValueError(f"RIS panel {g} is {n_h}x{n_v}, panel 0 is "
+                                 f"{shapes[0][0]}x{shapes[0][1]}")
+            if n_h * n_v != n_g:
+                raise ValueError(f"RIS panel {g} has {n_h * n_v} elements, the phase "
+                                 f"codebook's entries have {n_g}")
+        # (n_h, n_v) of every panel; without panels, any shape of n_g elements
+        self._panel = shapes[0] if shapes else (n_g, 1)
         self.dark = compute_dark_areas(self.grid)
         self.ris_shadow = [compute_dark_areas(self.grid, source=cell)
                            for cell in self.grid.ris_cells]
         self.ap_ris_blocked = [segment_blocked(self.grid, self.grid.ap_cell, cell)
                                for cell in self.grid.ris_cells]
-        n_links = 1 + 2 * self.geometry.n_ris
+        n_ris, n_rays = self.geometry.n_ris, self.cfg.n_rays
+        n_links = 1 + 2 * n_ris
         # links leaving the AP (direct, AP->RIS g) and reaching the UE
         # (direct, RIS g->UE); chain m blocks link _to_ue[m]
         self._from_ap = np.array([0, *range(1, n_links, 2)])
         self._to_ue = np.array([0, *range(2, n_links, 2)])
+        # links 1.. whose RIS-side angle is the arrival (AP->RIS g), by row
+        self._incident = (np.arange(2 * n_ris) % 2 == 0)[:, None]
         self._beams_conj = [steering_vector_ula(angle, self.geometry.n_ap).conj()
                             for angle in self.beams.angles]
-        self._weights = [np.exp(1j * np.asarray(entry)) for entry in self.phases.entries]
+        self._weights = np.exp(1j * np.array(self.phases.entries, dtype=float))
+        # core of every slot before its RIS blocks: the direct block's
+        # identity; and the flat core index of each RIS block entry (g, l, m)
+        r = n_rays * (1 + n_ris)
+        self._core = np.zeros((r, r), dtype=complex)
+        self._core[:n_rays, :n_rays] = np.eye(n_rays)
+        self._core.flags.writeable = False
+        panels = np.arange(1, 1 + n_ris)
+        self._ris_block_index = np.arange(r * r).reshape(
+            1 + n_ris, n_rays, 1 + n_ris, n_rays)[panels, :, panels, :].ravel()
         self._cells: dict[tuple[int, int], CellGeometry] = {}
 
     @property
@@ -391,7 +424,7 @@ class CellGeometry:
     los_amps: np.ndarray             # (n_links, 2) amplitude under the LoS, NLoS exponent
     ue_bearings: tuple[float, ...]   # room-frame bearings user -> AP, user -> RIS g
     tx_rows: np.ndarray              # (1 + G, N_a) AP rows of the direct, AP->RIS rays
-    ris_rows: tuple[np.ndarray, ...]  # per RIS: (2, N_g) rows of its incident, departing ray
+    ris_rows: np.ndarray             # (G, 2, N_g) UPA rows of each RIS's incident, departing ray
 
 
 def _cell_geometry(scn: Scenario, user: tuple[int, int]) -> CellGeometry:
@@ -401,23 +434,21 @@ def _cell_geometry(scn: Scenario, user: tuple[int, int]) -> CellGeometry:
     aod = [scn.bearing(ap, user)]
     ue_bearings = [scn.bearing(user, ap)]
     dist = [scn.distance(ap, user)]
-    ris_rows = []
+    ris_az = []
     for g, ris in enumerate(grid.ris_cells):
         blocked += [scn.ap_ris_blocked[g], scn.ris_shadow[g].at(user)]
         aod.append(scn.bearing(ap, ris))
         ue_bearings.append(scn.bearing(user, ris))
         dist += [scn.distance(ap, ris), scn.distance(ris, user)]
-        n_h, n_v = scn.geometry.ris_shapes[g]
-        ris_rows.append(steering_vector_upa(
-            np.array([scn.bearing(ris, ap), scn.bearing(ris, user)]),
-            np.full(2, np.pi / 2), n_h, n_v))
+        ris_az.append((scn.bearing(ris, ap), scn.bearing(ris, user)))
+    ris_az = np.array(ris_az, dtype=float).reshape(-1, 2)
     nu = np.array([cfg.exponent_los, cfg.exponent_nlos])
     return CellGeometry(
         los_blocked=np.array(blocked),
         los_amps=np.sqrt(free_space_gain(np.array(dist)[:, None], cfg.carrier_freq, nu)),
         ue_bearings=tuple(ue_bearings),
         tx_rows=steering_vector_ula(np.array(aod), scn.geometry.n_ap),
-        ris_rows=tuple(ris_rows))
+        ris_rows=steering_vector_upa(ris_az, np.full(ris_az.shape, np.pi / 2), *scn._panel))
 
 
 @dataclass
@@ -432,16 +463,16 @@ class EnvState:
 
 
 def _draw_scatter(scn: Scenario, rng: np.random.Generator):
-    n_links = 1 + 2 * scn.geometry.n_ris  # ap_ue, then (ap_ris, ris_ue) per g
-    n_sc = scn.cfg.n_rays - 1
+    """Scattered-ray gains, AoDs, AoAs and elevations, each (n_links, L-1).
+    A draw of shape (2, ...) is two draws of shape (...) in a row, so the
+    real and imaginary gain parts come from one call, and so do the AoDs
+    and AoAs, which share their bounds."""
+    shape = (1 + 2 * scn.geometry.n_ris, scn.cfg.n_rays - 1)  # ap_ue, (ap_ris, ris_ue) per g
     sigma = math.sqrt(scn.cfg.scatter_gain_var / 2.0)
-    gains = (rng.normal(scale=sigma, size=(n_links, n_sc))
-             + 1j * rng.normal(scale=sigma, size=(n_links, n_sc))) \
-        if n_sc else np.zeros((n_links, 0), dtype=complex)
-    aod = rng.uniform(-np.pi, np.pi, size=(n_links, n_sc))
-    aoa = rng.uniform(-np.pi, np.pi, size=(n_links, n_sc))
-    elev = rng.uniform(np.pi / 2 - 0.5, np.pi / 2 + 0.5, size=(n_links, n_sc))
-    return gains, aod, aoa, elev
+    parts = rng.normal(scale=sigma, size=(2, *shape))
+    aod, aoa = rng.uniform(-np.pi, np.pi, size=(2, *shape))
+    elev = rng.uniform(np.pi / 2 - 0.5, np.pi / 2 + 0.5, size=shape)
+    return parts[0] + 1j * parts[1], aod, aoa, elev
 
 
 def initial_state(scn: Scenario, rng: np.random.Generator,
@@ -473,10 +504,13 @@ def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> Cas
     per RIS, the phase-carrying ray core.
 
     The LoS rays' static part (blocked flags, amplitudes, AP and RIS rows)
-    comes from the user cell's `CellGeometry` and the beam vectors and
-    reflection weights from the scenario. Per slot this assembles the
-    scattered rows, the UE rows (they turn with the orientation), the beam
-    alignment of every AP row in one product, and the RIS cores.
+    comes from the user cell's `CellGeometry`, and the beam vectors,
+    reflection weights and core template from the scenario. Per slot this
+    assembles the scattered rows, the UE rows (they turn with the
+    orientation), the beam alignment of every AP row in one product, and
+    the cores of all G panels in one batched product. Each step is
+    elementwise or per panel, so the result equals a panel-by-panel
+    assembly bit for bit.
     """
     if not 0 <= actions.ap_beam < len(scn.beams):
         raise IndexError(f"beam index {actions.ap_beam} outside codebook")
@@ -500,31 +534,32 @@ def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> Cas
 
     tx_rows = np.empty((len(from_ap), n_rays, geo.n_ap), dtype=complex)
     tx_rows[:, 0] = cell.tx_rows
-    tx_rows[:, 1:] = steering_vector_ula(state.scatter_aod[from_ap], geo.n_ap)
+    tx_rows[:, 1:] = steering_vector_ula(state.scatter_aod.take(from_ap, axis=0), geo.n_ap)
     tx_rows = tx_rows.reshape(-1, geo.n_ap)
     aoa = np.empty((len(to_ue), n_rays))
     aoa[:, 0] = [_wrap(b - state.orientation) for b in cell.ue_bearings]
-    aoa[:, 1:] = state.scatter_aoa[to_ue]
+    aoa[:, 1:] = state.scatter_aoa.take(to_ue, axis=0)
     rx_rows = steering_vector_ula(aoa.ravel(), geo.n_ue)
     align = np.abs(tx_rows @ scn._beams_conj[actions.ap_beam]) / geo.n_ap
-    tx_amps = amps[from_ap].ravel() * align
-    rx_amps = np.concatenate([np.ones(n_rays), amps[to_ue[1:]].ravel()])
+    tx_amps = amps.take(from_ap, axis=0).ravel() * align
+    rx_amps = amps.take(to_ue, axis=0)
+    rx_amps[0] = 1.0  # the direct ray's amplitude sits on its tx side
+    rx_amps = rx_amps.ravel()
 
-    core = np.zeros((tx_rows.shape[0],) * 2, dtype=complex)
-    core[:n_rays, :n_rays] = np.eye(n_rays)
-    for g, b in enumerate(actions.ris_phases):
-        n_h, n_v = geo.ris_shapes[g]
-        ris_in, ris_out = 1 + 2 * g, 2 + 2 * g
-        # rows[0]: incident rays, arriving from the AP; rows[1]: departing rays
-        rows = np.empty((2, n_rays, n_h * n_v), dtype=complex)
-        rows[:, 0] = cell.ris_rows[g]
-        rows[:, 1:] = steering_vector_upa(
-            np.concatenate([state.scatter_aoa[ris_in], state.scatter_aod[ris_out]]),
-            np.concatenate([state.scatter_elev[ris_in], state.scatter_elev[ris_out]]),
-            n_h, n_v).reshape(2, n_rays - 1, n_h * n_v)
-        blk = slice((1 + g) * n_rays, (2 + g) * n_rays)
-        core[blk, blk] = ris_core(rows[0], scn._weights[b], rows[1])
-    core *= tx_amps[:, None] * rx_amps[None, :]
+    # (G, 2, n_rays, N_g) RIS-side rows of all panels: [:, 0] the incident
+    # rays, arriving from the AP; [:, 1] the departing rays, towards the UE.
+    # The RIS-side azimuth of link 1 + 2g is its AoA, of link 2 + 2g its AoD
+    n_ris, n_sc = geo.n_ris, n_rays - 1
+    rows = np.empty((n_ris, 2, n_rays, scn._weights.shape[1]), dtype=complex)
+    rows[:, :, 0] = cell.ris_rows
+    rows[:, :, 1:] = steering_vector_upa(
+        np.where(scn._incident, state.scatter_aoa[1:], state.scatter_aod[1:])
+        .reshape(n_ris, 2, n_sc),
+        state.scatter_elev[1:].reshape(n_ris, 2, n_sc), *scn._panel)
+    cores = ris_core(rows[:, 0], scn._weights[list(actions.ris_phases)], rows[:, 1])
+    core = scn._core.copy()
+    core.put(scn._ris_block_index, cores)
+    core *= np.multiply.outer(tx_amps, rx_amps)
     return CascadedChannel(tx=tx_rows.T, core=core, rx=rx_rows.T)
 
 
@@ -671,14 +706,19 @@ def ingest_dataset(path, grid: OccupancyGrid) -> TrajectoryTable:
                 y = float(row[3])
             except ValueError as exc:
                 raise DatasetFormatError(f"row {i}: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DatasetFormatError(f"row {i}: coordinates must be finite, "
+                                         f"got x={row[2]!r}, y={row[3]!r}")
             if traj_id < 0:
                 raise DatasetFormatError(f"row {i}: negative traj_id")
             seq = trajectories.setdefault(traj_id, [])
             if t != len(seq):
                 raise DatasetFormatError(
                     f"row {i}: slot {t} breaks contiguity for trajectory {traj_id}")
-            raw = (int(math.floor(x / grid.cell_size)),
-                   int(math.floor(y / grid.cell_size)))
+            # any cell off the grid clamps the same way, so bound the cell
+            # coordinate first: a huge finite x / cell_size can overflow to inf
+            raw = (int(math.floor(min(max(x / grid.cell_size, -1.0), grid.width))),
+                   int(math.floor(min(max(y / grid.cell_size, -1.0), grid.height))))
             cell, clamped = _nearest_free_cell(grid, raw)
             n_clamped += clamped
             seq.append(cell)

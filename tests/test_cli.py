@@ -399,6 +399,12 @@ def test_main_missing_checkpoint_exit_2(tmp_path):
     ("generate", "train.mu 1.5", []),
     ("bench", "", ["--seed", "-3"]),
     ("train", "", ["--profile", "toy", "--dataset", "{tmp}/bad.csv"]),
+    ("train", "", ["--dataset", "{tmp}/inf.csv"]),
+    ("train", "", ["--dataset", "{tmp}/nan.csv"]),
+    ("train", "train.seed_episodes 0\ntrain.offline_epochs 2", []),
+    ("train", "train.seed_episodes -1", []),
+    ("train", "train.offline_epochs -1", []),
+    ("train", "train.max_updates -1", []),
 ])
 def test_main_rejected_input_exits_2_with_one_line(tmp_path, capsys, command, line, extra):
     # a ValueError raised while the CLI builds objects from config values or
@@ -406,6 +412,8 @@ def test_main_rejected_input_exits_2_with_one_line(tmp_path, capsys, command, li
     (tmp_path / "bad.scn").write_text("version 1\ncell_size 0.5\nap 0 0\n"
                                       "presence rows\n1 1\n1 1\nmask\n.x\n..\n")
     (tmp_path / "bad.csv").write_text("traj_id,t,x,y\n0,0,a,1\n")
+    (tmp_path / "inf.csv").write_text("traj_id,t,x,y\n0,0,0.5,0.5\n0,1,inf,1\n")
+    (tmp_path / "nan.csv").write_text("traj_id,t,x,y\n0,0,0.5,0.5\n0,1,1,nan\n")
     def checkpoint(header):
         return b"RLPC" + struct.pack("<HI", 1, len(header)) + header
 

@@ -3,6 +3,7 @@ reward consistency against the channel engine, and dataset round-trips."""
 
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -430,6 +431,53 @@ def test_build_channel_matches_ray_oracle(make_scenario, every_cell):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
 
 
+def _small_scenario_with_ris(ris_cells, n_rays):
+    grid = replace(desk_grid(), ris_cells=ris_cells)
+    geo = ArrayGeometry(n_ap=4, n_ue=2, ris_shapes=((2, 2),) * len(ris_cells))
+    return Scenario(grid=grid, geometry=geo,
+                    budget=LinkBudget(tx_power=1.0, bandwidth=1.0, noise_density=1e-16),
+                    beams=build_beam_codebook(4),
+                    phases=build_phase_codebook((2, 2), np.pi / 5, (-np.pi / 2, np.pi / 2),
+                                                default_phase_directions(5)),
+                    cfg=EnvConfig(n_rays=n_rays, scatter_gain_var=0.05))
+
+
+@pytest.mark.parametrize("n_rays", [1, 3])
+@pytest.mark.parametrize("ris_cells", [(), ((3, 0),), ((3, 0), (3, 4), (6, 4))],
+                         ids=["0ris", "1ris", "3ris"])
+def test_build_channel_matches_ray_oracle_at_every_joint_action(ris_cells, n_rays):
+    # the panel-batched assembly against the ray-by-ray oracle at every joint
+    # action, for 0, 1 and 3 panels. The tolerance scales with the state's
+    # largest entry over all joint actions: a beam on a null of a lone LoS
+    # ray leaves a channel of rounding noise. (Every beam of this 4-beam book
+    # has a null straight above and below the AP, so no test cell sits there.)
+    scn = _small_scenario_with_ris(ris_cells, n_rays)
+    rng = np.random.default_rng(21)
+    for cell in [(2, 0), (5, 2), (1, 3)]:  # lit; dark; shadowed from (3, 0)
+        state = initial_state(scn, rng, user_cell=cell)
+        state.chain_blocked[:] = rng.random(state.chain_blocked.shape) < 0.5
+        joints = [ActionProfile(j[0], j[1:]) for j in product(*map(range, scn.head_sizes))]
+        got = np.array([build_channel(scn, state, actions).h for actions in joints])
+        want = np.array([channel_oracle(scn, state, actions) for actions in joints])
+        assert got.shape == want.shape == (len(joints), scn.geometry.n_ap, scn.geometry.n_ue)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("shapes, ragged, match", [
+    (((2, 2), (4, 1)), False, "RIS panel 1 is 4x1, panel 0 is 2x2"),
+    (((3, 2), (3, 2)), False, "RIS panel 0 has 6 elements, the phase codebook's entries have 4"),
+    (((2, 2), (2, 2)), True, "phase codebook entries differ in length"),
+])
+def test_scenario_rejects_panels_unlike_the_codebook(shapes, ragged, match):
+    scn = small_scenario()
+    entries = scn.phases.entries
+    if ragged:
+        entries = (entries[0], entries[1][:3])
+    with pytest.raises(ValueError, match=match):
+        replace(scn, geometry=ArrayGeometry(n_ap=4, n_ue=2, ris_shapes=shapes),
+                phases=replace(scn.phases, entries=entries))
+
+
 def test_dark_cell_blocks_direct_ray_always():
     # with the chain pinned open, blockage comes from geometry alone: the
     # direct LoS core entry of every dark cell carries the NLoS amplitude,
@@ -599,6 +647,15 @@ def test_ingest_rejects_malformed_row(tmp_path):
         ingest_dataset(path, desk_grid())
 
 
+@pytest.mark.parametrize("x, y", [("inf", "1.5"), ("1.5", "-inf"), ("nan", "1.5"),
+                                  ("1.5", "NaN")])
+def test_ingest_rejects_non_finite_coordinates(tmp_path, x, y):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"traj_id,t,x,y\n0,0,1.5,1.5\n0,1,{x},{y}\n")
+    with pytest.raises(DatasetFormatError, match="row 3: coordinates must be finite"):
+        ingest_dataset(path, desk_grid())
+
+
 def test_ingest_rejects_gap_in_slots(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("traj_id,t,x,y\n0,0,1.5,1.5\n0,2,1.5,1.5\n")
@@ -617,6 +674,17 @@ def test_ingest_clamps_out_of_grid(tmp_path):
     assert table.n_clamped == 3
     for x, y in table.cells[0]:
         assert grid.in_bounds((x, y)) and not grid.is_obstacle((x, y))
+
+
+def test_ingest_clamps_coordinates_that_overflow_a_cell_index(tmp_path):
+    # 1e308 / 0.5 is inf: such rows clamp like any other row off the grid
+    path = tmp_path / "far.csv"
+    path.write_text("traj_id,t,x,y\n0,0,1e308,-1e308\n0,1,-1.7e308,0.75\n")
+    grid = OccupancyGrid(cell_size=0.5, obstacles=np.zeros((3, 4), dtype=bool),
+                         presence=np.ones((3, 4)), ap_cell=(0, 0), ris_cells=())
+    table = ingest_dataset(path, grid)
+    assert table.n_clamped == 2
+    assert table.cells[0].tolist() == [[3, 0], [0, 1]]
 
 
 def test_ingest_empty_file(tmp_path):

@@ -11,7 +11,10 @@ Prints one `<output> <sha256 prefix>` line per output:
   profile and a reduced desk budget in both modes, with the manifest lines
   (which carry the config hash) stripped;
 - `config_hash()` of the desk, paper and toy profiles, so a config change
-  that would alter every manifest shows.
+  that would alter every manifest shows;
+- channel-layer streams: a 300-step paper-profile `Environment` run
+  (rewards and states) at two seeds, the rates of every paper joint action
+  at one state, and desk streams with no RIS and with one RIS.
 
 A change meant to keep every number bitwise equal is checked by running the
 script on the change and on an export of its parent, then diffing:
@@ -22,7 +25,7 @@ script on the change and on an export of its parent, then diffing:
     diff parent.txt change.txt && echo identical
 
 `--root` names the tree whose `src/rislab` is imported; it defaults to the
-tree holding this script. A run takes under ten seconds on one core.
+tree holding this script. A run takes about ten seconds on one core.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 SEEDS = (5, 11)
+PAPER_STEPS = 300
 KINDS = ("distributed", "centralized")
 DESK_BUDGET = {"seed_episodes": 60, "offline_epochs": 10, "max_updates": 30,
                "convergence_window": 10}
@@ -116,6 +121,37 @@ def toy_lines(cli, training):
                                             report.factorization_gap, report.diverged_at)
 
 
+def stream_digest(environment, env, steps: int, seed: int) -> str:
+    """Rewards and next states of `steps` slots of `env` under uniformly
+    drawn joint actions."""
+    scn, rng = env.scenario, np.random.default_rng([seed, 1])
+    parts = []
+    for _ in range(steps):
+        joint = [int(rng.integers(n)) for n in scn.head_sizes]
+        reward, s = env.step(environment.ActionProfile(joint[0], tuple(joint[1:])))
+        parts += [reward, s.user_cell, s.orientation, s.chain_blocked, s.scatter_gains,
+                  s.scatter_aod, s.scatter_aoa, s.scatter_elev]
+    return digest(*parts)
+
+
+def channel_lines(cli, channel, environment):
+    paper = cli.profile_config("paper")
+    for seed in SEEDS:
+        env = environment.Environment(cli.build_scenario(paper), seed=seed)
+        yield f"paper.stream.seed{seed}", stream_digest(environment, env, PAPER_STEPS, seed)
+    scn = cli.build_scenario(paper)
+    state = environment.initial_state(scn, np.random.default_rng(SEEDS[0]))
+    rates = [channel.achievable_rate(environment.build_channel(
+                 scn, state, environment.ActionProfile(joint[0], tuple(joint[1:]))), scn.budget)
+             for joint in product(*map(range, scn.head_sizes))]
+    yield f"paper.joint_rates.{len(rates)}", digest(rates)
+    desk, grid = cli.profile_config("desk"), environment.desk_grid()
+    for n_ris in (0, 1):
+        sub = replace(grid, ris_cells=grid.ris_cells[:n_ris])
+        env = environment.Environment(cli.build_scenario(desk, grid=sub), seed=SEEDS[0])
+        yield f"desk.stream.ris{n_ris}", stream_digest(environment, env, PAPER_STEPS, SEEDS[0])
+
+
 def config_lines(cli):
     for name in ("desk", "paper", "toy"):
         yield f"config_hash.{name}", cli.profile_config(name).config_hash()
@@ -158,11 +194,12 @@ def main(argv=None) -> int:
                         help="tree whose src/rislab is fingerprinted")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    from rislab import cli, training
+    from rislab import channel, cli, environment, training
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, value in [*desk_lines(cli, training), *toy_lines(cli, training),
-                            *cli_lines(cli, Path(tmp)), *config_lines(cli)]:
+                            *cli_lines(cli, Path(tmp)), *config_lines(cli),
+                            *channel_lines(cli, channel, environment)]:
             print(name, value, flush=True)
     return 0
 
