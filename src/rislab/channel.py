@@ -334,7 +334,7 @@ def build_phase_codebook(panel: tuple[int, int], quantization_step: float,
                          phase_range=(lo, hi))
 
 
-def default_phase_directions(n_entries: int = 11) -> list[float]:
+def default_phase_directions(n_entries: int) -> list[float]:
     """Uniform azimuth grid spanning the RIS's facing half-plane [0, pi]."""
     if n_entries < 2:
         raise ValueError("need at least 2 directions")

@@ -2,8 +2,9 @@
 ingestion, training, evaluation sweeps, oracle comparisons, and benchmark
 tables, all emitted as CSV plus gnuplot scripts.
 
-ExperimentConfig declares, defaults and validates every knob, the trainer's too.
-Config files are flat `key value` lines (`_KEY_ALIASES` is the schema); every
+ExperimentConfig declares, defaults and validates every knob, the trainer's too:
+each field names its config-file key, its default gives its type, and
+`_RANGES` holds its range. Config files are flat `key value` lines; every
 emitted metric CSV starts with a manifest comment carrying the config hash
 and seed, and all writes go through a temp-file rename so reruns are atomic
 and byte-identical under a fixed (config, seed).
@@ -20,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,83 +92,102 @@ def dbm(value: float) -> float:
 # experiment configuration
 
 
+def _knob(key: str, default):
+    """A field read from config-file key `key`; `load_config` parses its
+    value by the type of `default` (a tuple takes comma-separated ints)."""
+    return field(default=default, metadata={"key": key})
+
+
+# (rule, predicate, fields): the range of every numeric knob that no object
+# built from it checks in full. nan and inf fail every rule.
+_RANGES = (
+    ("finite", math.isfinite, ("tx_power_dbm", "noise_dbm_hz", "phase_lo", "phase_hi")),
+    ("finite and > 0", lambda v: 0 < v < math.inf,
+     ("fc_hz", "bandwidth_hz", "quant_step", "rate_norm_max")),
+    ("finite and >= 0", lambda v: 0 <= v < math.inf,
+     ("exponent_los", "exponent_nlos", "scatter_var", "orientation_jitter",
+      "learning_rate", "convergence_tol", "grad_clip")),
+    (">= 0", lambda v: v >= 0,
+     ("seed", "seed_episodes", "offline_epochs", "max_updates", "polish_steps",
+      "eval_episodes", "eval_warmup")),
+    (">= 1", lambda v: v >= 1,
+     ("horizon", "minibatch", "convergence_window", "n_trajectories", "trajectory_len")),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     profile: str = "desk"
-    seed: int = 0
+    seed: int = _knob("seed", 0)
 
     # channel
-    fc_hz: float = 73e9
-    bandwidth_hz: float = 1e9
-    tx_power_dbm: float = 46.0
-    noise_dbm_hz: float = -174.0
-    n_ap: int = 8
-    n_ue: int = 4
-    ris_h: int = 4
-    ris_v: int = 4
-    n_rays: int = 3
-    exponent_los: float = 2.0
-    exponent_nlos: float = 9.5
-    scatter_var: float = 0.01
+    fc_hz: float = _knob("channel.fc_hz", 73e9)
+    bandwidth_hz: float = _knob("channel.bandwidth_hz", 1e9)
+    tx_power_dbm: float = _knob("channel.tx_power_dbm", 46.0)
+    noise_dbm_hz: float = _knob("channel.noise_dbm_hz", -174.0)
+    n_ap: int = _knob("channel.n_ap", 8)
+    n_ue: int = _knob("channel.n_ue", 4)
+    ris_h: int = _knob("channel.ris_h", 4)
+    ris_v: int = _knob("channel.ris_v", 4)
+    n_rays: int = _knob("channel.n_rays", 3)
+    exponent_los: float = _knob("channel.exponent_los", 2.0)
+    exponent_nlos: float = _knob("channel.exponent_nlos", 9.5)
+    scatter_var: float = _knob("channel.scatter_var", 0.01)
 
     # codebooks
-    n_beams: int = 8
-    n_phases: int = 5
-    quant_step: float = math.pi / 5
-    phase_lo: float = -math.pi / 2
-    phase_hi: float = math.pi / 2
+    n_beams: int = _knob("codebook.n_beams", 8)
+    n_phases: int = _knob("codebook.n_phases", 5)
+    quant_step: float = _knob("codebook.quant_step", math.pi / 5)
+    phase_lo: float = _knob("codebook.phase_lo", -math.pi / 2)
+    phase_hi: float = _knob("codebook.phase_hi", math.pi / 2)
 
     # environment
-    scenario: str = "builtin:desk"
-    p_block: float = 0.35
-    p_unblock: float = 0.25
-    rate_norm_max: float = 0.9
-    orientation_jitter: float = math.pi / 12
+    scenario: str = _knob("env.scenario", "builtin:desk")
+    p_block: float = _knob("env.p_block", 0.35)
+    p_unblock: float = _knob("env.p_unblock", 0.25)
+    rate_norm_max: float = _knob("env.rate_norm_max", 0.9)
+    orientation_jitter: float = _knob("env.orientation_jitter", math.pi / 12)
 
     # training
-    mode: str = "distributed"
-    mu: float = 0.0
-    horizon: int = 2
-    history_len: int = 16
-    learning_rate: float = 0.1
-    minibatch: int = 64
-    seed_episodes: int = 300
-    offline_epochs: int = 300
-    max_updates: int = 800
-    convergence_window: int = 50
-    convergence_tol: float = 1e-3
-    dropout_lstm: float = 0.2
-    dropout_dense: float = 0.4
-    grad_clip: float = 10.0
-    polish_steps: int = 2000        # exact-ascent convergence phase, toy only
+    mode: str = _knob("train.mode", "distributed")
+    mu: float = _knob("train.mu", 0.0)
+    horizon: int = _knob("train.horizon", 2)
+    history_len: int = _knob("train.history_len", 16)
+    learning_rate: float = _knob("train.learning_rate", 0.1)
+    minibatch: int = _knob("train.minibatch", 64)
+    seed_episodes: int = _knob("train.seed_episodes", 300)
+    offline_epochs: int = _knob("train.offline_epochs", 300)
+    max_updates: int = _knob("train.max_updates", 800)
+    convergence_window: int = _knob("train.convergence_window", 50)
+    convergence_tol: float = _knob("train.convergence_tol", 1e-3)
+    dropout_lstm: float = _knob("train.dropout_lstm", 0.2)
+    dropout_dense: float = _knob("train.dropout_dense", 0.4)
+    grad_clip: float = _knob("train.grad_clip", 10.0)
+    polish_steps: int = _knob("train.polish_steps", 2000)  # exact-ascent phase, toy only
 
     # datasets / evaluation
-    n_trajectories: int = 20
-    trajectory_len: int = 56
-    eval_episodes: int = 200
-    eval_warmup: int = 20
-    obstacle_counts: tuple = (0, 1, 2, 3)
+    n_trajectories: int = _knob("dataset.trajectories", 20)
+    trajectory_len: int = _knob("dataset.length", 56)
+    eval_episodes: int = _knob("eval.episodes", 200)
+    eval_warmup: int = _knob("eval.warmup", 20)
+    obstacle_counts: tuple = _knob("eval.obstacle_counts", (0, 1, 2, 3))
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if self.mode not in ("centralized", "distributed"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate must be nonnegative")
-        if self.minibatch < 1:
-            raise ConfigError("minibatch must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
         if not 0.0 <= self.mu < 1.0:
             raise ConfigError("mu must lie in [0, 1)")
-        if self.n_trajectories < 1 or self.trajectory_len < 1:
-            raise ConfigError("need n_trajectories >= 1 and length >= 1")
-        if min(self.seed_episodes, self.offline_epochs, self.max_updates) < 0:
-            raise ConfigError("seed_episodes, offline_epochs and max_updates must be >= 0")
+        for rule, holds, names in _RANGES:
+            for name in names:
+                if not holds(getattr(self, name)):
+                    key = self.__dataclass_fields__[name].metadata["key"]
+                    raise ConfigError(f"{key} must be {rule}, not {getattr(self, name)!r}")
         if self.offline_epochs > 0 and self.seed_episodes == 0:
             raise ConfigError("offline_epochs >= 1 needs seed_episodes >= 1: "
                               "the offline updates draw from the seed episodes")
+        if self.eval_warmup + self.eval_episodes == 0:
+            raise ConfigError("eval.warmup + eval.episodes must be >= 1: the policy "
+                              "histogram averages over their episodes")
 
     def config_hash(self) -> str:
         parts = []
@@ -199,49 +219,16 @@ PROFILES = {
 # synthetic frozen toy: one clearly-best joint action, the compare benchmark
 TOY_RATES = {(0, 0): 0.3, (0, 1): 0.6, (1, 0): 0.2, (1, 1): 2.0}
 
-# field name -> annotation, a string ("int", "float", ...) under
-# `from __future__ import annotations`
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-_KEY_ALIASES = {
-    "channel.fc_hz": "fc_hz", "channel.bandwidth_hz": "bandwidth_hz",
-    "channel.tx_power_dbm": "tx_power_dbm", "channel.noise_dbm_hz": "noise_dbm_hz",
-    "channel.n_ap": "n_ap", "channel.n_ue": "n_ue",
-    "channel.ris_h": "ris_h", "channel.ris_v": "ris_v",
-    "channel.n_rays": "n_rays", "channel.exponent_los": "exponent_los",
-    "channel.exponent_nlos": "exponent_nlos", "channel.scatter_var": "scatter_var",
-    "codebook.n_beams": "n_beams", "codebook.n_phases": "n_phases",
-    "codebook.quant_step": "quant_step", "codebook.phase_lo": "phase_lo",
-    "codebook.phase_hi": "phase_hi",
-    "env.scenario": "scenario", "env.p_block": "p_block",
-    "env.p_unblock": "p_unblock", "env.rate_norm_max": "rate_norm_max",
-    "env.orientation_jitter": "orientation_jitter",
-    "train.mode": "mode", "train.mu": "mu", "train.horizon": "horizon",
-    "train.history_len": "history_len", "train.learning_rate": "learning_rate",
-    "train.minibatch": "minibatch", "train.seed_episodes": "seed_episodes",
-    "train.offline_epochs": "offline_epochs", "train.max_updates": "max_updates",
-    "train.convergence_window": "convergence_window",
-    "train.convergence_tol": "convergence_tol",
-    "train.dropout_lstm": "dropout_lstm",
-    "train.dropout_dense": "dropout_dense", "train.grad_clip": "grad_clip",
-    "train.polish_steps": "polish_steps",
-    "dataset.trajectories": "n_trajectories", "dataset.length": "trajectory_len",
-    "eval.episodes": "eval_episodes", "eval.warmup": "eval_warmup",
-    "eval.obstacle_counts": "obstacle_counts",
-    "seed": "seed",
-}
+# config-file key -> field, for every field but `profile`
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
 
 
 def _parse_value(key: str, raw: str, lineno: int):
-    kind = _FIELD_TYPES[key]
+    default = _KEYS[key].default
     try:
-        if kind == "tuple":
+        if isinstance(default, tuple):
             return tuple(int(v) for v in raw.split(","))
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        return float(raw)
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"config line {lineno}: bad value for {key}: {exc}") from None
 
@@ -271,10 +258,9 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
                 raise ConfigError(f"config line {lineno}: unknown profile {raw!r}")
             cfg = replace(cfg, **PROFILES[raw])
             continue
-        if key not in _KEY_ALIASES:
+        if key not in _KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        field = _KEY_ALIASES[key]
-        overrides[field] = _parse_value(field, raw, lineno)
+        overrides[_KEYS[key].name] = _parse_value(key, raw, lineno)
     if not version_seen:
         raise ConfigError(f"{path}: missing 'version 1' line")
     return replace(cfg, **overrides)
@@ -312,15 +298,17 @@ def build_scenario(cfg: ExperimentConfig, grid=None) -> Scenario:
     phases = build_phase_codebook((cfg.ris_h, cfg.ris_v), cfg.quant_step,
                                   (cfg.phase_lo, cfg.phase_hi),
                                   default_phase_directions(cfg.n_phases))
-    env_cfg = EnvConfig(n_rays=cfg.n_rays, scatter_gain_var=cfg.scatter_var,
-                        exponent_los=cfg.exponent_los,
-                        exponent_nlos=cfg.exponent_nlos,
-                        carrier_freq=cfg.fc_hz,
-                        markov=MarkovBlockage(cfg.p_block, cfg.p_unblock),
-                        orientation_jitter=cfg.orientation_jitter,
-                        rate_norm_max=cfg.rate_norm_max)
     return Scenario(grid=grid, geometry=geometry, budget=budget,
-                    beams=beams, phases=phases, cfg=env_cfg)
+                    beams=beams, phases=phases, cfg=env_config(cfg))
+
+
+def env_config(cfg: ExperimentConfig) -> EnvConfig:
+    return EnvConfig(n_rays=cfg.n_rays, scatter_gain_var=cfg.scatter_var,
+                     exponent_los=cfg.exponent_los, exponent_nlos=cfg.exponent_nlos,
+                     carrier_freq=cfg.fc_hz,
+                     markov=MarkovBlockage(cfg.p_block, cfg.p_unblock),
+                     orientation_jitter=cfg.orientation_jitter,
+                     rate_norm_max=cfg.rate_norm_max)
 
 
 def train_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -484,9 +472,8 @@ def _rollout_stats(env, controller, cfg: ExperimentConfig, episodes: int,
         if k >= cfg.eval_warmup:
             returns_norm.append(sample.episodic_return)
             returns_bits.append(record.episodic_return)
-    if n_obs:
-        for m, d in enumerate(controller.distributions(buffers)):
-            dist_sums[m] += d
+    for m, d in enumerate(controller.distributions(buffers)):
+        dist_sums[m] += d
     hist = [s / n_obs for s in dist_sums]
     return np.asarray(returns_norm), np.asarray(returns_bits), hist
 
@@ -507,14 +494,11 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
     write_gnuplot(os.path.join(out_dir, "episodes.gp"), "episodic return",
                   "episodes.csv", "1:2", "episode", "R_T (normalized)")
 
-    summary = [(f"{cfg.mu:.10g}", cfg.horizon,
-                f"{returns_norm.mean() if returns_norm.size else 0.0:.10g}",
-                f"{returns_norm.var() if returns_norm.size else 0.0:.10g}",
-                f"{returns_bits.mean() if returns_bits.size else 0.0:.10g}",
-                f"{returns_bits.var() if returns_bits.size else 0.0:.10g}")]
+    summary = [(f"{cfg.mu:.10g}", cfg.horizon, f"{returns_norm.mean():.10g}",
+                f"{returns_norm.var():.10g}", f"{returns_bits.mean():.10g}",
+                f"{returns_bits.var():.10g}")] if returns_norm.size else []
     write_metric_csv(os.path.join(out_dir, "summary.csv"), cfg,
-                     "mu,T,mean_RT_norm,var_RT_norm,mean_RT_bits,var_RT_bits",
-                     summary if returns_norm.size else [])
+                     "mu,T,mean_RT_norm,var_RT_norm,mean_RT_bits,var_RT_bits", summary)
 
     hist_rows = [(m, a, f"{hist[m][a]:.10g}")
                  for m in range(len(hist)) for a in range(hist[m].size)]
@@ -537,7 +521,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
             rn, _rb, _h = _rollout_stats(env_k, controller, cfg,
                                          max(cfg.eval_episodes // 2, 20),
                                          cfg.seed + 1000)
-            mean_k = float(rn.mean()) if rn.size else 0.0
+            mean_k = float(rn.mean())
             if base_mean is None:
                 base_mean = mean_k
             deviation = 0.0 if base_mean == 0 else 100.0 * abs(mean_k - base_mean) / base_mean

@@ -257,8 +257,8 @@ def mobility_step(grid: OccupancyGrid, position, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class MarkovBlockage:
-    p_block: float = 0.1
-    p_unblock: float = 0.4
+    p_block: float
+    p_unblock: float
 
     def __post_init__(self):
         for p in (self.p_block, self.p_unblock):
@@ -312,14 +312,14 @@ class HistoryBuffer:
 
 @dataclass(frozen=True)
 class EnvConfig:
-    n_rays: int = 3
-    scatter_gain_var: float = 0.1
-    exponent_los: float = 2.0
-    exponent_nlos: float = 4.0
-    carrier_freq: float = 73e9
-    markov: MarkovBlockage = MarkovBlockage()
-    orientation_jitter: float = np.pi / 12
-    rate_norm_max: float = 20.0      # history inputs are r/(w * this)
+    n_rays: int
+    scatter_gain_var: float
+    exponent_los: float
+    exponent_nlos: float
+    carrier_freq: float
+    markov: MarkovBlockage
+    orientation_jitter: float
+    rate_norm_max: float             # history inputs are r/(w * this)
 
     def __post_init__(self):
         if self.n_rays < 1:
@@ -339,7 +339,7 @@ class Scenario:
     budget: LinkBudget
     beams: BeamCodebook
     phases: PhaseCodebook
-    cfg: EnvConfig = field(default_factory=EnvConfig)
+    cfg: EnvConfig
 
     def __post_init__(self):
         if self.geometry.n_ris != len(self.grid.ris_cells):

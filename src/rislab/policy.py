@@ -77,8 +77,8 @@ class PolicyArchitecture:
     history_len: int               # H, divisible by 4
     input_size: int                # features per history slot
     head_sizes: tuple[int, ...]    # one action-space size per softmax head
-    dropout_lstm: float = 0.2      # applied once, after the LSTM stack
-    dropout_dense: float = 0.4     # applied after each rectified dense layer
+    dropout_lstm: float            # applied once, after the LSTM stack
+    dropout_dense: float           # applied after each rectified dense layer
 
     def __post_init__(self):
         if self.kind not in ("centralized", "distributed"):

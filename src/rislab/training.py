@@ -56,7 +56,7 @@ class Controller:
     kind: str
 
     def __init__(self, head_sizes, history_len: int, rng: np.random.Generator | None,
-                 dropout_lstm: float = 0.2, dropout_dense: float = 0.4, params=None):
+                 dropout_lstm: float, dropout_dense: float, params=None):
         """`params`, one PolicyParams per group, makes the nets share those
         arrays instead of drawing fresh ones from `rng`."""
         self.head_sizes = tuple(head_sizes)

@@ -2,13 +2,29 @@
 points. Not named conftest.py: perfbench/tests has a conftest of its own, and
 one pytest run collects both directories."""
 
+from dataclasses import replace
+
 import numpy as np
 
+from rislab import cli
 from rislab import policy as pol
 from rislab.oracle import ToyGame, enumerate_exact_J, enumerate_trajectories, policy_table
 from rislab.policy import PolicyParams, n_params, param_layout
 from rislab.risk import gradient_weight
 from rislab.training import _apply_update
+
+
+def env_config(**kw):
+    """The paper profile's EnvConfig with `kw` replaced: the environment of
+    the scenarios tests build by hand."""
+    return replace(cli.env_config(cli.profile_config("paper")), **kw)
+
+
+def desk_controller(cls, head_sizes, history_len, rng, params=None):
+    """A `cls` controller with the desk profile's dropout rates."""
+    desk = cli.profile_config("desk")
+    return cls(head_sizes, history_len, rng, desk.dropout_lstm, desk.dropout_dense,
+               params=params)
 
 
 def fd_gradient(fun, values, step=1e-5):

@@ -5,7 +5,6 @@ import os
 import struct
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 
 import rislab
 from rislab.cli import (
-    _KEY_ALIASES,
     ConfigError,
     ExperimentConfig,
     PROFILES,
@@ -113,14 +111,37 @@ def test_load_config_requires_version(tmp_path):
         load_config(path)
 
 
-def test_key_aliases_name_every_field_once(tmp_path):
-    # the file schema has one key per field (profile is selected by its own
-    # line), and each key parses back to its field's type
-    counts = Counter(_KEY_ALIASES.values())
-    assert counts == {f.name: 1 for f in fields(ExperimentConfig) if f.name != "profile"}
+# the config-file format: one key per field but `profile`, which is
+# selected by its own line
+FILE_KEYS = (
+    "channel.fc_hz", "channel.bandwidth_hz", "channel.tx_power_dbm",
+    "channel.noise_dbm_hz", "channel.n_ap", "channel.n_ue", "channel.ris_h",
+    "channel.ris_v", "channel.n_rays", "channel.exponent_los",
+    "channel.exponent_nlos", "channel.scatter_var",
+    "codebook.n_beams", "codebook.n_phases", "codebook.quant_step",
+    "codebook.phase_lo", "codebook.phase_hi",
+    "env.scenario", "env.p_block", "env.p_unblock", "env.rate_norm_max",
+    "env.orientation_jitter",
+    "train.mode", "train.mu", "train.horizon", "train.history_len",
+    "train.learning_rate", "train.minibatch", "train.seed_episodes",
+    "train.offline_epochs", "train.max_updates", "train.convergence_window",
+    "train.convergence_tol", "train.dropout_lstm", "train.dropout_dense",
+    "train.grad_clip", "train.polish_steps",
+    "dataset.trajectories", "dataset.length",
+    "eval.episodes", "eval.warmup", "eval.obstacle_counts",
+    "seed",
+)
+
+
+def test_file_keys_are_pinned_and_round_trip(tmp_path):
+    # every field but `profile` has its own key, renaming a field keeps its
+    # key, and each key parses back to its field's value
+    keyed = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)
+             if f.name != "profile"}
+    assert sorted(keyed) == sorted(FILE_KEYS)
     base = ExperimentConfig()
     lines = ["version 1"]
-    for key, name in _KEY_ALIASES.items():
+    for key, name in keyed.items():
         value = getattr(base, name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
@@ -405,6 +426,26 @@ def test_main_missing_checkpoint_exit_2(tmp_path):
     ("train", "train.seed_episodes -1", []),
     ("train", "train.offline_epochs -1", []),
     ("train", "train.max_updates -1", []),
+    ("train", "channel.fc_hz 0", []),
+    ("train", "channel.exponent_los nan", []),
+    ("train", "channel.scatter_var nan", []),
+    ("train", "env.orientation_jitter nan", []),
+    ("train", "env.rate_norm_max 0", []),
+    ("train", "channel.tx_power_dbm nan", []),
+    ("train", "channel.bandwidth_hz inf", []),
+    ("train", "train.learning_rate nan", []),
+    ("train", "train.convergence_window 0", []),
+    ("train", "train.grad_clip -1", []),
+    ("evaluate", "eval.warmup -5\neval.episodes 3", ["--checkpoint", "{tmp}/ckpt"]),
+    ("evaluate", "eval.warmup 0\neval.episodes 0", ["--checkpoint", "{tmp}/ckpt"]),
+    ("train", "channel.noise_dbm_hz nan", []),
+    ("train", "channel.scatter_var inf", []),
+    ("train", "env.orientation_jitter -1", []),
+    ("train", "codebook.quant_step inf", []),
+    ("train", "codebook.phase_lo -inf", []),
+    ("train", "codebook.phase_hi inf", []),
+    ("train", "train.convergence_tol nan", []),
+    ("train", "train.polish_steps -1", []),
 ])
 def test_main_rejected_input_exits_2_with_one_line(tmp_path, capsys, command, line, extra):
     # a ValueError raised while the CLI builds objects from config values or

@@ -23,7 +23,6 @@ from rislab.channel import (
 from rislab.environment import (
     ActionProfile,
     DatasetFormatError,
-    EnvConfig,
     Environment,
     HistoryBuffer,
     MarkovBlockage,
@@ -47,13 +46,14 @@ from rislab.environment import (
 )
 from rislab.training import CentralizedController, DistributedController, EpisodeRecord
 
+from helpers import desk_controller, env_config
 
-def small_scenario(markov=None, n_rays=2, scatter_var=0.05):
+
+def small_scenario(n_rays=2, scatter_var=0.05, **env):
     grid = desk_grid()
     geo = ArrayGeometry(n_ap=4, n_ue=2, ris_shapes=((2, 2), (2, 2)))
     budget = LinkBudget(tx_power=1.0, bandwidth=1.0, noise_density=1e-16)
-    cfg = EnvConfig(n_rays=n_rays, scatter_gain_var=scatter_var,
-                    markov=markov or MarkovBlockage())
+    cfg = env_config(n_rays=n_rays, scatter_gain_var=scatter_var, **env)
     return Scenario(grid=grid, geometry=geo, budget=budget,
                     beams=build_beam_codebook(4),
                     phases=build_phase_codebook((2, 2), np.pi / 5, (-np.pi / 2, np.pi / 2),
@@ -398,7 +398,7 @@ def _paper_array_scenario():
                     beams=build_beam_codebook(8),
                     phases=build_phase_codebook((8, 8), np.pi / 5, (-np.pi / 2, np.pi / 2),
                                                 default_phase_directions(11)),
-                    cfg=EnvConfig(n_rays=3))
+                    cfg=env_config(n_rays=3))
 
 
 @pytest.mark.parametrize("make_scenario, every_cell", [
@@ -439,7 +439,7 @@ def _small_scenario_with_ris(ris_cells, n_rays):
                     beams=build_beam_codebook(4),
                     phases=build_phase_codebook((2, 2), np.pi / 5, (-np.pi / 2, np.pi / 2),
                                                 default_phase_directions(5)),
-                    cfg=EnvConfig(n_rays=n_rays, scatter_gain_var=0.05))
+                    cfg=env_config(n_rays=n_rays, scatter_gain_var=0.05))
 
 
 @pytest.mark.parametrize("n_rays", [1, 3])
@@ -553,7 +553,7 @@ def test_environment_replay_follows_trajectory():
 def encoder(kind, head_sizes, history_len):
     # a controller used only for its history window and encoder, which read
     # H from history_len; its nets need a multiple of 4 and are not run here
-    ctrl = kind(head_sizes, 4, np.random.default_rng(0))
+    ctrl = desk_controller(kind, head_sizes, 4, np.random.default_rng(0))
     ctrl.history_len = history_len
     return ctrl
 
@@ -803,7 +803,8 @@ def test_scenario_file_mutants_are_rejected_or_step(tmp_path, base, mutations):
                    budget=LinkBudget(tx_power=1.0, bandwidth=1.0, noise_density=1e-16),
                    beams=build_beam_codebook(4),
                    phases=build_phase_codebook((2, 2), np.pi / 5, (-np.pi / 2, np.pi / 2),
-                                               default_phase_directions(5)))
+                                               default_phase_directions(5)),
+                   cfg=env_config())
     env = Environment(scn, seed=0)
     for t in range(6):
         reward, state = env.step(ActionProfile(t % 4, (t % 5,) * n_ris))

@@ -62,8 +62,7 @@ def test_init_deterministic_under_seed():
 def test_init_param_count_closed_form():
     # independent dimension arithmetic for H=16 distributed, 8 actions,
     # input = one-hot(8) + rate = 9 features
-    arch = PolicyArchitecture(kind="distributed", history_len=16, input_size=9,
-                              head_sizes=(8,))
+    arch = tiny_arch(heads=(8,), f=9, h=16)
     lstm0 = 4 * 16 * 9 + 4 * 16 * 16 + 4 * 16      # gates x (in + rec + bias)
     lstm1 = 4 * 4 * 16 + 4 * 4 * 4 + 4 * 4
     dense = (4 * 4 + 4) + (4 * 4 + 4)              # two H/4-wide trunk layers

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import (
+    desk_controller,
     fd_gradient,
     reference_exact_ascent,
     reference_exact_gradient,
@@ -124,7 +125,7 @@ def test_collect_episode_deterministic_with_onehot_policies():
         def distributions(self, buffers):
             return [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
 
-    ctrl = Pinned((2, 2), cfg.history_len, np.random.default_rng(1))
+    ctrl = desk_controller(Pinned, (2, 2), cfg.history_len, np.random.default_rng(1))
     returns = set()
     for _ in range(3):
         buffers = [HistoryBuffer(cfg.history_len) for _ in range(2)]
@@ -166,7 +167,7 @@ def test_distributed_policy_fn_runs_only_its_own_net(monkeypatch):
     # running agent m's net alone: one forward per call, not one per agent
     from rislab import policy as pol
 
-    ctrl = DistributedController((3, 2, 2), 4, np.random.default_rng(36))
+    ctrl = desk_controller(DistributedController, (3, 2, 2), 4, np.random.default_rng(36))
     randomize(ctrl, np.random.default_rng(37))
     history = (((2, 0, 1), 0.4), ((0, 1, 1), 1.3), ((1, 1, 0), 0.2),
                ((2, 1, 0), 0.9), ((0, 0, 1), 0.7))
@@ -191,19 +192,19 @@ def test_distributed_policy_fn_runs_only_its_own_net(monkeypatch):
 def test_controller_over_given_params_shares_their_arrays():
     # a one-agent learner built over a team net reads and steps the team's
     # own parameter arrays; params that do not fit the net are refused
-    team = DistributedController((3, 2), 4, np.random.default_rng(38))
-    learner = DistributedController((2,), 4, None, params=[team.nets[1][1]])
+    team = desk_controller(DistributedController, (3, 2), 4, np.random.default_rng(38))
+    learner = desk_controller(DistributedController, (2,), 4, None, params=[team.nets[1][1]])
     assert learner.nets[0][1] is team.nets[1][1]
     assert learner.nets[0][0] == team.nets[1][0]
     with pytest.raises(ValueError):
-        DistributedController((3,), 4, None, params=[team.nets[1][1]])
+        desk_controller(DistributedController, (3,), 4, None, params=[team.nets[1][1]])
 
 
 @pytest.mark.parametrize("kind", [CentralizedController, DistributedController])
 def test_policy_fn_equals_joint_distributions(kind):
     # the oracle-facing policy_fn(m) and the collection-facing
     # distributions()[m] are the same function of the history, bit for bit
-    ctrl = kind((3, 2, 2), 4, np.random.default_rng(38))
+    ctrl = desk_controller(kind, (3, 2, 2), 4, np.random.default_rng(38))
     randomize(ctrl, np.random.default_rng(39))
     history = (((1, 1, 0), 0.8), ((2, 0, 1), 0.1), ((0, 1, 1), 1.7),
                ((1, 0, 0), 0.5), ((2, 1, 1), 0.3))
@@ -237,7 +238,7 @@ def test_one_encoder_behind_every_entry_point(kind, monkeypatch):
     from rislab import policy as pol
 
     heads, history_len, horizon = (3, 2, 2), 4, 3
-    ctrl = kind(heads, history_len, np.random.default_rng(45))
+    ctrl = desk_controller(kind, heads, history_len, np.random.default_rng(45))
     assert ctrl.groups == ([(0, 1, 2)] if kind is CentralizedController
                            else [(0,), (1,), (2,)])
     history = (((2, 0, 1), 0.4), ((0, 1, 1), 1.3), ((1, 1, 0), 0.2),
@@ -305,7 +306,7 @@ def history_window(ctrl, hist):
 @given(case=head_histories())
 def test_fuzz_encoded_window_equals_plain_loop(kind, case):
     heads, history_len, (hist,) = case
-    ctrl = kind(heads, history_len, np.random.default_rng(0))
+    ctrl = desk_controller(kind, heads, history_len, np.random.default_rng(0))
     actions, rates = history_window(ctrl, hist)
     assert actions.shape == (history_len, len(heads)) and rates.shape == (history_len,)
     for net, agents in enumerate(ctrl.groups):
@@ -318,7 +319,7 @@ def test_fuzz_encoded_window_equals_plain_loop(kind, case):
 @given(case=head_histories(count=3))
 def test_fuzz_stacked_encode_equals_per_window_encodes(kind, case):
     heads, history_len, hists = case
-    ctrl = kind(heads, history_len, np.random.default_rng(0))
+    ctrl = desk_controller(kind, heads, history_len, np.random.default_rng(0))
     windows = [history_window(ctrl, hist) for hist in hists]
     actions = np.stack([a for a, _ in windows])
     rates = np.stack([r for _, r in windows])
@@ -335,7 +336,7 @@ def test_fuzz_buffers_hold_the_window_of_their_history(kind, case, extra):
     # buffers of H or more slots, pushed in step with a history, give the
     # window of that history
     heads, history_len, (hist,) = case
-    ctrl = kind(heads, history_len, np.random.default_rng(0))
+    ctrl = desk_controller(kind, heads, history_len, np.random.default_rng(0))
     buffers = buffers_from_history(hist, len(heads), history_len + extra)
     got = ctrl.window(np.stack([buf.actions for buf in buffers], axis=1), buffers[0].rates)
     for a, b in zip(got, history_window(ctrl, hist)):
