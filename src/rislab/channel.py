@@ -42,6 +42,30 @@ class ChannelShapeError(ValueError):
 # domain types
 
 
+POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+
+
+def check_ranges(obj, *rules) -> None:
+    """Raise ValueError naming the first field of `obj` outside its range;
+    each rule is ((range text, predicate), field names). nan fails every
+    range."""
+    for (text, holds), names in rules:
+        for name in names:
+            value = getattr(obj, name)
+            if not holds(value):
+                raise ValueError(f"{type(obj).__name__}.{name} must be {text}, "
+                                 f"not {value!r}")
+
+
+def _check_phase_grid(quantization_step: float, lo: float, hi: float) -> None:
+    if not 0 < quantization_step < math.inf:
+        raise ValueError(f"quantization_step must be finite and > 0, "
+                         f"not {quantization_step!r}")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"phase_range must be finite with lo < hi, not {(lo, hi)!r}")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Antenna counts: AP and UE are ULAs, each RIS is an n_h x n_v UPA."""
@@ -72,6 +96,8 @@ class BeamCodebook:
         a = np.asarray(self.angles, dtype=float)
         if a.size < 2:
             raise ValueError("beam codebook needs at least 2 entries")
+        if not np.isfinite(a).all():
+            raise ValueError(f"beam angles must be finite, not {self.angles!r}")
         if np.any(np.diff(a) <= 0):
             raise ValueError("beam angles must be strictly increasing")
         if np.any(a < -np.pi) or np.any(a > np.pi):
@@ -108,10 +134,11 @@ class PhaseCodebook:
         if len(self.entries) < 1:
             raise ValueError("phase codebook needs at least 1 entry")
         lo, hi = self.phase_range
-        if not (self.quantization_step > 0 and lo < hi):
-            raise ValueError("need quantization_step > 0 and lo < hi")
+        _check_phase_grid(self.quantization_step, lo, hi)
         for entry in self.entries:
             arr = np.asarray(entry, dtype=float)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"phase codebook entries must be finite, not {entry!r}")
             if np.any(arr < lo - 1e-12) or np.any(arr > hi + 1e-12):
                 raise ValueError("phase outside configured range")
             steps = (arr - lo) / self.quantization_step
@@ -131,8 +158,7 @@ class LinkBudget:
     noise_density: float
 
     def __post_init__(self):
-        if min(self.tx_power, self.bandwidth, self.noise_density) <= 0:
-            raise ValueError("link-budget values must be strictly positive")
+        check_ranges(self, (POSITIVE, ("tx_power", "bandwidth", "noise_density")))
 
 
 @dataclass
@@ -240,8 +266,9 @@ def ris_core(in_rows: np.ndarray, weights: np.ndarray, out_rows: np.ndarray) -> 
 
 
 def _require_finite(*arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("channel contains non-finite entries")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("channel contains non-finite entries")
 
 
 @lru_cache(maxsize=64)
@@ -317,8 +344,7 @@ def build_phase_codebook(panel: tuple[int, int], quantization_step: float,
     if not directions:
         raise ValueError("need at least one steering direction")
     lo, hi = phase_range
-    if not (quantization_step > 0 and lo < hi):
-        raise ValueError("need quantization_step > 0 and lo < hi")
+    _check_phase_grid(quantization_step, lo, hi)
     n_h, n_v = panel
     if n_h < 1 or n_v < 1:
         raise ValueError("RIS dimensions must be >= 1")

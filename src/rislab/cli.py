@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .channel import (
+    NONNEGATIVE,
+    POSITIVE,
     ArrayGeometry,
     LinkBudget,
     build_beam_codebook,
@@ -98,13 +100,14 @@ def _knob(key: str, default):
     return field(default=default, metadata={"key": key})
 
 
-# (rule, predicate, fields): the range of every numeric knob that no object
-# built from it checks in full. nan and inf fail every rule.
+# (rule, predicate, fields): knob ranges checked when the config is made, so
+# the error names the file key before any object is built from the value.
+# The knobs left out (sizes, probabilities, dropout rates) are checked by the
+# objects built from them. nan and inf fail every rule.
 _RANGES = (
     ("finite", math.isfinite, ("tx_power_dbm", "noise_dbm_hz", "phase_lo", "phase_hi")),
-    ("finite and > 0", lambda v: 0 < v < math.inf,
-     ("fc_hz", "bandwidth_hz", "quant_step", "rate_norm_max")),
-    ("finite and >= 0", lambda v: 0 <= v < math.inf,
+    (*POSITIVE, ("fc_hz", "bandwidth_hz", "quant_step", "rate_norm_max")),
+    (*NONNEGATIVE,
      ("exponent_los", "exponent_nlos", "scatter_var", "orientation_jitter",
       "learning_rate", "convergence_tol", "grad_clip")),
     (">= 0", lambda v: v >= 0,

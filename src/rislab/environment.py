@@ -47,8 +47,11 @@ from .channel import (
     BeamCodebook,
     CascadedChannel,
     LinkBudget,
+    NONNEGATIVE,
+    POSITIVE,
     PhaseCodebook,
     achievable_rate,
+    check_ranges,
     free_space_gain,
     ris_core,
     steering_vector_ula,
@@ -324,8 +327,9 @@ class EnvConfig:
     def __post_init__(self):
         if self.n_rays < 1:
             raise ValueError("need at least one ray per link")
-        if self.scatter_gain_var < 0:
-            raise ValueError("scatter gain variance must be >= 0")
+        check_ranges(self, (POSITIVE, ("carrier_freq", "rate_norm_max")),
+                     (NONNEGATIVE, ("scatter_gain_var", "exponent_los", "exponent_nlos",
+                                    "orientation_jitter")))
 
 
 @dataclass
@@ -530,7 +534,7 @@ def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> Cas
     blocked[to_ue] |= state.chain_blocked
     amps = np.empty((len(blocked), n_rays), dtype=complex)
     amps[:, 0] = np.where(blocked, cell.los_amps[:, 1], cell.los_amps[:, 0])
-    amps[:, 1:] = state.scatter_gains * cell.los_amps[:, 1:]
+    np.multiply(state.scatter_gains, cell.los_amps[:, 1:], out=amps[:, 1:])
 
     tx_rows = np.empty((len(from_ap), n_rays, geo.n_ap), dtype=complex)
     tx_rows[:, 0] = cell.tx_rows
@@ -556,7 +560,7 @@ def build_channel(scn: Scenario, state: EnvState, actions: ActionProfile) -> Cas
         np.where(scn._incident, state.scatter_aoa[1:], state.scatter_aod[1:])
         .reshape(n_ris, 2, n_sc),
         state.scatter_elev[1:].reshape(n_ris, 2, n_sc), *scn._panel)
-    cores = ris_core(rows[:, 0], scn._weights[list(actions.ris_phases)], rows[:, 1])
+    cores = ris_core(rows[:, 0], scn._weights.take(actions.ris_phases, axis=0), rows[:, 1])
     core = scn._core.copy()
     core.put(scn._ris_block_index, cores)
     core *= np.multiply.outer(tx_amps, rx_amps)

@@ -34,7 +34,10 @@ i/f/o rows of A are halved once per call and a fixed per-row affine
 (x 1/2 + 1/2 on i/f/o, identity on g) finishes them. tanh saturates
 instead of overflowing, so large pre-activations need no masking. Gates
 and states are written in place into one (H + L - 1, 7n, S) block per
-pass, and the cache keeps that block as the pass's only LSTM state. With
+pass, and the cache keeps that block as the pass's only LSTM state. A wave
+reads its seven segments as the views of one (7, n, S) reshape of its
+block, and its recurrent product and f * c_prev go through two
+temporaries allocated once per pass, not once per wave. With
 one large block, glibc's malloc sizes its heap-trim threshold from it, so
 the heap keeps the pass's memory for the next pass instead of returning
 it and faulting it back in page by page. Backward mirrors the forward
@@ -44,12 +47,14 @@ gradient and the input gradient of the layer above. A layer's not-started
 waves (i = 0, c = 0) and its tail waves (no gradient reaches them) get
 dz = 0 without special cases. dA is then two batched matmuls over the
 waves, plus the bias gradient of the waves past the input. The index maps
-between A and the flat parameter vector are built once per architecture.
-The dense trunk and the heads stay row-major, (S, width).
+between A and the flat parameter vector, and the view names of the trunk
+and head weights, are built once per architecture. The dense trunk and the
+heads stay row-major, (S, width).
 
 Parameters live in one flat float64 vector with named slices, so the
 optimizer, the checkpoint format, and finite-difference probes all see the
-same layout.
+same layout. The named views are built once per vector, not per call, so
+the vector is updated in place (see PolicyParams).
 """
 
 from __future__ import annotations
@@ -131,7 +136,13 @@ def param_layout(arch: PolicyArchitecture) -> list[tuple[str, tuple[int, ...]]]:
 
 @dataclass
 class PolicyParams:
-    """Flat float64 parameter vector with named views per layer slice."""
+    """Flat float64 parameter vector with named views per layer slice.
+
+    The views are built once, when `values` is bound, and `view` returns
+    them; so update the vector in place (`values += step`, `values[:] =
+    new`), which the views follow. Binding another array to `values`
+    rebuilds them, and a copy or an unpickled object builds its own over
+    its own vector."""
 
     values: np.ndarray
     layout: list = field(repr=False, default=None)
@@ -147,14 +158,36 @@ class PolicyParams:
             if pos != self.values.size:
                 raise ValueError(f"layout wants {pos} values, got {self.values.size}")
             object.__setattr__(self, "_offsets", offsets)
+        self._bind_views()
+
+    def _bind_views(self):
+        values = self.values
+        object.__setattr__(self, "_views", {
+            name: values[start:end].reshape(shape)
+            for name, (start, end, shape) in self._offsets.items()})
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name == "values" and "_views" in self.__dict__:
+            self._bind_views()
+
+    # copy and pickle carry the vector; a view would arrive as an
+    # independent array, so each copy rebuilds its views
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_views"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind_views()
 
     @property
     def n(self) -> int:
         return self.values.size
 
     def view(self, name: str) -> np.ndarray:
-        start, end, shape = self._offsets[name]
-        return self.values[start:end].reshape(shape)
+        return self._views[name]
 
 
 def n_params(arch: PolicyArchitecture) -> int:
@@ -184,16 +217,18 @@ def init_params(arch: PolicyArchitecture, rng: np.random.Generator) -> PolicyPar
 
 
 def _softmax(logits):
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Row softmax, computed in place in `logits`, which it returns."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 @dataclass(frozen=True)
 class _WavePlan:
     """Where each LSTM weight of the flat parameter vector sits in the
-    stacked matrix A of the wave kernel (see _stack_matrix); built once per
-    architecture."""
+    stacked matrix A of the wave kernel (see _stack_matrix), and the view
+    names of the dense and head weights; built once per architecture."""
 
     starts: tuple          # first row of each layer in an n-row segment, then n
     shape: tuple           # A's, (4n, n + F + 1)
@@ -201,7 +236,10 @@ class _WavePlan:
     shift: np.ndarray      # (4n, 1): 1 - half
     src: np.ndarray        # flat-vector index of each LSTM weight and bias
     dst: np.ndarray        # its index in the flattened A
-    scale: np.ndarray      # half of its row
+    gather: np.ndarray     # per entry of the flattened A, its flat-vector index;
+                           # the vector's size where A holds a 0
+    trunk: tuple           # (W, b) view names of each dense layer
+    heads: tuple           # (W, b) view names of each head
 
 
 @lru_cache(maxsize=16)
@@ -222,12 +260,22 @@ def _wave_plan(arch: PolicyArchitecture) -> _WavePlan:
             src.append(block.ravel())
             dst.append((rows[:, None] * cols + col + np.arange(block.shape[1])).ravel())
     half = np.repeat([0.5, 0.5, 1.0, 0.5], n)[:, None]
-    dst = np.concatenate(dst)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    gather = np.full(4 * n * cols, index.n)
+    gather[dst] = src
     plan = _WavePlan(starts=starts, shape=(4 * n, cols), half=half, shift=1.0 - half,
-                     src=np.concatenate(src), dst=dst, scale=half[dst // cols, 0])
-    for a in (plan.half, plan.shift, plan.src, plan.dst, plan.scale):
+                     src=src, dst=dst, gather=gather,
+                     trunk=tuple((f"dense{j}.W", f"dense{j}.b")
+                                 for j in range(len(arch.trunk_sizes))),
+                     heads=tuple((f"head{m}.W", f"head{m}.b")
+                                 for m in range(len(arch.head_sizes))))
+    for a in (plan.half, plan.shift, plan.src, plan.dst, plan.gather):
         a.flags.writeable = False
     return plan
+
+
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False
 
 
 def _stack_matrix(values: np.ndarray, plan: _WavePlan, halved: bool) -> np.ndarray:
@@ -236,9 +284,11 @@ def _stack_matrix(values: np.ndarray, plan: _WavePlan, halved: bool) -> np.ndarr
     columns and W_j on layer j-1's, so M @ [h_0 | ... | h_{L-1}] is every
     layer's recurrent and inter-layer term at once. The other columns hold
     W_0, then every bias, and act on a slot's inputs followed by a 1.
-    `halved` scales the sigmoid rows by 1/2."""
-    a = np.zeros(plan.shape)
-    a.ravel()[plan.dst] = values[plan.src] * plan.scale if halved else values[plan.src]
+    `halved` scales the sigmoid rows by 1/2. A is one gather from the
+    vector with a 0 appended, which fills A's other entries."""
+    a = np.concatenate((values, _ZERO)).take(plan.gather).reshape(plan.shape)
+    if halved:
+        a *= plan.half
     return a
 
 
@@ -247,30 +297,38 @@ def _wave_forward(a_half: np.ndarray, plan: _WavePlan, inputs: np.ndarray,
     """The whole LSTM stack over an (H, F + 1, S) sequence from h = c = 0,
     one wave at a time as the module docstring describes. Writes every
     wave's activated gates [i | f | g | o], then c, tanh(c) and h, into
-    `waves`, (H + L - 1, 7n, S)."""
-    starts, half = plan.starts, plan.half
+    `waves`, (H + L - 1, 7n, S). The recurrent term and f * c_prev of a
+    wave go through two temporaries allocated once per call."""
+    starts, half, shift = plan.starts, plan.half, plan.shift
+    late = starts[1:-1]  # wave k: layers from late[k] on have not started
+    count, _, batch = waves.shape
     n, steps = starts[-1], len(inputs)
-    gates, cell, tanh_cell, hidden = (waves[:, :4 * n], waves[:, 4 * n:5 * n],
-                                      waves[:, 5 * n:6 * n], waves[:, 6 * n:])
+    gates = waves[:, :4 * n]
     m_half = a_half[:, :n]
     np.matmul(a_half[:, n:], inputs, out=gates[:steps])
     gates[steps:] = a_half[:, -1:]  # past the input: the biases only
-    for k in range(len(waves)):
-        z = gates[k]
+    recurrent, carry = np.empty((4 * n, batch)), np.empty((n, batch))
+    tanh, multiply, matmul = np.tanh, np.multiply, np.matmul  # ufunc(x, y, out)
+    h = c = None
+    for k, (z, (i, f, g, o, c_k, tc, h_k)) in enumerate(
+            zip(gates, waves.reshape(count, 7, n, batch))):
         if k:
-            z += m_half @ hidden[k - 1]
-        np.tanh(z, out=z)
+            matmul(m_half, h, recurrent)
+            z += recurrent
+        tanh(z, z)
         z *= half
-        z += plan.shift
-        if k < len(starts) - 2:
-            # layers above k have not started: i = 0 keeps their c = h = 0
-            # and zeroes their pre-activation gradients in backward
-            z[starts[k + 1]:n] = 0.0
-        np.multiply(z[:n], z[2 * n:3 * n], out=cell[k])
+        z += shift
+        if k < len(late):
+            # i = 0 keeps the c = h = 0 of the layers not started and
+            # zeroes their pre-activation gradients in backward
+            i[late[k]:] = 0.0
+        multiply(i, g, c_k)
         if k:
-            cell[k] += z[n:2 * n] * cell[k - 1]
-        np.tanh(cell[k], out=tanh_cell[k])
-        np.multiply(z[3 * n:], tanh_cell[k], out=hidden[k])
+            multiply(f, c, carry)
+            c_k += carry
+        tanh(c_k, tc)
+        multiply(o, tc, h_k)
+        h, c = h_k, c_k
 
 
 def _wave_backward(a: np.ndarray, plan: _WavePlan, inputs: np.ndarray,
@@ -401,22 +459,17 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
     if drop_lstm is not None:
         z = z * drop_lstm
 
+    view = params.view
     trunk = []
-    for j, mask in enumerate(masks[1:]):
-        w = params.view(f"dense{j}.W")
-        b = params.view(f"dense{j}.b")
-        pre = z @ w.T + b
+    for (w, b), mask in zip(plan.trunk, masks[1:]):
+        pre = z @ view(w).T + view(b)
         out = np.maximum(pre, 0.0)
         if mask is not None:
             out = out * mask
         trunk.append((z, pre, mask))
         z = out
 
-    probs = []
-    for m in range(len(arch.head_sizes)):
-        w = params.view(f"head{m}.W")
-        b = params.view(f"head{m}.b")
-        probs.append(_softmax(z @ w.T + b))
+    probs = [_softmax(z @ view(w).T + view(b)) for w, b in plan.heads]
 
     cache = ForwardCache(n_params=params.n, inputs=inputs, waves=waves, drop_lstm=drop_lstm,
                          trunk=trunk, trunk_out=z, head_probs=probs)
@@ -429,9 +482,8 @@ def forward(params: PolicyParams, arch: PolicyArchitecture, history: np.ndarray,
 
 def sample_action(distribution: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw: first index whose cumulative strictly exceeds u."""
-    cum = np.cumsum(np.asarray(distribution, dtype=float))
-    u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
+    cum = np.asarray(distribution, dtype=float).cumsum()
+    idx = int(cum.searchsorted(rng.random(), side="right"))
     return min(idx, cum.size - 1)
 
 
@@ -462,40 +514,42 @@ def backward(params: PolicyParams, arch: PolicyArchitecture, cache: ForwardCache
     batch = cache.inputs.shape[2]
     w_vec = np.broadcast_to(np.asarray(weight, dtype=float), (batch,))
 
-    grad = PolicyParams(values=np.zeros(params.n), layout=params.layout,
-                        _offsets=params._offsets)
+    grad, offsets = np.zeros(params.n), params._offsets
+    plan = _wave_plan(arch)
+
+    def grad_view(name):
+        # built per call, and only for the names the trunk and heads need
+        start, end, shape = offsets[name]
+        return grad[start:end].reshape(shape)
 
     # heads -> trunk output
     dz = np.zeros_like(cache.trunk_out)
-    for m, size in enumerate(arch.head_sizes):
+    for m, (w, b) in enumerate(plan.heads):
         sel = np.broadcast_to(np.asarray(actions[m], dtype=int), (batch,))
         probs = cache.head_probs[m]
         dlogits = -probs * w_vec[:, None]
         dlogits[np.arange(batch), sel] += w_vec
-        grad.view(f"head{m}.W")[...] += dlogits.T @ cache.trunk_out
-        grad.view(f"head{m}.b")[...] += dlogits.sum(axis=0)
-        dz += dlogits @ params.view(f"head{m}.W")
+        grad_view(w)[...] += dlogits.T @ cache.trunk_out
+        grad_view(b)[...] += dlogits.sum(axis=0)
+        dz += dlogits @ params.view(w)
 
     # dense trunk, reversed
-    for j in reversed(range(len(arch.trunk_sizes))):
-        layer_in, pre, mask = cache.trunk[j]
+    for (w, b), (layer_in, pre, mask) in zip(plan.trunk[::-1], cache.trunk[::-1]):
         if mask is not None:
             dz = dz * mask
         dpre = dz * (pre > 0.0)
-        grad.view(f"dense{j}.W")[...] += dpre.T @ layer_in
-        grad.view(f"dense{j}.b")[...] += dpre.sum(axis=0)
-        dz = dpre @ params.view(f"dense{j}.W")
+        grad_view(w)[...] += dpre.T @ layer_in
+        grad_view(b)[...] += dpre.sum(axis=0)
+        dz = dpre @ params.view(w)
 
     if cache.drop_lstm is not None:
         dz = dz * cache.drop_lstm
 
     # LSTM stack: the top layer receives the trunk gradient at its final slot
-    plan = _wave_plan(arch)
     a = _stack_matrix(params.values, plan, halved=False)
     d_a = _wave_backward(a, plan, cache.inputs, cache.waves, dz.T)
-    grad.values[plan.src] += d_a.ravel()[plan.dst]
-
-    return grad.values
+    grad[plan.src] += d_a.ravel()[plan.dst]
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from rislab.channel import (
     C_LIGHT,
     CascadedChannel,
     LinkBudget,
+    PhaseCodebook,
     achievable_rate,
     build_beam_codebook,
     build_phase_codebook,
@@ -400,6 +401,50 @@ def test_beam_codebook_default_span():
 def test_beam_codebook_rejects_unsorted():
     with pytest.raises(ValueError):
         BeamCodebook(angles=(0.5, 0.1))
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("values, match", [
+    ((1.0, NAN, 1.0), "LinkBudget.bandwidth must be finite and > 0, not nan"),
+    ((NAN, 1.0, 1.0), "LinkBudget.tx_power must be finite and > 0, not nan"),
+    ((1.0, 1.0, NAN), "LinkBudget.noise_density must be finite and > 0, not nan"),
+    ((INF, 1.0, 1.0), "LinkBudget.tx_power must be finite and > 0, not inf"),
+    ((1.0, INF, 1.0), "LinkBudget.bandwidth must be finite and > 0, not inf"),
+    ((1.0, 1.0, INF), "LinkBudget.noise_density must be finite and > 0, not inf"),
+    ((1.0, 0.0, 1.0), "LinkBudget.bandwidth must be finite and > 0, not 0.0"),
+    ((1.0, 1.0, -1.0), "LinkBudget.noise_density must be finite and > 0, not -1.0"),
+])
+def test_link_budget_rejects_values_outside_its_range(values, match):
+    # min() drops a nan that is not in first place, so each field is checked alone
+    with pytest.raises(ValueError, match=match):
+        LinkBudget(*values)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"quantization_step": INF}, "quantization_step must be finite and > 0, not inf"),
+    ({"quantization_step": NAN}, "quantization_step must be finite and > 0, not nan"),
+    ({"quantization_step": 0.0}, "quantization_step must be finite and > 0, not 0.0"),
+    ({"phase_range": (-INF, 1.0)}, r"phase_range must be finite with lo < hi, not \(-inf, 1.0\)"),
+    ({"phase_range": (-1.0, INF)}, r"phase_range must be finite with lo < hi, not \(-1.0, inf\)"),
+    ({"phase_range": (NAN, 1.0)}, "phase_range must be finite with lo < hi"),
+    ({"phase_range": (1.0, -1.0)}, "phase_range must be finite with lo < hi"),
+    ({"entries": ((0.0, NAN),)}, r"phase codebook entries must be finite, not \(0.0, nan\)"),
+    ({"entries": ((INF, 0.0),)}, "phase codebook entries must be finite"),
+])
+def test_phase_codebook_rejects_values_outside_its_range(kw, match):
+    # a -inf bound used to reach the grid check and warn there
+    args = {"entries": ((0.0, 0.5),), "quantization_step": 0.5, "phase_range": (-1.0, 1.0)}
+    PhaseCodebook(**args)
+    with pytest.raises(ValueError, match=match):
+        PhaseCodebook(**{**args, **kw})
+
+
+@pytest.mark.parametrize("angles", [(0.0, NAN), (NAN, 0.0), (-INF, 0.0), (0.0, 1.0, INF)])
+def test_beam_codebook_rejects_non_finite_angles(angles):
+    with pytest.raises(ValueError, match="beam angles must be finite"):
+        BeamCodebook(angles=angles)
 
 
 def test_phase_codebook_broadside_is_all_zero():

@@ -463,6 +463,27 @@ def test_build_channel_matches_ray_oracle_at_every_joint_action(ris_cells, n_ray
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("scatter_gain_var", math.nan, "finite and >= 0"),
+    ("scatter_gain_var", math.inf, "finite and >= 0"),
+    ("scatter_gain_var", -0.1, "finite and >= 0"),
+    ("carrier_freq", math.nan, "finite and > 0"),
+    ("carrier_freq", 0.0, "finite and > 0"),
+    ("carrier_freq", math.inf, "finite and > 0"),
+    ("exponent_los", math.nan, "finite and >= 0"),
+    ("exponent_nlos", math.nan, "finite and >= 0"),
+    ("exponent_nlos", math.inf, "finite and >= 0"),
+    ("orientation_jitter", math.nan, "finite and >= 0"),
+    ("orientation_jitter", -1.0, "finite and >= 0"),
+    ("rate_norm_max", 0.0, "finite and > 0"),
+    ("rate_norm_max", math.nan, "finite and > 0"),
+])
+def test_env_config_rejects_values_outside_its_range(field, value, rule):
+    # the ranges ExperimentConfig gives the knobs these fields come from
+    with pytest.raises(ValueError, match=f"EnvConfig.{field} must be {rule}, not {value!r}"):
+        env_config(**{field: value})
+
+
 @pytest.mark.parametrize("shapes, ragged, match", [
     (((2, 2), (4, 1)), False, "RIS panel 1 is 4x1, panel 0 is 2x2"),
     (((3, 2), (3, 2)), False, "RIS panel 0 has 6 elements, the phase codebook's entries have 4"),

@@ -4,6 +4,7 @@ both theorem harnesses."""
 
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -521,6 +522,54 @@ def test_exact_gradient_bitwise_equals_per_history_reference(mode, game, seed):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+def assert_views_bound(ctrl):
+    """Every named view of every net reads its slice of the net's current
+    vector, and the forward reads the same numbers as over fresh views."""
+    hist = np.random.default_rng(40).normal(size=(3, ctrl.history_len, 1))
+    for arch, params in ctrl.nets:
+        pos = 0
+        for name, shape in pol.param_layout(arch):
+            size = math.prod(shape)
+            view = params.view(name)
+            assert np.shares_memory(view, params.values)
+            np.testing.assert_array_equal(view, params.values[pos:pos + size].reshape(shape))
+            pos += size
+        feats = np.repeat(hist, arch.input_size, axis=-1)
+        fresh = pol.PolicyParams(values=params.values.copy(), layout=params.layout)
+        for got, want in zip(pol.forward(params, arch, feats)[0],
+                             pol.forward(fresh, arch, feats)[0]):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("cls", [DistributedController, CentralizedController])
+def test_param_views_follow_every_update_copy_and_rebind(cls):
+    # the views are built once per vector, so every way the parameters
+    # change or travel must leave them reading the live vector
+    rng = np.random.default_rng(41)
+    ctrl = desk_controller(cls, (3, 2), 4, rng)
+    assert_views_bound(ctrl)
+    tr._apply_update(ctrl, [rng.normal(size=v.size) for v in ctrl.parameter_vectors()],
+                     learning_rate=0.5, grad_clip=0.0)
+    assert_views_bound(ctrl)
+    randomize(ctrl, rng)
+    assert_views_bound(ctrl)
+
+    for twin in (copy.deepcopy(ctrl), pickle.loads(pickle.dumps(ctrl))):
+        assert_views_bound(twin)
+        for (_, mine), (_, other) in zip(ctrl.nets, twin.nets):
+            np.testing.assert_array_equal(mine.values, other.values)
+            assert not np.shares_memory(mine.values, other.values)
+        randomize(twin, rng)  # moves the twin's views, not the original's
+        assert_views_bound(twin)
+        assert_views_bound(ctrl)
+
+    _, params = ctrl.nets[0]
+    old = params.values
+    params.values = rng.uniform(-1.0, 1.0, size=params.n)
+    assert not any(np.shares_memory(params.view(name), old) for name, _ in params.layout)
+    assert_views_bound(ctrl)
 
 
 def test_exact_ascent_bitwise_equals_per_history_reference():

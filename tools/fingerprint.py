@@ -14,7 +14,12 @@ Prints one `<output> <sha256 prefix>` line per output:
   that would alter every manifest shows;
 - channel-layer streams: a 300-step paper-profile `Environment` run
   (rewards and states) at two seeds, the rates of every paper joint action
-  at one state, and desk streams with no RIS and with one RIS.
+  at one state, and desk streams with no RIS and with one RIS;
+- policy kernels, pinned directly rather than through trained parameters:
+  `policy.forward` (eval, and train from a fixed rng) and `policy.backward`
+  of every net of a fresh desk controller of each kind, on one history
+  (S = 1) and on a (T, S) stack, and the `Controller.distributions` stream
+  of a 40-episode rollout of each untrained controller.
 
 A change meant to keep every number bitwise equal is checked by running the
 script on the change and on an export of its parent, then diffing:
@@ -152,6 +157,34 @@ def channel_lines(cli, channel, environment):
         yield f"desk.stream.ris{n_ris}", stream_digest(environment, env, PAPER_STEPS, SEEDS[0])
 
 
+def kernel_lines(cli, environment, policy, training):
+    for kind in KINDS:
+        cfg = replace(cli.profile_config("desk"), mode=kind, seed=SEEDS[0])
+        env, heads = cli.build_environment(cfg)
+        ctrl = training.make_controller(cfg, heads, np.random.default_rng(cfg.seed))
+        rng = np.random.default_rng([cfg.seed, 4])
+        for net, (arch, params, agents) in enumerate(ctrl.net_heads()):
+            for tag, lead in (("S1", ()), ("stack", (cfg.horizon, 8))):
+                window = lead + (cfg.history_len,)
+                actions = np.stack([rng.integers(-1, n, size=window) for n in heads], axis=-1)
+                feats = ctrl.encode(actions, rng.uniform(0.0, 1.0, size=window), net)
+                picks = [rng.integers(0, heads[m], size=lead) for m in agents]
+                weights = rng.normal(size=lead)
+                for mode in ("eval", "train"):
+                    dists, cache = policy.forward(params, arch, feats, mode=mode,
+                                                  rng=np.random.default_rng([cfg.seed, 5]))
+                    grad = policy.backward(params, arch, cache,
+                                           [p.ravel() for p in picks], weights.ravel())
+                    yield f"kernel.{kind}.net{net}.{tag}.{mode}", digest(*dists, grad)
+        buffers = [environment.HistoryBuffer(cfg.history_len) for _ in heads]
+        rng = np.random.default_rng([cfg.seed, 6])
+        parts = []
+        for _ in range(40):
+            record, _ = training.collect_episode(env, ctrl, buffers, cfg.horizon, rng)
+            parts += [d for slot in record.distributions for d in slot] + record.rates
+        yield f"kernel.{kind}.distributions_stream", digest(*parts)
+
+
 def config_lines(cli):
     for name in ("desk", "paper", "toy"):
         yield f"config_hash.{name}", cli.profile_config(name).config_hash()
@@ -194,12 +227,13 @@ def main(argv=None) -> int:
                         help="tree whose src/rislab is fingerprinted")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    from rislab import channel, cli, environment, training
+    from rislab import channel, cli, environment, policy, training
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, value in [*desk_lines(cli, training), *toy_lines(cli, training),
                             *cli_lines(cli, Path(tmp)), *config_lines(cli),
-                            *channel_lines(cli, channel, environment)]:
+                            *channel_lines(cli, channel, environment),
+                            *kernel_lines(cli, environment, policy, training)]:
             print(name, value, flush=True)
     return 0
 
