@@ -50,7 +50,6 @@ from .environment import (
 )
 from .oracle import (
     complexity_bench,
-    enumerate_exact_J,
     frozen_toy_game,
     greedy_sequence,
     optimal_policy,
@@ -548,12 +547,14 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
         else:
             controller = load_controller(cfg, checkpoint_dir, heads)
     # one eval forward per net prices every history the readouts ask about
-    _, policies = GameTree(game, controller).forward(controller)
+    tree = GameTree(game, controller)
+    _, dists = tree.forward(controller)
+    policies = [dict(zip(tree.table.histories, d)).__getitem__ for d in dists]
     best = optimal_policy(game, cfg.mu)
     hists = uniform_histories(game)
     rmse = policy_rmse_multi(policies, best.policy_fns(game),
                              [hists] * game.n_agents)
-    j_policy = enumerate_exact_J(game, policies, cfg.mu)
+    j_policy = tree.table.objective(dists, cfg.mu)
     gap = 0.0 if best.j_star == 0 else 100.0 * (best.j_star - j_policy) / abs(best.j_star)
     greedy = greedy_sequence(game, policies)
     rows = [(f"{rmse:.6g}", f"{j_policy:.10g}", f"{best.j_star:.10g}",

@@ -9,19 +9,18 @@ enter as plain callables mapping the global episode history, a tuple of
 (joint-action tuple, rate) pairs, to the agent's probability vector; an
 agent's own view is the projection own_history(hist, m).
 
-enumerate_trajectories is the one walk over the game tree. An open-loop
-sequence, a closed-loop tree and a Nash deviation are one-hot policies
-scored through it; deterministic_assignments enumerates them over the
-nodes each one reaches. policy_table memoizes plain callables per oracle
-call, so a policy held fixed runs once per history it is asked about.
-tree_nodes lists the (history, joint) nodes that full-support policies
-reach, so a trained net can price all of them in one batched forward
-(training.GameTree) and the walk then reads its policies from that pass.
+enumerate_trajectories is the reference walk over the game tree, and it
+defines the TrajectoryTable: one walk under uniform policies, kept as
+arrays. The trainer side (training.GameTree, exact_policy_gradient,
+exact_ascent, nash_check) scores profiles on the table with the walk's
+arithmetic in the walk's order, so every probability, moment and objective
+equals the walk's bit for bit; tests and perfbench compare the two.
+optimal_policy still scores its one-hot candidates through the walk, and
+deterministic_assignments enumerates them over the nodes each one reaches.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -115,6 +114,7 @@ class Trajectory:
     prob: float
     ret: float
     steps: list          # per slot: (state, joint, rate, global history before)
+    chance: tuple        # initial state's probability, then each slot's transition's
 
 
 def own_history(hist, agent: int) -> tuple:
@@ -129,25 +129,6 @@ def uniform_policies(game: ToyGame) -> list:
         return lambda hist: np.full(n, 1.0 / n)
 
     return [make(n) for n in sizes]
-
-
-def policy_table(policy_fns) -> list:
-    """Wrap each policy in a lazy table of its outputs keyed by history, so
-    every policy runs once per history. Build one per oracle call: the
-    parameters behind a policy may change between calls."""
-    return [functools.cache(fn) for fn in policy_fns]
-
-
-def tree_nodes(game: ToyGame) -> list:
-    """Every (global history, joint action) node of the game tree that
-    full-support policies reach, in the order enumerate_trajectories first
-    visits them: depth first, slot by slot along each trajectory. Uniform
-    policies reach every node that any profile reaches."""
-    nodes = {}
-    for traj in enumerate_trajectories(game, uniform_policies(game)):
-        for _state, joint, _rate, hist in traj.steps:
-            nodes.setdefault((hist, joint))
-    return list(nodes)
 
 
 def onehot_policy(n_actions: int, choose):
@@ -177,9 +158,9 @@ def enumerate_trajectories(game: ToyGame, policy_fns) -> list[Trajectory]:
     out: list[Trajectory] = []
     joints = game.joint_actions
 
-    def rec(t, state, hist, prob, ret, steps):
+    def rec(t, state, hist, prob, ret, steps, chance):
         if t == game.horizon:
-            out.append(Trajectory(prob=prob, ret=ret, steps=steps))
+            out.append(Trajectory(prob=prob, ret=ret, steps=steps, chance=chance))
             return
         dists = [np.asarray(policy_fns[m](hist), dtype=float)
                  for m in range(game.n_agents)]
@@ -195,12 +176,18 @@ def enumerate_trajectories(game: ToyGame, policy_fns) -> list[Trajectory]:
             for p_s, nxt in game.step(state, joint):
                 if p_s == 0.0:
                     continue
-                rec(t + 1, nxt, new_hist, p_joint * p_s, ret + r, new_steps)
+                rec(t + 1, nxt, new_hist, p_joint * p_s, ret + r, new_steps,
+                    chance + (p_s,))
 
     for p0, s0 in game.initial:
         if p0 > 0.0:
-            rec(0, s0, (), p0, 0.0, [])
+            rec(0, s0, (), p0, 0.0, [], (p0,))
     return out
+
+
+def _surrogate(mean: float, second: float, mu: float) -> float:
+    # Python floats: `mean ** 2` is pow(), which can differ from mean * mean
+    return mean - 0.5 * mu * (second - mean ** 2)
 
 
 def enumerate_exact_J(game: ToyGame, policy_fns, mu: float) -> float:
@@ -208,7 +195,84 @@ def enumerate_exact_J(game: ToyGame, policy_fns, mu: float) -> float:
     trajs = enumerate_trajectories(game, policy_fns)
     mean = sum(t.prob * t.ret for t in trajs)
     second = sum(t.prob * t.ret ** 2 for t in trajs)
-    return mean - 0.5 * mu * (second - mean ** 2)
+    return _surrogate(mean, second, mu)
+
+
+def walk_sum(terms):
+    """Sums over the last axis in order, as the walk's Python sum() adds:
+    cumsum accumulates left to right, a pairwise np.sum would not."""
+    return np.cumsum(terms, axis=-1)[..., -1].tolist()
+
+
+class TrajectoryTable:
+    """One enumerate_trajectories walk under uniform policies, as arrays:
+    every trajectory a full-support profile reaches, in walk order, over
+    the rows: the (global history, joint action) nodes those profiles
+    reach, in the order the walk first visits them (depth first, slot by
+    slot along each trajectory). Uniform policies reach every node that
+    any profile reaches.
+
+    A profile enters as `dists`, per agent an (n_histories, n_actions)
+    array: its distribution at each history, histories in first-visit
+    order. The table repeats the walk's arithmetic in the walk's order, so
+    its probabilities, sums and objective equal the walk's bit for bit; a
+    trajectory the profile does not reach gets probability exactly 0."""
+
+    def __init__(self, game: ToyGame):
+        trajs = enumerate_trajectories(game, uniform_policies(game))
+        rows = {}
+        for traj in trajs:
+            for _state, joint, _rate, hist in traj.steps:
+                rows.setdefault((hist, joint), len(rows))
+        self.nodes = list(rows)
+        first = {}
+        for k, (hist, _) in enumerate(self.nodes):
+            first.setdefault(hist, k)
+        self.histories = list(first)
+        self.first = np.array(list(first.values()))           # history -> its first row
+        index = {hist: h for h, hist in enumerate(first)}
+        self.hist = np.array([index[hist] for hist, _ in self.nodes])   # row -> history
+        # history -> the row of the node it extends, -1 at the root
+        self.parent = [rows[hist[:-1], hist[-1][0]] if hist else -1
+                       for hist in self.histories]
+        self.actions = np.array([joint for _, joint in self.nodes]).T  # (agents, rows)
+        self.path = np.array([[rows[hist, joint] for _s, joint, _r, hist in traj.steps]
+                              for traj in trajs])             # (trajectories, slots)
+        self.chance = np.array([traj.chance for traj in trajs])
+        self.ret = np.array([traj.ret for traj in trajs])
+        self.ret_sq = np.array([traj.ret ** 2 for traj in trajs])  # pow(), as the walk squares
+
+    def probabilities(self, dists, agent: int = 0, masks=None) -> np.ndarray:
+        """Each trajectory's probability, multiplied left to right as the
+        walk does: the initial state's, then per slot each agent's of its
+        action and the transition's. `masks`, (k, rows) of 0/1, replace
+        `agent`'s probabilities with k deterministic policies; the result
+        is then (k, trajectories)."""
+        factors = [d[self.hist, a] for d, a in zip(dists, self.actions)]
+        if masks is not None:
+            factors[agent] = masks
+        factors = [f[..., self.path] for f in factors]
+        prob = self.chance[:, 0]
+        for t in range(self.path.shape[1]):
+            for f in factors:
+                prob = prob * f[..., t]
+            prob = prob * self.chance[:, t + 1]
+        return prob
+
+    def objective(self, dists, mu: float, agent: int = 0, masks=None):
+        """E[R] - (mu/2) Var[R] under the profile: enumerate_exact_J's
+        float, or one per mask when `masks` is given."""
+        prob = self.probabilities(dists, agent, masks)
+        mean, second = walk_sum(prob * self.ret), walk_sum(prob * self.ret_sq)
+        if masks is None:
+            return _surrogate(mean, second, mu)
+        return [_surrogate(m, s, mu) for m, s in zip(mean, second)]
+
+    def coefficients(self, weights) -> np.ndarray:
+        """Per row, the sum of the per-trajectory `weights` over the slots
+        at it, added trajectory by trajectory, then slot by slot, from 0."""
+        return np.bincount(self.path.ravel(), np.repeat(weights, self.path.shape[1]),
+                           minlength=len(self.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +368,7 @@ def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> Optim
 def uniform_histories(game: ToyGame) -> list:
     """Every global history a slot starts from under uniform policies, i.e.
     every history a full-support profile can reach, shortest first."""
-    return sorted({hist for hist, _ in tree_nodes(game)}, key=lambda h: (len(h), str(h)))
+    return sorted(TrajectoryTable(game).histories, key=lambda h: (len(h), str(h)))
 
 
 def greedy_sequence(game: ToyGame, policy_fns) -> tuple:
@@ -379,8 +443,8 @@ def complexity_bench(kinds=("centralized", "distributed"),
                      action_counts=(4, 8, 16), agent_counts=(2, 3, 5),
                      repeats: int = 8, seed: int = 0) -> BenchReport:
     """Measure per-episode feedforward cost against each driver parameter and
-    fit log-log growth exponents. Each point is the best of 3 timings, and
-    the 3 rounds run every point of a sweep in turn, so a drift in host
+    fit log-log growth exponents. Each point is the best of 5 timings, and
+    the 5 rounds run every point of a sweep in turn, so a drift in host
     speed reaches every point alike instead of bending the fit."""
     rng = np.random.default_rng(seed)
     base = dict(history_len=16, n_agents=3, n_actions=8, horizon=2)
@@ -397,7 +461,7 @@ def complexity_bench(kinds=("centralized", "distributed"),
                 horizon = cfg.pop("horizon")
                 points.append((horizon, _episode_nets(kind=kind, rng=rng, **cfg)))
             times = [math.inf] * len(values)
-            for _ in range(3):
+            for _ in range(5):
                 for k, (horizon, nets) in enumerate(points):
                     times[k] = min(times[k], _episode_seconds(nets, horizon, repeats))
             rows += [BenchRow(kind=kind, param=label, value=v, seconds=secs)

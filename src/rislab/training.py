@@ -329,42 +329,34 @@ def estimate_gradient(controller: Controller, batch, mu: float,
 
 
 class GameTree:
-    """The (global history, joint action) nodes of an enumerable game's
-    full-support tree, in the order enumerate_trajectories first visits
-    them, with each of a controller's nets' inputs at every node, encoded
-    once from the stacked node windows: one row per node. Softmax policies
-    reach every node, so one eval forward per net over the rows gives the
-    policy at every history the enumeration asks about, and its cache
-    serves the gradient's backward too. The rows depend on the game and the
-    controller's encoding, not on its parameters, so one tree serves every
-    step of an ascent."""
+    """An enumerable game's trajectory table (oracle.TrajectoryTable) with
+    each of a controller's nets' inputs at every row, encoded once from the
+    stacked node windows. Softmax policies reach every node, so one eval
+    forward per net over the rows gives the policy at every history of the
+    table, and its cache serves the gradient's backward too. The rows
+    depend on the game and the controller's encoding, not on its
+    parameters, so one tree serves every step of an ascent."""
 
     def __init__(self, game: ToyGame, controller: Controller):
-        from .oracle import tree_nodes
+        from .oracle import TrajectoryTable
 
-        self.nodes = tree_nodes(game)
-        self.row = {node: k for k, node in enumerate(self.nodes)}
-        # the first row of each history: where its policy is read
-        self.first = {}
-        for k, (hist, _) in enumerate(self.nodes):
-            self.first.setdefault(hist, k)
-        self.actions = np.array([joint for _, joint in self.nodes]).T
-        actions, rates = zip(*(controller.window(*zip(*hist)) for hist, _ in self.nodes))
+        self.table = TrajectoryTable(game)
+        actions, rates = zip(*(controller.window(*zip(*hist)) for hist, _ in self.table.nodes))
         actions, rates = np.stack(actions), np.stack(rates)
         self.feats = [controller.encode(actions, rates, net)
                       for net in range(len(controller.nets))]
 
     def forward(self, controller: Controller):
         """One eval forward per net over every row. Returns the caches, one
-        per net, and per agent an oracle-compatible callable: a history of
-        the tree to the agent's distribution, read off the pass."""
-        caches, policies = [], [None] * controller.n_agents
+        per net, and the profile's dists for the table: per agent, its
+        distribution at each history, read at the history's first row."""
+        caches, dists = [], [None] * controller.n_agents
         for (arch, params, agents), feats in zip(controller.net_heads(), self.feats):
-            dists, cache = pol.forward(params, arch, feats, mode="eval")
+            out, cache = pol.forward(params, arch, feats, mode="eval")
             caches.append(cache)
             for head, m in enumerate(agents):
-                policies[m] = {hist: dists[head][k] for hist, k in self.first.items()}.__getitem__
-        return caches, policies
+                dists[m] = out[head][self.table.first]
+        return caches, dists
 
 
 def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float,
@@ -373,25 +365,21 @@ def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float,
     game: sum over all trajectories of Pi(T) * grad log Pi * weight(R, E[R]).
 
     Each net runs one eval forward over the rows of the game's tree (built
-    here unless `tree` is given). The enumeration reads its policies from
-    that pass; trajectory/slot terms are grouped by (history, joint action)
-    into the tree's rows, 0 at nodes the policy does not reach, and one
-    weighted backward per net runs through the same cache.
-    """
-    from .oracle import enumerate_trajectories
+    here unless `tree` is given). The trajectory probabilities, E[R] and
+    the per-row coefficients, the sum of Pi(T) * weight over the
+    trajectory slots at each (history, joint action) row, are array sums on
+    the tree's trajectory table, in the walk's order; one weighted backward
+    per net runs through the same cache."""
+    from .oracle import walk_sum
 
     if tree is None:
         tree = GameTree(game, controller)
-    caches, policies = tree.forward(controller)
-    trajs = enumerate_trajectories(game, policies)
-    mean = sum(t.prob * t.ret for t in trajs)
-    weights = gradient_weight(np.array([t.ret for t in trajs]), mean, mu)
-    coefs = np.zeros(len(tree.nodes))
-    for traj, weight in zip(trajs, weights):
-        w = traj.prob * weight
-        for _state, joint, _rate, hist in traj.steps:
-            coefs[tree.row[hist, joint]] += w
-    return [pol.backward(params, arch, cache, [tree.actions[m] for m in agents], coefs)
+    table = tree.table
+    caches, dists = tree.forward(controller)
+    prob = table.probabilities(dists)
+    weights = gradient_weight(table.ret, walk_sum(prob * table.ret), mu)
+    coefs = table.coefficients(prob * weights)
+    return [pol.backward(params, arch, cache, [table.actions[m] for m in agents], coefs)
             for (arch, params, agents), cache in zip(controller.net_heads(), caches)]
 
 
@@ -403,16 +391,15 @@ def exact_ascent(game: ToyGame, controller: Controller, mu: float,
     rule itself with its expectation computed in closed form, used to reach
     convergence on toys. It takes the unclipped step, as theorem1_harness does.
     The game's tree is built once: a step is one forward and one backward
-    per net over its rows, and a trace point one more forward per net."""
-    from .oracle import enumerate_exact_J
-
+    per net over its rows, and a trace point one more forward per net,
+    scored on the tree's trajectory table."""
     tree = GameTree(game, controller)
     trace = []
     for k in range(steps):
         _apply_update(controller, exact_policy_gradient(game, controller, mu, tree=tree),
                       learning_rate, grad_clip=0.0)
         if (k + 1) % trace_every == 0 or k + 1 == steps:
-            trace.append(enumerate_exact_J(game, tree.forward(controller)[1], mu))
+            trace.append(tree.table.objective(tree.forward(controller)[1], mu))
     return trace
 
 
@@ -422,6 +409,11 @@ def exact_ascent(game: ToyGame, controller: Controller, mu: float,
 
 @dataclass
 class CurveRow:
+    """One update of train(). j_estimate, mean_rate and rate_variance are
+    the surrogate, mean and variance of the replayed minibatch's logged
+    returns, which forced-sweep and older episodes fill: they describe the
+    replay the update read, not the current policy."""
+
     update: int
     j_estimate: float
     mean_rate: float
@@ -466,7 +458,9 @@ def train(env, controller: Controller, config) -> TrainResult:
     collect/update loop until t_end or until the windowed surrogate-return
     average stalls. Every update is estimate_gradient then _apply_update.
     A row's `clamps` counts the sampled per-head log-probs at the floor in
-    the episode collected just before it (0 offline: the sweep samples none).
+    the episode collected just before it (0 offline: the sweep samples none);
+    its j_estimate, mean_rate and rate_variance describe the replayed
+    minibatch, not the policy, and the convergence stop reads j_estimate.
     Reads `seed`, `history_len`, `horizon`, `seed_episodes`, `offline_epochs`,
     `max_updates`, `minibatch`, `mu`, `learning_rate`, `grad_clip`,
     `convergence_window` and `convergence_tol`."""
@@ -651,21 +645,53 @@ def nash_check(game: ToyGame, policy_fns, mu: float) -> NashReport:
     observation nodes (its action/rate pairs) while the others keep playing
     their current policies, and report the largest exact-objective
     improvement. Callers judge the certificate themselves, typically
-    best_improvement <= eps * |j_current| for a tolerance eps of their own."""
-    from .oracle import (deterministic_assignments, enumerate_exact_J,
-                         onehot_policy, own_history, policy_table)
+    best_improvement <= eps * |j_current| for a tolerance eps of their own.
 
-    fixed = policy_table(policy_fns)
-    j_now = enumerate_exact_J(game, fixed, mu)
+    Every profile is scored on the game's trajectory table. A callable runs
+    at most once per history, in first-visit order, and only where some
+    scored profile reaches the history with that callable in play: where no
+    policy, or only one other agent's, has put zero probability on the path.
+    A deviation is a 0/1 mask over the rows, and one batched evaluation
+    scores all of an agent's deviations."""
+    from .oracle import TrajectoryTable, deterministic_assignments, own_history
+
+    table = TrajectoryTable(game)
+    n_hist = len(table.histories)
+    row_hist = table.hist.tolist()
+    acts = table.actions.tolist()
+    dists = [np.zeros((n_hist, len(actions))) for actions in game.action_sets]
+    zeros = []   # per history: the agents that put zero probability on its path
+    for h, (hist, parent) in enumerate(zip(table.histories, table.parent)):
+        if parent < 0:
+            blocked = frozenset()
+        else:
+            above = row_hist[parent]
+            blocked = zeros[above] | {m for m, d in enumerate(dists)
+                                      if d[above, acts[m][parent]] == 0.0}
+        zeros.append(blocked)
+        if len(blocked) <= 1:
+            for m, fn in enumerate(policy_fns):
+                if m not in blocked:
+                    dists[m][h] = fn(hist)
+    j_now = table.objective(dists, mu)
     per_agent = []
     for m, actions in enumerate(game.action_sets):
-        def score(choose):
-            pols = list(fixed)
-            pols[m] = onehot_policy(len(actions), choose)
-            return enumerate_exact_J(game, pols, mu)
+        reach = [h for h, blocked in enumerate(zeros) if blocked <= {m}]
+        own = [own_history(hist, m) for hist in table.histories]
 
-        trees = deterministic_assignments(score, lambda hist: own_history(hist, m), actions)
-        per_agent.append(max(j for j, _ in trees) - j_now)
+        def score(choose):
+            """The agent's pick at each history it reaches, -1 elsewhere."""
+            picks = [-1] * n_hist
+            for h in reach:
+                parent = table.parent[h]
+                if parent < 0 or picks[row_hist[parent]] == acts[m][parent]:
+                    picks[h] = choose(h)
+            return picks
+
+        picks = np.array([p for p, _ in deterministic_assignments(score, own.__getitem__,
+                                                                    actions)])
+        masks = (picks[:, table.hist] == table.actions[m]).astype(float)
+        per_agent.append(max(table.objective(dists, mu, m, masks)) - j_now)
     best_improvement = max(per_agent)
     return NashReport(j_current=j_now, best_improvement=best_improvement,
                       per_agent=per_agent)

@@ -2,16 +2,18 @@
 points. Not named conftest.py: perfbench/tests has a conftest of its own, and
 one pytest run collects both directories."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
 
 from rislab import cli
 from rislab import policy as pol
-from rislab.oracle import ToyGame, enumerate_exact_J, enumerate_trajectories, policy_table
+from rislab.oracle import (ToyGame, deterministic_assignments, enumerate_exact_J,
+                           enumerate_trajectories, onehot_policy, own_history)
 from rislab.policy import PolicyParams, n_params, param_layout
 from rislab.risk import gradient_weight
-from rislab.training import _apply_update
+from rislab.training import NashReport, _apply_update
 
 
 def env_config(**kw):
@@ -173,13 +175,17 @@ def stochastic_toy_game(seed):
                    frozen=False)
 
 
-def reference_exact_gradient(game, controller, mu):
-    """The exact enumerated gradient in its per-history form: one
-    single-history forward per (agent, history) drives the enumeration,
-    then each net runs a batched forward and backward over the reached
-    (history, joint) nodes, weighted by P(tau) * w(R_tau)."""
-    policy_fns = policy_table([controller.policy_fn(m)
-                               for m in range(controller.n_agents)])
+def policy_table(policy_fns) -> list:
+    """Wrap each policy in a lazy table of its outputs keyed by history, so
+    every policy runs once per history. Build one per oracle call: the
+    parameters behind a policy may change between calls."""
+    return [functools.cache(fn) for fn in policy_fns]
+
+
+def walk_coefficients(game, policy_fns, mu):
+    """The exact gradient's coefficient of each reached (history, joint)
+    node in walk form: P(tau) * w(R_tau) summed over the trajectory slots
+    at the node, trajectory by trajectory, keyed in first-visit order."""
     trajs = enumerate_trajectories(game, policy_fns)
     mean = sum(t.prob * t.ret for t in trajs)
     weights = gradient_weight(np.array([t.ret for t in trajs]), mean, mu)
@@ -189,6 +195,28 @@ def reference_exact_gradient(game, controller, mu):
         for _state, joint, _rate, hist in traj.steps:
             key = (hist, joint)
             buckets[key] = buckets.get(key, 0.0) + w
+    return buckets
+
+
+def revealed_state_game():
+    """Single agent, two persistent states revealed by the first slot's
+    rate: state up pays action 0, state down pays action 1. T=2."""
+    rates = {("up", (0,)): 1.0, ("up", (1,)): 0.0,
+             ("down", (0,)): 0.0, ("down", (1,)): 1.0}
+    return ToyGame(n_beams=2, n_phases=1, n_ris=0, horizon=2, rates=rates,
+                   initial=((0.5, "up"), (0.5, "down")),
+                   transitions={(s, (a,)): ((1.0, s),)
+                                for s in ("up", "down") for a in (0, 1)},
+                   frozen=False)
+
+
+def reference_exact_gradient(game, controller, mu):
+    """The exact enumerated gradient in its per-history form: one
+    single-history forward per (agent, history) drives the enumeration,
+    then each net runs a batched forward and backward over the reached
+    (history, joint) nodes, weighted by P(tau) * w(R_tau)."""
+    buckets = walk_coefficients(game, policy_table([controller.policy_fn(m)
+                                                     for m in range(controller.n_agents)]), mu)
     keys = list(buckets.keys())
     coefs = np.array([buckets[k] for k in keys])
 
@@ -213,3 +241,22 @@ def reference_exact_ascent(game, controller, mu, steps, learning_rate, trace_eve
             trace.append(enumerate_exact_J(
                 game, [controller.policy_fn(m) for m in range(controller.n_agents)], mu))
     return trace
+
+
+def reference_nash_check(game, policy_fns, mu):
+    """training.nash_check in its walk form: every deterministic deviation
+    of each agent is scored by its own enumerate_exact_J walk, the others'
+    policies memoized by policy_table across all walks."""
+    fixed = policy_table(policy_fns)
+    j_now = enumerate_exact_J(game, fixed, mu)
+    per_agent = []
+    for m, actions in enumerate(game.action_sets):
+        def score(choose):
+            pols = list(fixed)
+            pols[m] = onehot_policy(len(actions), choose)
+            return enumerate_exact_J(game, pols, mu)
+
+        trees = deterministic_assignments(score, lambda hist: own_history(hist, m), actions)
+        per_agent.append(max(j for j, _ in trees) - j_now)
+    return NashReport(j_current=j_now, best_improvement=max(per_agent),
+                      per_agent=per_agent)

@@ -1,16 +1,20 @@
-"""Oracle tests: enumeration exactness, brute-force optima including the
-two-arm risk threshold, the greedy readout, the tests' finite-difference
-oracle, and RMSE fixtures."""
+"""Oracle tests: enumeration exactness, the trajectory table against the
+walk, brute-force optima including the two-arm risk threshold, the greedy
+readout, the tests' finite-difference oracle, and RMSE fixtures."""
+
+import zlib
 
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, stochastic_toy_game
+from helpers import (fd_gradient, policy_table, revealed_state_game, stochastic_toy_game,
+                     walk_coefficients)
 
 from rislab.oracle import (
     EnumerabilityError,
     OptimalPolicy,
     ToyGame,
+    TrajectoryTable,
     complexity_bench,
     deterministic_assignments,
     enumerate_exact_J,
@@ -19,12 +23,12 @@ from rislab.oracle import (
     greedy_sequence,
     joint_onehot_policies,
     optimal_policy,
-    policy_table,
     policy_rmse_multi,
-    tree_nodes,
     uniform_histories,
     uniform_policies,
+    walk_sum,
 )
+from rislab.risk import gradient_weight
 
 
 def two_by_two_game(horizon=2):
@@ -44,6 +48,19 @@ def two_arm_game(p_hi=0.5, hi=4.0, lo=0.0, steady=1.5):
                                 ("down", (0,)): ((0.5, "up"), (0.5, "down")),
                                 ("up", (1,)): ((0.5, "up"), (0.5, "down")),
                                 ("down", (1,)): ((0.5, "up"), (0.5, "down"))},
+                   frozen=False)
+
+
+def dead_branch_game():
+    """2x2 over two states with a zero-probability initial state and
+    zero-probability transitions, which the walk skips. T=2."""
+    joints = [(b, p) for b in range(2) for p in range(2)]
+    rates = {(s, j): 0.25 + 0.5 * j[0] + 0.3 * j[1] + (0.7 if s == "b" else 0.0)
+             for s in "ab" for j in joints}
+    transitions = {(s, j): ((0.0, "a"), (1.0, "b")) if j[1] == 0 else ((0.3, "a"), (0.7, "b"))
+                   for s in "ab" for j in joints}
+    return ToyGame(n_beams=2, n_phases=2, n_ris=1, horizon=2, rates=rates,
+                   initial=((0.0, "b"), (1.0, "a")), transitions=transitions,
                    frozen=False)
 
 
@@ -130,6 +147,61 @@ def test_enumerability_bound_enforced():
         enumerate_trajectories(game, uniform_policies(game))
 
 
+def history_policies(game, seed):
+    """Per agent, a full-support policy that depends on the whole history:
+    a Dirichlet draw seeded by the agent, the seed and the history."""
+    def make(m, n):
+        def fn(hist):
+            key = zlib.crc32(repr((seed, m, hist)).encode())
+            return np.random.default_rng(key).dirichlet(np.ones(n))
+        return fn
+
+    return [make(m, len(a)) for m, a in enumerate(game.action_sets)]
+
+
+def onehot_of(policies):
+    """The argmax of each policy as a one-hot policy, zeros elsewhere."""
+    return [lambda hist, fn=fn: np.eye(len(fn(())))[int(np.argmax(fn(hist)))]
+            for fn in policies]
+
+
+# r ** 2, which is pow(), and r * r differ in the last bit for both rates
+POW_RATES = {(0,): 2.759, (1,): 4.536}
+
+TABLE_GAMES = {"toy": two_by_two_game(), "st500": stochastic_toy_game(500),
+               "st501": stochastic_toy_game(501), "st502": stochastic_toy_game(502),
+               "two_arm": two_arm_game(), "revealed": revealed_state_game(),
+               "dead_branch": dead_branch_game(),
+               "pow": frozen_toy_game(POW_RATES, n_beams=2, n_phases=1, n_ris=0, horizon=1)}
+
+
+@pytest.mark.parametrize("name", list(TABLE_GAMES))
+@pytest.mark.parametrize("profile", ["full_support", "onehot", "mixed"])
+def test_trajectory_table_equals_the_walk_bitwise(name, profile):
+    # the table's probabilities, objective and gradient coefficients equal
+    # the walk's bit for bit, under full-support policies and under
+    # one-hot ones that put zero probability on whole subtrees
+    game = TABLE_GAMES[name]
+    table = TrajectoryTable(game)
+    policies = history_policies(game, seed=len(name))
+    if profile != "full_support":
+        policies[:1 if profile == "mixed" else None] = onehot_of(
+            policies[:1 if profile == "mixed" else None])
+    dists = [np.array([fn(hist) for hist in table.histories]) for fn in policies]
+    walk = enumerate_trajectories(game, policies)
+    prob = table.probabilities(dists)
+    assert prob.shape == (len(enumerate_trajectories(game, uniform_policies(game))),)
+    assert [p for p in prob.tolist() if p] == [t.prob for t in walk if t.prob]
+    for mu in (0.0, 0.7):
+        assert table.objective(dists, mu) == enumerate_exact_J(game, policies, mu)
+        mean = walk_sum(prob * table.ret)
+        assert mean == sum(t.prob * t.ret for t in walk)
+        buckets = walk_coefficients(game, policies, mu)
+        weights = gradient_weight(table.ret, mean, mu)
+        np.testing.assert_array_equal(table.coefficients(prob * weights),
+                                      [buckets.get(node, 0.0) for node in table.nodes])
+
+
 # ---------------------------------------------------------------------------
 # optimal policies
 
@@ -180,13 +252,7 @@ def test_optimal_dominates_random_policies():
 def test_closed_loop_beats_open_loop_when_history_helps():
     # two persistent states revealed by the first slot's rate: adapting the
     # second action beats any fixed sequence
-    rates = {("up", (0,)): 1.0, ("up", (1,)): 0.0,
-             ("down", (0,)): 0.0, ("down", (1,)): 1.0}
-    game = ToyGame(n_beams=2, n_phases=1, n_ris=0, horizon=2, rates=rates,
-                   initial=((0.5, "up"), (0.5, "down")),
-                   transitions={(s, (a,)): ((1.0, s),)
-                                for s in ("up", "down") for a in (0, 1)},
-                   frozen=False)
+    game = revealed_state_game()
     open_best = optimal_policy(game, mu=0.0)
     closed_best = optimal_policy(game, mu=0.0, closed_loop=True)
     assert open_best.j_star == pytest.approx(1.0)   # guess right half the time
@@ -212,13 +278,7 @@ def test_optimum_scores_its_j_star_with_risk_on_stochastic_toys():
 def test_deterministic_assignments_cover_reachable_nodes_only():
     # one joint action at the root, then one per observed first-slot rate:
     # 2 * 2^2 closed-loop trees of 3 nodes each, and 2^2 sequences
-    rates = {("up", (0,)): 1.0, ("up", (1,)): 0.0,
-             ("down", (0,)): 0.0, ("down", (1,)): 1.0}
-    game = ToyGame(n_beams=2, n_phases=1, n_ris=0, horizon=2, rates=rates,
-                   initial=((0.5, "up"), (0.5, "down")),
-                   transitions={(s, (a,)): ((1.0, s),)
-                                for s in ("up", "down") for a in (0, 1)},
-                   frozen=False)
+    game = revealed_state_game()
 
     def score(choose):
         return enumerate_exact_J(game, joint_onehot_policies(game, choose), 0.0)
@@ -281,7 +341,7 @@ def test_uniform_histories_cover_every_slot_start_once():
 
 def test_tree_nodes_list_every_node_in_first_visit_order():
     game = two_by_two_game(horizon=2)
-    nodes = tree_nodes(game)
+    nodes = TrajectoryTable(game).nodes
     joints = game.joint_actions
     # the root with its first joint, then that joint's 4 second-slot nodes, ...
     want = []
@@ -292,7 +352,7 @@ def test_tree_nodes_list_every_node_in_first_visit_order():
     stochastic = stochastic_toy_game(502)
     reached = {(hist, joint) for traj in enumerate_trajectories(
         stochastic, uniform_policies(stochastic)) for _s, joint, _r, hist in traj.steps}
-    assert len(tree_nodes(stochastic)) == len(reached) == 4 + 2 * 4 * 4
+    assert len(TrajectoryTable(stochastic).nodes) == len(reached) == 4 + 2 * 4 * 4
 
 
 def test_greedy_sequence_follows_argmax_and_history():

@@ -17,6 +17,8 @@ from helpers import (
     fd_gradient,
     reference_exact_ascent,
     reference_exact_gradient,
+    reference_nash_check,
+    revealed_state_game,
     stochastic_toy_game,
 )
 
@@ -25,8 +27,10 @@ from rislab import training as tr
 from rislab.cli import ExperimentConfig
 from rislab.environment import HistoryBuffer
 from rislab.oracle import (
+    TrajectoryTable,
     enumerate_exact_J,
     frozen_toy_game,
+    joint_onehot_policies,
     optimal_policy,
     own_history,
     uniform_histories,
@@ -507,7 +511,9 @@ def test_exact_gradient_centralized_mode(seed, reaches_lstm):
 
 @pytest.mark.parametrize("mode,game,seed", [("distributed", toy_game(), 6),
                                             ("centralized", toy_game(), 11),
-                                            ("distributed", stochastic_toy_game(501), 6)])
+                                            ("distributed", stochastic_toy_game(501), 6),
+                                            ("distributed", stochastic_toy_game(500), 6),
+                                            ("centralized", stochastic_toy_game(502), 11)])
 def test_exact_gradient_bitwise_equals_per_history_reference(mode, game, seed):
     # one batched forward per net over the game tree reads the same
     # probabilities as single-history forwards at toy sizes, and its rows
@@ -582,6 +588,20 @@ def test_exact_ascent_bitwise_equals_per_history_reference():
     trace = exact_ascent(game, ctrl, mu=0.0, steps=300, learning_rate=0.5, trace_every=50)
     want = reference_exact_ascent(game, ref, mu=0.0, steps=300, learning_rate=0.5,
                                   trace_every=50)
+    assert trace == want
+    for a, b in zip(ctrl.parameter_vectors(), ref.parameter_vectors()):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_exact_ascent_on_a_stochastic_toy_bitwise_equals_per_history_reference():
+    game = stochastic_toy_game(501)
+    rng = np.random.default_rng(6)
+    ctrl = make_controller(toy_config(), (2, 2), rng)
+    randomize(ctrl, rng)
+    ref = copy.deepcopy(ctrl)
+    trace = exact_ascent(game, ctrl, mu=0.7, steps=60, learning_rate=0.5, trace_every=20)
+    want = reference_exact_ascent(game, ref, mu=0.7, steps=60, learning_rate=0.5,
+                                  trace_every=20)
     assert trace == want
     for a, b in zip(ctrl.parameter_vectors(), ref.parameter_vectors()):
         np.testing.assert_array_equal(a, b)
@@ -921,3 +941,95 @@ def test_nash_check_converged_profile_certificate():
     pols = [ctrl.policy_fn(m) for m in range(2)]
     report = nash_check(game, pols, mu=0.0)
     assert report.best_improvement <= 1e-3 * abs(report.j_current)
+
+
+def counted(policy_fns, calls):
+    """The policies, each appending (agent, history) to `calls` per call."""
+    def wrap(m, fn):
+        def inner(hist):
+            calls.append((m, hist))
+            return fn(hist)
+        return inner
+
+    return [wrap(m, fn) for m, fn in enumerate(policy_fns)]
+
+
+def controller_policies(game, mode, seed):
+    rng = np.random.default_rng(seed)
+    ctrl = make_controller(toy_config(mode=mode), (2, 2), rng)
+    randomize(ctrl, rng)
+    return [ctrl.policy_fn(m) for m in range(2)]
+
+
+def nash_profiles():
+    """(game, policies) pairs: trained-net profiles on the toy and on
+    stochastic toys, the single-agent frozen game, a perturbed profile and
+    one-hot profiles whose zeros cut whole subtrees."""
+    toy = toy_game()
+    single = frozen_toy_game({(0,): 1.0, (1,): 2.0}, n_beams=2, n_phases=1,
+                             n_ris=0, horizon=1)
+    stochastic = stochastic_toy_game(502)
+    return {
+        "toy_distributed": (toy, controller_policies(toy, "distributed", 6)),
+        "toy_centralized": (toy, controller_policies(toy, "centralized", 11)),
+        "st500": (stochastic_toy_game(500), controller_policies(toy, "distributed", 6)),
+        "st501": (stochastic_toy_game(501), controller_policies(toy, "centralized", 11)),
+        "st502": (stochastic, controller_policies(toy, "distributed", 16)),
+        "single_agent": (single, [lambda hist: np.array([0.0, 1.0])]),
+        "perturbed": (toy, [lambda hist: np.array([0.02, 0.98]),
+                            lambda hist: np.array([0.6, 0.4])]),
+        "onehot_toy": (toy, joint_onehot_policies(
+            toy, lambda hist: (0, 1) if not hist else (hist[-1][0][1], 1))),
+        "onehot_stochastic": (stochastic, joint_onehot_policies(
+            stochastic, lambda hist: (1, 0) if not hist else (0, int(hist[-1][1] > 1.5)))),
+    }
+
+
+@pytest.mark.parametrize("name", list(nash_profiles()))
+def test_nash_check_bitwise_equals_walk_reference(name):
+    # the table scores j_current and every deviation exactly as the walk
+    # does, and each fixed policy runs once per history the walk asks it
+    # about, in the table's first-visit order
+    game, policies = nash_profiles()[name]
+    order = {hist: h for h, hist in enumerate(TrajectoryTable(game).histories)}
+    for mu in (0.0, 0.7):
+        calls, ref_calls = [], []
+        got = nash_check(game, counted(policies, calls), mu)
+        want = reference_nash_check(game, counted(policies, ref_calls), mu)
+        assert got.j_current == want.j_current
+        assert got.per_agent == want.per_agent
+        assert got.best_improvement == want.best_improvement
+        assert len(calls) == len(set(calls)) == len(set(ref_calls))
+        assert set(calls) == set(ref_calls)
+        visits = [order[hist] for _, hist in calls]
+        assert visits == sorted(visits)
+
+
+def test_nash_check_skips_histories_no_scored_profile_reaches():
+    # one-hot beam 0 and phase 1: a deviation of one agent reaches the
+    # other's off-path histories, but no scored profile reaches ((1, 0), r)
+    game = toy_game()
+    calls = []
+    policies = joint_onehot_policies(game, lambda hist: (0, 1))
+    nash_check(game, counted(policies, calls), 0.0)
+    rate = {joint: game.rate("s0", joint) for joint in game.joint_actions}
+    after = {joint: ((joint, rate[joint]),) for joint in game.joint_actions}
+    assert calls == [(0, ()), (1, ()), (0, after[0, 0]), (0, after[0, 1]),
+                     (1, after[0, 1]), (1, after[1, 1])]
+
+
+def test_nash_check_certifies_a_closed_loop_optimum():
+    # the optimum's one-hot policies raise KeyError off their support, so
+    # the check must ask them only where the profile goes
+    game = revealed_state_game()
+    for mu in (0.0, 0.8):
+        best = optimal_policy(game, mu, closed_loop=True)
+        policies = best.policy_fns(game)
+        root = best.tree[()]
+        off = (((1 - root[0],), 0.0),)
+        with pytest.raises(KeyError):
+            policies[0](off)
+        report = nash_check(game, policies, mu)
+        assert report.j_current == best.j_star
+        assert report.best_improvement == 0.0
+        assert report == reference_nash_check(game, policies, mu)

@@ -5,7 +5,9 @@ Prints one `<output> <sha256 prefix>` line per output:
 - desk `train()` parameters, learning curves and run counters
   (updates, clip events, replay size, convergence) for both controller
   kinds at two seeds, and `cli._rollout_stats` of each trained controller;
-- toy `exact_ascent` (trace and parameters) and `nash_check` for both kinds;
+- toy `exact_policy_gradient`, `exact_ascent` (trace and parameters) and
+  `nash_check` for both kinds, on the built-in toy and on a fixed non-frozen
+  two-state game, so state transitions are pinned too;
 - `theorem1_harness` on the toy at seed 31, as acceptance criterion c03 runs it;
 - every file `rislab train` / `evaluate` / `compare` writes, for the toy
   profile and a reduced desk budget in both modes, with the manifest lines
@@ -98,25 +100,46 @@ def desk_lines(cli, training):
             yield f"{tag}.rollout_stats", digest(norm, bits, *hist)
 
 
-def toy_lines(cli, training):
-    for kind in KINDS:
-        cfg = replace(cli.profile_config("toy"), mode=kind, seed=7)
-        game = cli.builtin_toy_game(cfg)
-        heads = tuple(len(s) for s in game.action_sets)
-        rng = np.random.default_rng(cfg.seed)
-        ctrl = training.make_controller(cli.train_config(cfg), heads, rng)
-        for vec in ctrl.parameter_vectors():
-            vec[:] = rng.uniform(-0.6, 0.6, size=vec.size)
-        grads = training.exact_policy_gradient(game, ctrl, 0.7)
-        yield f"toy.{kind}.exact_gradient", digest(*grads)
-        trace = training.exact_ascent(game, ctrl, 0.0, steps=200, learning_rate=0.5,
-                                      trace_every=20)
-        yield f"toy.{kind}.exact_ascent", digest(trace, params_of(ctrl))
-        policies = [ctrl.policy_fn(m) for m in range(ctrl.n_agents)]
-        for mu in (0.0, 0.8):
-            report = training.nash_check(game, policies, mu)
-            yield f"toy.{kind}.nash_check.mu{mu}", digest(
-                report.j_current, report.best_improvement, report.per_agent)
+def stochastic_game(oracle):
+    """A 2x2 game over two states, horizon 2: rates, transition
+    probabilities (non-dyadic, depending on the joint action) and the
+    initial state drawn once from a fixed seed."""
+    rng = np.random.default_rng(2024)
+    joints = list(product(range(2), range(2)))
+    rates = {(s, j): float(rng.uniform(0.0, 3.0)) for s in "ab" for j in joints}
+    transitions = {}
+    for s, other in (("a", "b"), ("b", "a")):
+        for j in joints:
+            stay = float(rng.uniform(0.05, 0.95))
+            transitions[(s, j)] = ((stay, s), (1.0 - stay, other))
+    q = float(rng.uniform(0.1, 0.9))
+    return oracle.ToyGame(n_beams=2, n_phases=2, n_ris=1, horizon=2, rates=rates,
+                          initial=((q, "a"), (1.0 - q, "b")), transitions=transitions,
+                          frozen=False)
+
+
+def toy_lines(cli, oracle, training):
+    games = [("toy", cli.builtin_toy_game),
+             ("toy.stochastic", lambda cfg: stochastic_game(oracle))]
+    for prefix, make_game in games:
+        for kind in KINDS:
+            cfg = replace(cli.profile_config("toy"), mode=kind, seed=7)
+            game = make_game(cfg)
+            heads = tuple(len(s) for s in game.action_sets)
+            rng = np.random.default_rng(cfg.seed)
+            ctrl = training.make_controller(cli.train_config(cfg), heads, rng)
+            for vec in ctrl.parameter_vectors():
+                vec[:] = rng.uniform(-0.6, 0.6, size=vec.size)
+            grads = training.exact_policy_gradient(game, ctrl, 0.7)
+            yield f"{prefix}.{kind}.exact_gradient", digest(*grads)
+            trace = training.exact_ascent(game, ctrl, 0.0, steps=200, learning_rate=0.5,
+                                          trace_every=20)
+            yield f"{prefix}.{kind}.exact_ascent", digest(trace, params_of(ctrl))
+            policies = [ctrl.policy_fn(m) for m in range(ctrl.n_agents)]
+            for mu in (0.0, 0.8):
+                report = training.nash_check(game, policies, mu)
+                yield f"{prefix}.{kind}.nash_check.mu{mu}", digest(
+                    report.j_current, report.best_improvement, report.per_agent)
 
     cfg = replace(cli.profile_config("toy"), seed=31)
     game = cli.builtin_toy_game(cfg)
@@ -227,10 +250,10 @@ def main(argv=None) -> int:
                         help="tree whose src/rislab is fingerprinted")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    from rislab import channel, cli, environment, policy, training
+    from rislab import channel, cli, environment, oracle, policy, training
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, value in [*desk_lines(cli, training), *toy_lines(cli, training),
+        for name, value in [*desk_lines(cli, training), *toy_lines(cli, oracle, training),
                             *cli_lines(cli, Path(tmp)), *config_lines(cli),
                             *channel_lines(cli, channel, environment),
                             *kernel_lines(cli, environment, policy, training)]:
