@@ -54,7 +54,6 @@ from .oracle import (
     greedy_sequence,
     optimal_policy,
     policy_rmse_multi,
-    uniform_histories,
 )
 from .policy import load_checkpoint, save_checkpoint
 from .training import (
@@ -314,8 +313,8 @@ def env_config(cfg: ExperimentConfig) -> EnvConfig:
 
 
 def train_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Returns `cfg`, which the trainer reads; perfbench/workloads.py and
-    tools/fingerprint.py still call this."""
+    """Returns `cfg`, which the trainer reads; perfbench/workloads.py still
+    calls this."""
     return cfg
 
 
@@ -551,9 +550,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
     _, dists = tree.forward(controller)
     policies = [dict(zip(tree.table.histories, d)).__getitem__ for d in dists]
     best = optimal_policy(game, cfg.mu)
-    hists = uniform_histories(game)
     rmse = policy_rmse_multi(policies, best.policy_fns(game),
-                             [hists] * game.n_agents)
+                             [tree.table.histories] * game.n_agents)
     j_policy = tree.table.objective(dists, cfg.mu)
     gap = 0.0 if best.j_star == 0 else 100.0 * (best.j_star - j_policy) / abs(best.j_star)
     greedy = greedy_sequence(game, policies)

@@ -11,12 +11,13 @@ agent's own view is the projection own_history(hist, m).
 
 enumerate_trajectories is the reference walk over the game tree, and it
 defines the TrajectoryTable: one walk under uniform policies, kept as
-arrays. The trainer side (training.GameTree, exact_policy_gradient,
-exact_ascent, nash_check) scores profiles on the table with the walk's
+arrays. Every exact oracle scores profiles on the table with the walk's
 arithmetic in the walk's order, so every probability, moment and objective
-equals the walk's bit for bit; tests and perfbench compare the two.
-optimal_policy still scores its one-hot candidates through the walk, and
-deterministic_assignments enumerates them over the nodes each one reaches.
+equals the walk's bit for bit; tests and perfbench compare the two. The
+trainer side (training.GameTree, exact_policy_gradient, exact_ascent)
+scores a controller's profile; optimal_policy and training.nash_check
+score deterministic policies, which TrajectoryTable.deterministic_picks
+enumerates over the histories each one reaches, as 0/1 row masks.
 """
 
 from __future__ import annotations
@@ -77,13 +78,12 @@ class ToyGame:
     def joint_actions(self) -> list:
         return list(product(*self.action_sets))
 
-    def states(self) -> set:
-        return {s for _, s in self.initial} | {s for s, _ in self.rates.keys()}
-
     def check_enumerable(self) -> None:
-        size = (self.n_beams ** self.horizon
-                * self.n_phases ** (self.n_ris * self.horizon)
-                * max(len(self.states()), 1))
+        """Bound the trajectories of any profile: each slot branches over
+        every joint action and then over the transition's next states."""
+        fan_out = 1 if self.frozen else max(map(len, self.transitions.values()), default=1)
+        size = (sum(p > 0.0 for p, _ in self.initial)
+                * (math.prod(map(len, self.action_sets)) * fan_out) ** self.horizon)
         if size > ENUMERABILITY_BOUND:
             raise EnumerabilityError(f"{size} trajectories exceed the bound")
 
@@ -246,8 +246,9 @@ class TrajectoryTable:
         """Each trajectory's probability, multiplied left to right as the
         walk does: the initial state's, then per slot each agent's of its
         action and the transition's. `masks`, (k, rows) of 0/1, replace
-        `agent`'s probabilities with k deterministic policies; the result
-        is then (k, trajectories)."""
+        `agent`'s probabilities with k deterministic policies, or, with
+        all-ones dists for the others, set k deterministic joint policies;
+        the result is then (k, trajectories)."""
         factors = [d[self.hist, a] for d, a in zip(dists, self.actions)]
         if masks is not None:
             factors[agent] = masks
@@ -274,6 +275,43 @@ class TrajectoryTable:
         return np.bincount(self.path.ravel(), np.repeat(weights, self.path.shape[1]),
                            minlength=len(self.nodes))
 
+    def deterministic_picks(self, keys, plays, n_choices: int, live=None):
+        """Yield every deterministic assignment node -> choice that covers
+        exactly the nodes it reaches, as the (n_histories,) array of its
+        pick at each history, -1 at the histories it does not reach.
+
+        keys[h] is history h's node, plays[row] the choice the row plays,
+        and live[h] (default: all) whether h may be reached at all. The root
+        is reached; another live history is reached when the row it extends
+        plays the pick at that row's history. Depth first over the histories
+        in first-visit order: the first reached history whose node has no
+        choice yet takes each choice in turn."""
+        n = len(self.histories)
+        row_hist, plays = self.hist.tolist(), np.asarray(plays).tolist()
+        live = [True] * n if live is None else live
+        picks, chosen, branches = [-1] * n, {}, 0
+
+        def extend(start):
+            nonlocal branches
+            for h in range(start, n):
+                parent, picks[h] = self.parent[h], -1
+                if not live[h] or parent >= 0 and picks[row_hist[parent]] != plays[parent]:
+                    continue
+                if keys[h] in chosen:
+                    picks[h] = chosen[keys[h]]
+                    continue
+                for choice in range(n_choices):
+                    branches += 1
+                    if branches > ENUMERABILITY_BOUND:
+                        raise EnumerabilityError("deterministic policy space exceeds the bound")
+                    chosen[keys[h]] = picks[h] = choice
+                    yield from extend(h + 1)
+                del chosen[keys[h]]
+                return
+            yield np.array(picks)
+
+        yield from extend(0)
+
 
 # ---------------------------------------------------------------------------
 # optimal policies
@@ -287,88 +325,51 @@ class OptimalPolicy:
     closed_loop: bool = False
 
     def policy_fns(self, game: ToyGame) -> list:
-        """One-hot policies that play this optimum."""
+        """One-hot policies that play this optimum. A closed-loop optimum
+        is defined only on its support: its policies raise KeyError at any
+        history it does not reach. So nash_check certifies a closed-loop
+        optimum of a single agent only; a deviation of one of several agents
+        reaches histories where the others' policies are undefined."""
         if self.closed_loop:
             return joint_onehot_policies(game, lambda hist: self.tree[hist])
         return joint_onehot_policies(game, lambda hist: self.sequence[len(hist)])
 
 
-class _Unassigned(LookupError):
-    """A deterministic assignment was asked for a node (the only argument)
-    it does not cover."""
-
-
-def deterministic_assignments(score, node_of, choices):
-    """Yield (score, assignment) for every complete deterministic assignment
-    node -> choice, depth first, choices tried in the given order.
-
-    score(choose) evaluates the policies that play choose(hist), the choice
-    at node node_of(hist). choose raises at a node the assignment does not
-    cover yet; that node then takes each choice in turn. So every assignment
-    covers exactly the nodes reachable under it. The yielded dict is live:
-    copy it to keep it.
-    """
-    tree = {}
-    branches = 0
-
-    def choose(hist):
-        node = node_of(hist)
-        if node not in tree:
-            raise _Unassigned(node)
-        return tree[node]
-
-    def extend():
-        nonlocal branches
-        try:
-            value = score(choose)
-        except _Unassigned as gap:
-            (node,) = gap.args
-        else:
-            yield value, tree
-            return
-        for choice in choices:
-            branches += 1
-            if branches > ENUMERABILITY_BOUND:
-                raise EnumerabilityError("deterministic policy space exceeds the bound")
-            tree[node] = choice
-            yield from extend()
-            del tree[node]
-
-    yield from extend()
-
-
 def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> OptimalPolicy:
     """Exhaustive argmax of the exact objective; ties break to the first
-    assignment enumerated, for open loop the lexicographically smallest
+    candidate enumerated, for open loop the lexicographically smallest
     action sequence.
 
     Open-loop (default): a joint action per slot, all (A * B^G)^T sequences.
     Closed-loop (stochastic toys): a joint action per reachable global
-    (joint action, rate) history.
+    (joint action, rate) history. The game's trajectory table enumerates
+    the candidates (TrajectoryTable.deterministic_picks) and scores them all
+    at once, each as a 0/1 mask over the rows with the joint action it
+    plays, so every j_star is the walk's enumerate_exact_J bit for bit.
     """
     closed_loop = closed_loop and not game.frozen
-
-    def score(choose):
-        return enumerate_exact_J(game, joint_onehot_policies(game, choose), mu)
-
-    best = None
-    for j, tree in deterministic_assignments(score, (lambda hist: hist) if closed_loop else len,
-                                             game.joint_actions):
-        if best is None or j > best[0] + 1e-15:
-            best = (j, dict(tree))
+    table = TrajectoryTable(game)
+    joints = game.joint_actions
+    index = {joint: k for k, joint in enumerate(joints)}
+    plays = np.array([index[joint] for _, joint in table.nodes])
+    keys = table.histories if closed_loop else [len(hist) for hist in table.histories]
+    picks = np.array(list(table.deterministic_picks(keys, plays, len(joints))))
+    masks = (picks[:, table.hist] == plays).astype(float)
+    ones = [np.ones((len(table.histories), len(actions))) for actions in game.action_sets]
+    scores = table.objective(ones, mu, masks=masks)
+    best = 0
+    for k, j in enumerate(scores):
+        if j > scores[best] + 1e-15:
+            best = k
+    chosen = {key: joints[p] for key, p in zip(keys, picks[best].tolist()) if p >= 0}
     if closed_loop:
-        return OptimalPolicy(j_star=best[0], tree=best[1], closed_loop=True)
-    return OptimalPolicy(j_star=best[0], sequence=tuple(best[1][t] for t in range(game.horizon)))
+        return OptimalPolicy(j_star=scores[best], tree=chosen, closed_loop=True)
+    return OptimalPolicy(j_star=scores[best],
+                         sequence=tuple(chosen[t] for t in range(game.horizon)))
 
 
 # ---------------------------------------------------------------------------
 # greedy readout and policy distance
-
-
-def uniform_histories(game: ToyGame) -> list:
-    """Every global history a slot starts from under uniform policies, i.e.
-    every history a full-support profile can reach, shortest first."""
-    return sorted(TrajectoryTable(game).histories, key=lambda h: (len(h), str(h)))
 
 
 def greedy_sequence(game: ToyGame, policy_fns) -> tuple:

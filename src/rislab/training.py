@@ -653,7 +653,7 @@ def nash_check(game: ToyGame, policy_fns, mu: float) -> NashReport:
     policy, or only one other agent's, has put zero probability on the path.
     A deviation is a 0/1 mask over the rows, and one batched evaluation
     scores all of an agent's deviations."""
-    from .oracle import TrajectoryTable, deterministic_assignments, own_history
+    from .oracle import TrajectoryTable, own_history
 
     table = TrajectoryTable(game)
     n_hist = len(table.histories)
@@ -676,20 +676,9 @@ def nash_check(game: ToyGame, policy_fns, mu: float) -> NashReport:
     j_now = table.objective(dists, mu)
     per_agent = []
     for m, actions in enumerate(game.action_sets):
-        reach = [h for h, blocked in enumerate(zeros) if blocked <= {m}]
         own = [own_history(hist, m) for hist in table.histories]
-
-        def score(choose):
-            """The agent's pick at each history it reaches, -1 elsewhere."""
-            picks = [-1] * n_hist
-            for h in reach:
-                parent = table.parent[h]
-                if parent < 0 or picks[row_hist[parent]] == acts[m][parent]:
-                    picks[h] = choose(h)
-            return picks
-
-        picks = np.array([p for p, _ in deterministic_assignments(score, own.__getitem__,
-                                                                    actions)])
+        live = [blocked <= {m} for blocked in zeros]
+        picks = np.array(list(table.deterministic_picks(own, acts[m], len(actions), live)))
         masks = (picks[:, table.hist] == table.actions[m]).astype(float)
         per_agent.append(max(table.objective(dists, mu, m, masks)) - j_now)
     best_improvement = max(per_agent)

@@ -4,13 +4,15 @@ one pytest run collects both directories."""
 
 import functools
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
-from rislab import cli
+from rislab import cli, oracle
 from rislab import policy as pol
-from rislab.oracle import (ToyGame, deterministic_assignments, enumerate_exact_J,
-                           enumerate_trajectories, onehot_policy, own_history)
+from rislab.oracle import (OptimalPolicy, ToyGame, enumerate_exact_J, enumerate_trajectories,
+                           joint_onehot_policies, onehot_policy, own_history,
+                           uniform_policies)
 from rislab.policy import PolicyParams, n_params, param_layout
 from rislab.risk import gradient_weight
 from rislab.training import NashReport, _apply_update
@@ -175,6 +177,16 @@ def stochastic_toy_game(seed):
                    frozen=False)
 
 
+def counted_walks(monkeypatch) -> list:
+    """Log every oracle.enumerate_trajectories call, one entry each, in the
+    returned list."""
+    calls = []
+    walk = oracle.enumerate_trajectories
+    monkeypatch.setattr(oracle, "enumerate_trajectories",
+                        lambda *args: calls.append(args) or walk(*args))
+    return calls
+
+
 def policy_table(policy_fns) -> list:
     """Wrap each policy in a lazy table of its outputs keyed by history, so
     every policy runs once per history. Build one per oracle call: the
@@ -245,18 +257,55 @@ def reference_exact_ascent(game, controller, mu, steps, learning_rate, trace_eve
 
 def reference_nash_check(game, policy_fns, mu):
     """training.nash_check in its walk form: every deterministic deviation
-    of each agent is scored by its own enumerate_exact_J walk, the others'
-    policies memoized by policy_table across all walks."""
+    of each agent over all of its own-history nodes, reached or not, is
+    scored by its own enumerate_exact_J walk, the others' policies memoized
+    by policy_table across all walks. Nodes a deviation does not reach
+    leave its walk unchanged, so the maximum over this superset equals the
+    maximum over the assignments of reached nodes bit for bit."""
     fixed = policy_table(policy_fns)
     j_now = enumerate_exact_J(game, fixed, mu)
+    trajs = enumerate_trajectories(game, uniform_policies(game))
     per_agent = []
     for m, actions in enumerate(game.action_sets):
-        def score(choose):
+        nodes = list(dict.fromkeys(own_history(hist, m) for traj in trajs
+                                   for _s, _j, _r, hist in traj.steps))
+        best = None
+        for picks in product(actions, repeat=len(nodes)):
+            choice = dict(zip(nodes, picks))
             pols = list(fixed)
-            pols[m] = onehot_policy(len(actions), choose)
-            return enumerate_exact_J(game, pols, mu)
-
-        trees = deterministic_assignments(score, lambda hist: own_history(hist, m), actions)
-        per_agent.append(max(j for j, _ in trees) - j_now)
+            pols[m] = onehot_policy(len(actions), lambda hist: choice[own_history(hist, m)])
+            j = enumerate_exact_J(game, pols, mu)
+            best = j if best is None else max(best, j)
+        per_agent.append(best - j_now)
     return NashReport(j_current=j_now, best_improvement=max(per_agent),
                       per_agent=per_agent)
+
+
+def reference_optimal_policy(game, mu, closed_loop=False):
+    """oracle.optimal_policy in its walk form, one enumerate_exact_J walk
+    per candidate, ties to the first candidate within 1e-15. Open loop: the
+    product of joint actions over the slots. Closed loop (horizon 2 only):
+    each root joint times the product over the slot-1 histories it reaches,
+    in the order of the initial states."""
+    joints = game.joint_actions
+    closed_loop = closed_loop and not game.frozen
+    if closed_loop:
+        assert game.horizon == 2
+        candidates = []
+        for root in joints:
+            after = list(dict.fromkeys(((root, game.rate(s, root)),)
+                                       for p, s in game.initial if p > 0.0))
+            candidates += [{(): root, **dict(zip(after, picks))}
+                           for picks in product(joints, repeat=len(after))]
+        play = lambda tree: tree.__getitem__
+    else:
+        candidates = list(product(joints, repeat=game.horizon))
+        play = lambda seq: lambda hist: seq[len(hist)]
+    best = None
+    for cand in candidates:
+        j = enumerate_exact_J(game, joint_onehot_policies(game, play(cand)), mu)
+        if best is None or j > best[0] + 1e-15:
+            best = (j, cand)
+    if closed_loop:
+        return OptimalPolicy(j_star=best[0], tree=best[1], closed_loop=True)
+    return OptimalPolicy(j_star=best[0], sequence=best[1])

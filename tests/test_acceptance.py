@@ -33,7 +33,7 @@ from rislab.oracle import (
     optimal_policy,
     own_history,
     policy_rmse_multi,
-    uniform_histories,
+    TrajectoryTable,
 )
 from rislab.risk import evar_literal, surrogate_return
 from rislab.training import (
@@ -197,7 +197,7 @@ def test_c04_toy_training_reaches_oracle(trained_toy):
     best = optimal_policy(game, cfg.mu)
 
     greedy_ok = greedy_sequence(game, policies) == best.sequence
-    hists = uniform_histories(game)
+    hists = TrajectoryTable(game).histories
 
     rmse = policy_rmse_multi(policies, best.policy_fns(game), [hists, hists])
     elapsed = time.time() - start

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rislab
+from helpers import counted_walks
 from rislab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -368,6 +369,14 @@ def test_compare_after_toy_training(tmp_path):
     assert rmse < 10.0
     assert gap < 5.0
     assert greedy_ok == "True"
+
+
+def test_compare_walks_the_game_at_most_twice(tmp_path, monkeypatch):
+    # the controller's GameTree and the optimum's table; the readout's
+    # histories come from the tree
+    calls = counted_walks(monkeypatch)
+    assert cmd_compare(toy_cfg(seed=3), tmp_path / "cmp", None) == 0
+    assert 1 <= len(calls) <= 2
 
 
 def test_compare_round_trip_identical(tmp_path):

@@ -3,12 +3,13 @@ walk, brute-force optima including the two-arm risk threshold, the greedy
 readout, the tests' finite-difference oracle, and RMSE fixtures."""
 
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import (fd_gradient, policy_table, revealed_state_game, stochastic_toy_game,
-                     walk_coefficients)
+from helpers import (counted_walks, fd_gradient, policy_table, reference_optimal_policy,
+                     revealed_state_game, stochastic_toy_game, walk_coefficients)
 
 from rislab.oracle import (
     EnumerabilityError,
@@ -16,7 +17,6 @@ from rislab.oracle import (
     ToyGame,
     TrajectoryTable,
     complexity_bench,
-    deterministic_assignments,
     enumerate_exact_J,
     enumerate_trajectories,
     frozen_toy_game,
@@ -24,7 +24,6 @@ from rislab.oracle import (
     joint_onehot_policies,
     optimal_policy,
     policy_rmse_multi,
-    uniform_histories,
     uniform_policies,
     walk_sum,
 )
@@ -147,6 +146,21 @@ def test_enumerability_bound_enforced():
         enumerate_trajectories(game, uniform_policies(game))
 
 
+def test_enumerability_bound_counts_state_branching():
+    # one agent with 2 actions over two states it leaves or keeps 50/50,
+    # T = 12: 2 initial states * (2 joints * 2 next states)^12 = 33.5 M
+    # trajectories
+    rates = {(s, (a,)): float(a) for s in "ab" for a in range(2)}
+    game = ToyGame(n_beams=2, n_phases=1, n_ris=0, horizon=12, rates=rates,
+                   initial=((0.5, "a"), (0.5, "b")),
+                   transitions={key: ((0.5, "a"), (0.5, "b")) for key in rates},
+                   frozen=False)
+    with pytest.raises(EnumerabilityError, match="33554432"):
+        game.check_enumerable()
+    # the bound is not hit one slot shorter than needed: 2 * 4^11 = 8.4 M
+    replace(game, horizon=11).check_enumerable()
+
+
 def history_policies(game, seed):
     """Per agent, a full-support policy that depends on the whole history:
     a Dirichlet draw seeded by the agent, the seed and the history."""
@@ -267,7 +281,7 @@ def test_closed_loop_beats_open_loop_when_history_helps():
 def test_optimum_scores_its_j_star_with_risk_on_stochastic_toys():
     # non-dyadic transition probabilities and mu > 0: the optimum's j_star is
     # the exact objective of its own one-hot policies, bit for bit, because
-    # optimal_policy scores every candidate through enumerate_exact_J
+    # the trajectory table scores every candidate with the walk's arithmetic
     for seed in range(4):
         game = stochastic_toy_game(500 + seed)
         for mu in (0.25, 0.8, 1.3):
@@ -275,25 +289,52 @@ def test_optimum_scores_its_j_star_with_risk_on_stochastic_toys():
                 best = optimal_policy(game, mu, closed_loop=closed_loop)
                 assert enumerate_exact_J(game, best.policy_fns(game), mu) == best.j_star
 
-def test_deterministic_assignments_cover_reachable_nodes_only():
+
+OPTIMUM_GAMES = {"toy": two_by_two_game(), "revealed": revealed_state_game(),
+                 **{f"st{seed}": stochastic_toy_game(seed) for seed in (500, 501, 502)}}
+
+
+@pytest.mark.parametrize("name", list(OPTIMUM_GAMES))
+def test_optimal_policy_equals_walk_reference(name):
+    # the table-scored argmax equals one enumerate_exact_J walk per
+    # candidate: the same j_star bit for bit and the same sequence or tree
+    game = OPTIMUM_GAMES[name]
+    for mu in (0.0, 0.25, 0.8, 1.3):
+        for closed_loop in (False, True):
+            got = optimal_policy(game, mu, closed_loop=closed_loop)
+            want = reference_optimal_policy(game, mu, closed_loop=closed_loop)
+            assert got == want
+
+
+def test_optimal_policy_walks_the_game_once(monkeypatch):
+    calls = counted_walks(monkeypatch)
+    for closed_loop in (False, True):
+        calls.clear()
+        optimal_policy(stochastic_toy_game(500), 0.8, closed_loop=closed_loop)
+        assert len(calls) == 1
+
+
+def test_deterministic_picks_cover_reachable_nodes_only():
     # one joint action at the root, then one per observed first-slot rate:
-    # 2 * 2^2 closed-loop trees of 3 nodes each, and 2^2 sequences
+    # 2 * 2^2 closed-loop trees of 3 nodes each, and 2^2 sequences in
+    # lexicographic order
     game = revealed_state_game()
+    table = TrajectoryTable(game)
+    joints = game.joint_actions
+    plays = [joints.index(joint) for _, joint in table.nodes]
 
-    def score(choose):
-        return enumerate_exact_J(game, joint_onehot_policies(game, choose), 0.0)
+    def assignments(keys):
+        return [{keys[h]: joints[p] for h, p in enumerate(picks) if p >= 0}
+                for picks in table.deterministic_picks(keys, plays, len(joints))]
 
-    trees = [dict(t) for _, t in deterministic_assignments(score, lambda h: h,
-                                                           game.joint_actions)]
+    trees = assignments(table.histories)
     assert len(trees) == 8
     assert len({tuple(sorted(t.items())) for t in trees}) == 8
     for tree in trees:
         root = tree[()]
         assert set(tree) == {()} | {((root, r),) for r in (0.0, 1.0)}
-    sequences = [dict(t) for _, t in deterministic_assignments(score, len,
-                                                               game.joint_actions)]
-    assert sequences == [{0: a, 1: b} for a in game.joint_actions
-                         for b in game.joint_actions]
+    sequences = assignments([len(hist) for hist in table.histories])
+    assert sequences == [{0: a, 1: b} for a in joints for b in joints]
 
 
 def test_policy_table_runs_each_policy_once_per_history():
@@ -330,9 +371,9 @@ def test_fd_quadratic_analytic():
 # greedy readout
 
 
-def test_uniform_histories_cover_every_slot_start_once():
+def test_table_histories_cover_every_slot_start_once():
     game = two_by_two_game(horizon=2)
-    hists = uniform_histories(game)
+    hists = TrajectoryTable(game).histories
     # the empty start, then one history per first joint action
     assert hists[0] == ()
     assert len(hists) == 1 + 4 and len(set(hists)) == len(hists)

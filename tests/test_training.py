@@ -33,7 +33,6 @@ from rislab.oracle import (
     joint_onehot_policies,
     optimal_policy,
     own_history,
-    uniform_histories,
 )
 from rislab.risk import gradient_weight
 from rislab.training import (
@@ -434,7 +433,7 @@ def history_dependent(ctrl, game):
     """Whether every agent plays a different distribution at every history:
     at H = 4 a net's trunk is one unit wide, and a dead ReLU makes its
     policy ignore the history."""
-    hists = uniform_histories(game)
+    hists = TrajectoryTable(game).histories
     return all(len({ctrl.policy_fn(m)(h).tobytes() for h in hists}) == len(hists)
                for m in range(ctrl.n_agents))
 
@@ -963,12 +962,20 @@ def controller_policies(game, mode, seed):
 
 def nash_profiles():
     """(game, policies) pairs: trained-net profiles on the toy and on
-    stochastic toys, the single-agent frozen game, a perturbed profile and
-    one-hot profiles whose zeros cut whole subtrees."""
+    stochastic toys, the single-agent frozen game, a perturbed profile,
+    one-hot profiles whose zeros cut whole subtrees, and a game whose rates
+    hide one agent's action from the other."""
     toy = toy_game()
     single = frozen_toy_game({(0,): 1.0, (1,): 2.0}, n_beams=2, n_phases=1,
                              n_ris=0, horizon=1)
     stochastic = stochastic_toy_game(502)
+    shared_rate = frozen_toy_game({(0, 0): 1.0, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 2.0},
+                                  n_beams=2, n_phases=2, n_ris=1, horizon=2)
+
+    def sticky_phase(hist):
+        """0.9 on the phase just played."""
+        return np.array([0.5, 0.5]) if not hist else np.eye(2)[hist[-1][0][1]] * 0.8 + 0.1
+
     return {
         "toy_distributed": (toy, controller_policies(toy, "distributed", 6)),
         "toy_centralized": (toy, controller_policies(toy, "centralized", 11)),
@@ -982,6 +989,9 @@ def nash_profiles():
             toy, lambda hist: (0, 1) if not hist else (hist[-1][0][1], 1))),
         "onehot_stochastic": (stochastic, joint_onehot_policies(
             stochastic, lambda hist: (1, 0) if not hist else (0, int(hist[-1][1] > 1.5)))),
+        # beam 0 pays 1.0 whatever the phase, so the beam agent's own history
+        # hides the phase the other agent keys its next phase on
+        "shared_rate": (shared_rate, [lambda hist: np.array([0.5, 0.5]), sticky_phase]),
     }
 
 

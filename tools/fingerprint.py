@@ -6,8 +6,9 @@ Prints one `<output> <sha256 prefix>` line per output:
   (updates, clip events, replay size, convergence) for both controller
   kinds at two seeds, and `cli._rollout_stats` of each trained controller;
 - toy `exact_policy_gradient`, `exact_ascent` (trace and parameters) and
-  `nash_check` for both kinds, on the built-in toy and on a fixed non-frozen
-  two-state game, so state transitions are pinned too;
+  `nash_check` for both kinds, and the open- and closed-loop
+  `optimal_policy` at two risk levels, on the built-in toy and on a fixed
+  non-frozen two-state game, so state transitions are pinned too;
 - `theorem1_harness` on the toy at seed 31, as acceptance criterion c03 runs it;
 - every file `rislab train` / `evaluate` / `compare` writes, for the toy
   profile and a reduced desk budget in both modes, with the manifest lines
@@ -86,9 +87,8 @@ def desk_lines(cli, training):
         for seed in SEEDS:
             cfg = replace(cli.profile_config("desk"), mode=kind, seed=seed, **DESK_BUDGET)
             env, heads = cli.build_environment(cfg)
-            tc = cli.train_config(cfg)
-            ctrl = training.make_controller(tc, heads, np.random.default_rng(cfg.seed))
-            res = training.train(env, ctrl, tc)
+            ctrl = training.make_controller(cfg, heads, np.random.default_rng(cfg.seed))
+            res = training.train(env, ctrl, cfg)
             curves = [(c.update, c.j_estimate, c.mean_rate, c.rate_variance,
                        c.grad_norm, c.clamps) for c in res.curves]
             tag = f"desk.{kind}.seed{seed}"
@@ -127,7 +127,7 @@ def toy_lines(cli, oracle, training):
             game = make_game(cfg)
             heads = tuple(len(s) for s in game.action_sets)
             rng = np.random.default_rng(cfg.seed)
-            ctrl = training.make_controller(cli.train_config(cfg), heads, rng)
+            ctrl = training.make_controller(cfg, heads, rng)
             for vec in ctrl.parameter_vectors():
                 vec[:] = rng.uniform(-0.6, 0.6, size=vec.size)
             grads = training.exact_policy_gradient(game, ctrl, 0.7)
@@ -140,11 +140,18 @@ def toy_lines(cli, oracle, training):
                 report = training.nash_check(game, policies, mu)
                 yield f"{prefix}.{kind}.nash_check.mu{mu}", digest(
                     report.j_current, report.best_improvement, report.per_agent)
+        game = make_game(cli.profile_config("toy"))
+        for closed_loop, loop in ((False, "open"), (True, "closed")):
+            for mu in (0.0, 0.8):
+                best = oracle.optimal_policy(game, mu, closed_loop=closed_loop)
+                tree = None if best.tree is None else sorted(best.tree.items())
+                yield f"{prefix}.optimal.{loop}.mu{mu}", digest(
+                    best.j_star, best.sequence, tree, best.closed_loop)
 
     cfg = replace(cli.profile_config("toy"), seed=31)
     game = cli.builtin_toy_game(cfg)
     report = training.theorem1_harness(lambda: training.ToyGameEnvironment(game, seed=31),
-                                       (2, 2), cli.train_config(cfg), n_updates=100)
+                                       (2, 2), cfg, n_updates=100)
     yield "theorem1_harness.seed31", digest(report.updates, report.max_param_divergence,
                                             report.factorization_gap, report.diverged_at)
 
