@@ -113,6 +113,7 @@ _RANGES = (
       "eval_episodes", "eval_warmup")),
     (">= 1", lambda v: v >= 1,
      ("horizon", "minibatch", "convergence_window", "n_trajectories", "trajectory_len")),
+    ("all >= 0", lambda v: all(k >= 0 for k in v), ("obstacle_counts",)),
 )
 
 

@@ -37,6 +37,7 @@ The memoized CDFs reproduce `Generator.choice(p=...)` draw for draw.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -590,11 +591,14 @@ def env_step(scn: Scenario, state: EnvState, actions: ActionProfile,
 
 class Environment:
     """Single-owner stepping wrapper: holds state, rng, and optionally a
-    replayed trajectory table instead of the random walk."""
+    replayed trajectory dataset instead of the random walk. A dataset
+    replays as one stream of its cells, trajectory after trajectory,
+    cycled: the first cell starts the user, each step moves it to the next
+    cell, and reset starts the stream over."""
 
     def __init__(self, scenario: Scenario, seed: int = 0, trajectories=None):
         self.scenario = scenario
-        self.trajectories = trajectories
+        self._cells = [tuple(cell) for traj in trajectories or () for cell in traj]
         self._seed = seed
         self.reset(seed)
 
@@ -602,27 +606,13 @@ class Environment:
         if seed is not None:
             self._seed = seed
         self.rng = np.random.default_rng(self._seed)
-        self._traj_idx = 0
-        self._traj_pos = 0
-        start = None
-        if self.trajectories:
-            start = tuple(self.trajectories[0][0])
-            self._traj_pos = 1
+        self._replay = itertools.cycle(self._cells)
+        start = next(self._replay, None)   # an empty cycle: the random walk
         self.state = initial_state(self.scenario, self.rng, user_cell=start)
         return self.state
 
-    def _next_replay_cell(self):
-        traj = self.trajectories[self._traj_idx]
-        if self._traj_pos >= len(traj):
-            self._traj_idx = (self._traj_idx + 1) % len(self.trajectories)
-            self._traj_pos = 0
-            traj = self.trajectories[self._traj_idx]
-        cell = tuple(traj[self._traj_pos])
-        self._traj_pos += 1
-        return cell
-
     def step(self, actions: ActionProfile):
-        override = self._next_replay_cell() if self.trajectories else None
+        override = next(self._replay, None)
         reward, self.state = env_step(self.scenario, self.state, actions,
                                       self.rng, next_cell=override)
         return reward, self.state
@@ -657,7 +647,7 @@ def generate_dataset(grid: OccupancyGrid, n_trajectories: int, length: int,
 
 
 @dataclass
-class TrajectoryTable:
+class TrajectoryDataset:
     cells: list                      # one (length, 2) int array per trajectory
     n_rows: int
     n_clamped: int
@@ -665,8 +655,8 @@ class TrajectoryTable:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def __getitem__(self, k):
-        return self.cells[k]
+    def __iter__(self):
+        return iter(self.cells)
 
 
 def _nearest_free_cell(grid: OccupancyGrid, cell):
@@ -683,7 +673,7 @@ def _nearest_free_cell(grid: OccupancyGrid, cell):
     return best, True
 
 
-def ingest_dataset(path, grid: OccupancyGrid) -> TrajectoryTable:
+def ingest_dataset(path, grid: OccupancyGrid) -> TrajectoryDataset:
     """Parse a trajectory CSV onto grid cells.
 
     Out-of-grid or on-obstacle coordinates are clamped to the nearest free
@@ -731,7 +721,7 @@ def ingest_dataset(path, grid: OccupancyGrid) -> TrajectoryTable:
         raise DatasetFormatError(f"{path}: no data rows")
     cells = [np.asarray(trajectories[k], dtype=int)
              for k in sorted(trajectories.keys())]
-    return TrajectoryTable(cells=cells, n_rows=n_rows, n_clamped=n_clamped)
+    return TrajectoryDataset(cells=cells, n_rows=n_rows, n_clamped=n_clamped)
 
 
 # ---------------------------------------------------------------------------

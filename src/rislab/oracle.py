@@ -18,6 +18,8 @@ trainer side (training.GameTree, exact_policy_gradient, exact_ascent)
 scores a controller's profile; optimal_policy and training.nash_check
 score deterministic policies, which TrajectoryTable.deterministic_picks
 enumerates over the histories each one reaches, as 0/1 row masks.
+nash_check asks each policy once at every history of the table, so a
+policy it certifies must be defined at all of them.
 """
 
 from __future__ import annotations
@@ -275,27 +277,26 @@ class TrajectoryTable:
         return np.bincount(self.path.ravel(), np.repeat(weights, self.path.shape[1]),
                            minlength=len(self.nodes))
 
-    def deterministic_picks(self, keys, plays, n_choices: int, live=None):
+    def deterministic_picks(self, keys, plays, n_choices: int):
         """Yield every deterministic assignment node -> choice that covers
         exactly the nodes it reaches, as the (n_histories,) array of its
         pick at each history, -1 at the histories it does not reach.
 
-        keys[h] is history h's node, plays[row] the choice the row plays,
-        and live[h] (default: all) whether h may be reached at all. The root
-        is reached; another live history is reached when the row it extends
-        plays the pick at that row's history. Depth first over the histories
-        in first-visit order: the first reached history whose node has no
-        choice yet takes each choice in turn."""
+        keys[h] is history h's node and plays[row] the choice the row plays.
+        The root is reached; another history is reached when the row it
+        extends plays the pick at that row's history, whatever the other
+        agents play. Depth first over the histories in first-visit order:
+        the first reached history whose node has no choice yet takes each
+        choice in turn."""
         n = len(self.histories)
         row_hist, plays = self.hist.tolist(), np.asarray(plays).tolist()
-        live = [True] * n if live is None else live
         picks, chosen, branches = [-1] * n, {}, 0
 
         def extend(start):
             nonlocal branches
             for h in range(start, n):
                 parent, picks[h] = self.parent[h], -1
-                if not live[h] or parent >= 0 and picks[row_hist[parent]] != plays[parent]:
+                if parent >= 0 and picks[row_hist[parent]] != plays[parent]:
                     continue
                 if keys[h] in chosen:
                     picks[h] = chosen[keys[h]]
@@ -325,14 +326,18 @@ class OptimalPolicy:
     closed_loop: bool = False
 
     def policy_fns(self, game: ToyGame) -> list:
-        """One-hot policies that play this optimum. A closed-loop optimum
-        is defined only on its support: its policies raise KeyError at any
-        history it does not reach. So nash_check certifies a closed-loop
-        optimum of a single agent only; a deviation of one of several agents
-        reaches histories where the others' policies are undefined."""
+        """One-hot policies that play this optimum, defined at every
+        history: off its support, a closed-loop optimum plays the joint
+        action of the longest prefix its tree holds (the root always is),
+        so nash_check certifies it for any number of agents."""
         if self.closed_loop:
-            return joint_onehot_policies(game, lambda hist: self.tree[hist])
+            return joint_onehot_policies(game, self._tree_joint)
         return joint_onehot_policies(game, lambda hist: self.sequence[len(hist)])
+
+    def _tree_joint(self, hist):
+        while hist not in self.tree:
+            hist = hist[:-1]
+        return self.tree[hist]
 
 
 def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> OptimalPolicy:

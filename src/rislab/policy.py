@@ -587,6 +587,10 @@ def load_checkpoint(path) -> tuple[PolicyParams, PolicyArchitecture]:
         header = json.loads(fh.read(blob_len).decode())
         raw = fh.read()
     try:
+        # a float size would pass the architecture checks and match, 4.0 == 4
+        sizes = [header["history_len"], header["input_size"], *header["head_sizes"]]
+        if any(type(size) is not int for size in sizes):
+            raise ValueError(f"{path}: checkpoint sizes must be integers, not {sizes!r}")
         arch = PolicyArchitecture(
             kind=header["kind"], history_len=header["history_len"],
             input_size=header["input_size"], head_sizes=tuple(header["head_sizes"]),

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import policy as pol
 from .environment import ActionProfile, HistoryBuffer
-from .oracle import ToyGame
+from .oracle import ToyGame, TrajectoryTable, own_history, walk_sum
 from .risk import gradient_weight, surrogate_return
 
 
@@ -338,8 +338,6 @@ class GameTree:
     parameters, so one tree serves every step of an ascent."""
 
     def __init__(self, game: ToyGame, controller: Controller):
-        from .oracle import TrajectoryTable
-
         self.table = TrajectoryTable(game)
         actions, rates = zip(*(controller.window(*zip(*hist)) for hist, _ in self.table.nodes))
         actions, rates = np.stack(actions), np.stack(rates)
@@ -370,8 +368,6 @@ def exact_policy_gradient(game: ToyGame, controller: Controller, mu: float,
     trajectory slots at each (history, joint action) row, are array sums on
     the tree's trajectory table, in the walk's order; one weighted backward
     per net runs through the same cache."""
-    from .oracle import walk_sum
-
     if tree is None:
         tree = GameTree(game, controller)
     table = tree.table
@@ -647,38 +643,18 @@ def nash_check(game: ToyGame, policy_fns, mu: float) -> NashReport:
     improvement. Callers judge the certificate themselves, typically
     best_improvement <= eps * |j_current| for a tolerance eps of their own.
 
-    Every profile is scored on the game's trajectory table. A callable runs
-    at most once per history, in first-visit order, and only where some
-    scored profile reaches the history with that callable in play: where no
-    policy, or only one other agent's, has put zero probability on the path.
-    A deviation is a 0/1 mask over the rows, and one batched evaluation
-    scores all of an agent's deviations."""
-    from .oracle import TrajectoryTable, own_history
-
+    Every profile is scored on the game's trajectory table. Each callable
+    is asked once at every history of the table, in first-visit order, so
+    it must be defined at all of them. A deviation is a 0/1 mask over the
+    rows, and one batched evaluation scores all of an agent's deviations."""
     table = TrajectoryTable(game)
-    n_hist = len(table.histories)
-    row_hist = table.hist.tolist()
-    acts = table.actions.tolist()
-    dists = [np.zeros((n_hist, len(actions))) for actions in game.action_sets]
-    zeros = []   # per history: the agents that put zero probability on its path
-    for h, (hist, parent) in enumerate(zip(table.histories, table.parent)):
-        if parent < 0:
-            blocked = frozenset()
-        else:
-            above = row_hist[parent]
-            blocked = zeros[above] | {m for m, d in enumerate(dists)
-                                      if d[above, acts[m][parent]] == 0.0}
-        zeros.append(blocked)
-        if len(blocked) <= 1:
-            for m, fn in enumerate(policy_fns):
-                if m not in blocked:
-                    dists[m][h] = fn(hist)
+    asked = [[fn(hist) for fn in policy_fns] for hist in table.histories]
+    dists = [np.array(col, dtype=float) for col in zip(*asked)]
     j_now = table.objective(dists, mu)
     per_agent = []
     for m, actions in enumerate(game.action_sets):
         own = [own_history(hist, m) for hist in table.histories]
-        live = [blocked <= {m} for blocked in zeros]
-        picks = np.array(list(table.deterministic_picks(own, acts[m], len(actions), live)))
+        picks = np.array(list(table.deterministic_picks(own, table.actions[m], len(actions))))
         masks = (picks[:, table.hist] == table.actions[m]).astype(float)
         per_agent.append(max(table.objective(dists, mu, m, masks)) - j_now)
     best_improvement = max(per_agent)

@@ -1,6 +1,7 @@
 """CLI tests: config parsing strictness, command pipelines, determinism of
 emitted metric files, and exit codes."""
 
+import json
 import os
 import struct
 import subprocess
@@ -455,6 +456,10 @@ def test_main_missing_checkpoint_exit_2(tmp_path):
     ("train", "codebook.phase_hi inf", []),
     ("train", "train.convergence_tol nan", []),
     ("train", "train.polish_steps -1", []),
+    ("evaluate", "", ["--checkpoint", "{tmp}/float_history_len"]),
+    ("evaluate", "", ["--checkpoint", "{tmp}/float_input_size"]),
+    ("evaluate", "", ["--checkpoint", "{tmp}/float_head_sizes"]),
+    ("generate", "eval.obstacle_counts -1,0", []),
 ])
 def test_main_rejected_input_exits_2_with_one_line(tmp_path, capsys, command, line, extra):
     # a ValueError raised while the CLI builds objects from config values or
@@ -472,6 +477,19 @@ def test_main_rejected_input_exits_2_with_one_line(tmp_path, capsys, command, li
                        ("list", checkpoint(b"[]"))]:
         (tmp_path / name).mkdir()
         (tmp_path / name / "checkpoint_agent0.bin").write_bytes(data)
+    # the desk controller's own checkpoints, one size written as a float:
+    # the architecture checks pass it, and it compares equal to the config's
+    cfg = profile_config("desk")
+    ctrl = make_controller(cfg, build_scenario(cfg).head_sizes, np.random.default_rng(0))
+    for key in ("history_len", "input_size", "head_sizes"):
+        path = tmp_path / f"float_{key}" / "checkpoint_agent0.bin"
+        path.parent.mkdir()
+        save_controller(ctrl, path.parent)
+        data = path.read_bytes()
+        (length,) = struct.unpack("<I", data[6:10])
+        header = json.loads(data[10:10 + length])
+        header[key] = np.asarray(header[key], dtype=float).tolist()
+        path.write_bytes(checkpoint(json.dumps(header).encode()) + data[10 + length:])
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(f"version 1\n{line.format(tmp=tmp_path)}\n")
     code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o"),

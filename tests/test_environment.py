@@ -561,10 +561,13 @@ def test_environment_replay_follows_trajectory():
     env = Environment(scn, seed=0, trajectories=traj)
     assert env.state.user_cell == (1, 1)
     seen = []
-    for _ in range(4):
+    for _ in range(7):
         _, state = env.step(ActionProfile(0, (0, 0)))
         seen.append(state.user_cell)
-    assert seen == [(2, 1), (2, 2), (0, 0), (1, 0)]
+    # past the last trajectory, the stream wraps back to the first one
+    assert seen == [(2, 1), (2, 2), (0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
+    assert env.reset().user_cell == (1, 1)
+    assert env.step(ActionProfile(0, (0, 0)))[1].user_cell == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +777,8 @@ def test_grid_rejects_bad_cell_size_and_non_finite_presence():
 
 
 # (operation, line, position, token): drop or duplicate a line, replace one
-# of its tokens, append a token, or overwrite one character
+# of its tokens, append a token, or overwrite one character (delete it, with
+# an empty token)
 _MUTANT_TOKENS = ["0", "-1", "-0.5", "2.5", "1e-3", "1e3", "nan", "inf", "-inf", "x",
                   "7", "99", ".", "#", "uniform", "rows", "mask", "ris"]
 _mutations = st.tuples(st.sampled_from(["drop", "duplicate", "token", "append", "char"]),
@@ -782,23 +786,25 @@ _mutations = st.tuples(st.sampled_from(["drop", "duplicate", "token", "append", 
                        st.sampled_from(_MUTANT_TOKENS))
 
 
-def _mutate(lines, op, i, j, token):
+def _mutate(lines, op, i, j, token, sep=None):
+    """One mutation of the lines; tokens are split on `sep` (default:
+    whitespace) and joined with it (default: one space)."""
     if not lines:
         return lines
     i %= len(lines)
-    parts = lines[i].split()
+    parts, joiner = lines[i].split(sep), sep or " "
     if op == "drop":
         return lines[:i] + lines[i + 1:]
     if op == "duplicate":
         return lines[:i + 1] + lines[i:]
     if op == "token" and parts:
         parts[j % len(parts)] = token
-        return lines[:i] + [" ".join(parts)] + lines[i + 1:]
+        return lines[:i] + [joiner.join(parts)] + lines[i + 1:]
     if op == "append":
-        return lines[:i] + [f"{lines[i]} {token}"] + lines[i + 1:]
+        return lines[:i] + [f"{lines[i]}{joiner}{token}"] + lines[i + 1:]
     if lines[i]:
         k = j % len(lines[i])
-        return lines[:i] + [lines[i][:k] + token[0] + lines[i][k + 1:]] + lines[i + 1:]
+        return lines[:i] + [lines[i][:k] + token[:1] + lines[i][k + 1:]] + lines[i + 1:]
     return lines
 
 
@@ -829,6 +835,38 @@ def test_scenario_file_mutants_are_rejected_or_step(tmp_path, base, mutations):
     env = Environment(scn, seed=0)
     for t in range(6):
         reward, state = env.step(ActionProfile(t % 4, (t % 5,) * n_ris))
+        assert math.isfinite(reward) and reward >= 0.0
+        assert grid.in_bounds(state.user_cell) and not grid.is_obstacle(state.user_cell)
+
+
+_DATASET_TOKENS = ["0", "1", "-1", "2", "99", "0.25", "-3.5", "1e308", "-1e308", "nan",
+                   "inf", "x", "", " 1", "traj_id", "t", "#", ",", "\""]
+_dataset_mutations = st.tuples(st.sampled_from(["drop", "duplicate", "token", "append", "char"]),
+                               st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                               st.sampled_from(_DATASET_TOKENS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_dataset_mutations, min_size=1, max_size=3))
+def test_dataset_file_mutants_are_rejected_or_replay(tmp_path, mutations):
+    # a mutated trajectory CSV either fails with DatasetFormatError alone,
+    # or ingests into free grid cells that replay, past the wrap back to the
+    # first trajectory, with finite rewards
+    path = tmp_path / "mutant.csv"
+    grid = desk_grid()
+    generate_dataset(grid, 2, 3, np.random.default_rng(8), path)
+    lines = path.read_text().splitlines()
+    for mutation in mutations:
+        lines = _mutate(lines, *mutation, sep=",")
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        dataset = ingest_dataset(path, grid)
+    except DatasetFormatError:
+        return
+    env = Environment(small_scenario(), seed=0, trajectories=dataset)
+    for t in range(dataset.n_rows + 2):
+        reward, state = env.step(ActionProfile(t % 4, (t % 5, 0)))
         assert math.isfinite(reward) and reward >= 0.0
         assert grid.in_bounds(state.user_cell) and not grid.is_obstacle(state.user_cell)
 

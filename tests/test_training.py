@@ -5,6 +5,7 @@ both theorem harnesses."""
 import copy
 import math
 import pickle
+from itertools import product
 
 import numpy as np
 import pytest
@@ -998,47 +999,30 @@ def nash_profiles():
 @pytest.mark.parametrize("name", list(nash_profiles()))
 def test_nash_check_bitwise_equals_walk_reference(name):
     # the table scores j_current and every deviation exactly as the walk
-    # does, and each fixed policy runs once per history the walk asks it
-    # about, in the table's first-visit order
+    # does, and asks each policy once at every history of the table, in
+    # first-visit order
     game, policies = nash_profiles()[name]
-    order = {hist: h for h, hist in enumerate(TrajectoryTable(game).histories)}
+    histories = TrajectoryTable(game).histories
     for mu in (0.0, 0.7):
-        calls, ref_calls = [], []
+        calls = []
         got = nash_check(game, counted(policies, calls), mu)
-        want = reference_nash_check(game, counted(policies, ref_calls), mu)
+        want = reference_nash_check(game, policies, mu)
         assert got.j_current == want.j_current
         assert got.per_agent == want.per_agent
         assert got.best_improvement == want.best_improvement
-        assert len(calls) == len(set(calls)) == len(set(ref_calls))
-        assert set(calls) == set(ref_calls)
-        visits = [order[hist] for _, hist in calls]
-        assert visits == sorted(visits)
-
-
-def test_nash_check_skips_histories_no_scored_profile_reaches():
-    # one-hot beam 0 and phase 1: a deviation of one agent reaches the
-    # other's off-path histories, but no scored profile reaches ((1, 0), r)
-    game = toy_game()
-    calls = []
-    policies = joint_onehot_policies(game, lambda hist: (0, 1))
-    nash_check(game, counted(policies, calls), 0.0)
-    rate = {joint: game.rate("s0", joint) for joint in game.joint_actions}
-    after = {joint: ((joint, rate[joint]),) for joint in game.joint_actions}
-    assert calls == [(0, ()), (1, ()), (0, after[0, 0]), (0, after[0, 1]),
-                     (1, after[0, 1]), (1, after[1, 1])]
+        assert calls == [(m, hist) for hist in histories for m in range(len(policies))]
 
 
 def test_nash_check_certifies_a_closed_loop_optimum():
-    # the optimum's one-hot policies raise KeyError off their support, so
-    # the check must ask them only where the profile goes
-    game = revealed_state_game()
-    for mu in (0.0, 0.8):
+    # the optimum's one-hot policies play, off its support, the joint action
+    # of the longest prefix it holds, so a deviation of one of several
+    # agents finds the others' policies defined
+    games = [revealed_state_game()] + [stochastic_toy_game(seed) for seed in (500, 501, 502)]
+    for game, mu in product(games, (0.0, 0.8)):
         best = optimal_policy(game, mu, closed_loop=True)
         policies = best.policy_fns(game)
-        root = best.tree[()]
-        off = (((1 - root[0],), 0.0),)
-        with pytest.raises(KeyError):
-            policies[0](off)
+        off = ((best.tree[()], -1.0),)   # a rate the game never pays: the root's prefix
+        assert tuple(int(np.argmax(fn(off))) for fn in policies) == best.tree[()]
         report = nash_check(game, policies, mu)
         assert report.j_current == best.j_star
         assert report.best_improvement == 0.0

@@ -6,9 +6,10 @@ Prints one `<output> <sha256 prefix>` line per output:
   (updates, clip events, replay size, convergence) for both controller
   kinds at two seeds, and `cli._rollout_stats` of each trained controller;
 - toy `exact_policy_gradient`, `exact_ascent` (trace and parameters) and
-  `nash_check` for both kinds, and the open- and closed-loop
-  `optimal_policy` at two risk levels, on the built-in toy and on a fixed
-  non-frozen two-state game, so state transitions are pinned too;
+  `nash_check` for both kinds, the open- and closed-loop `optimal_policy`
+  at two risk levels, and `nash_check` of each open-loop optimum's one-hot
+  profile, whose zeros cut whole subtrees, on the built-in toy and on a
+  fixed non-frozen two-state game, so state transitions are pinned too;
 - `theorem1_harness` on the toy at seed 31, as acceptance criterion c03 runs it;
 - every file `rislab train` / `evaluate` / `compare` writes, for the toy
   profile and a reduced desk budget in both modes, with the manifest lines
@@ -147,6 +148,10 @@ def toy_lines(cli, oracle, training):
                 tree = None if best.tree is None else sorted(best.tree.items())
                 yield f"{prefix}.optimal.{loop}.mu{mu}", digest(
                     best.j_star, best.sequence, tree, best.closed_loop)
+                if not closed_loop:
+                    report = training.nash_check(game, best.policy_fns(game), mu)
+                    yield f"{prefix}.optimal.{loop}.mu{mu}.nash_check", digest(
+                        report.j_current, report.best_improvement, report.per_agent)
 
     cfg = replace(cli.profile_config("toy"), seed=31)
     game = cli.builtin_toy_game(cfg)
