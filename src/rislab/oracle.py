@@ -11,15 +11,21 @@ agent's own view is the projection own_history(hist, m).
 
 enumerate_trajectories is the reference walk over the game tree, and it
 defines the TrajectoryTable: one walk under uniform policies, kept as
-arrays. Every exact oracle scores profiles on the table with the walk's
-arithmetic in the walk's order, so every probability, moment and objective
-equals the walk's bit for bit; tests and perfbench compare the two. The
-trainer side (training.GameTree, exact_policy_gradient, exact_ascent)
-scores a controller's profile; optimal_policy and training.nash_check
-score deterministic policies, which TrajectoryTable.deterministic_picks
-enumerates over the histories each one reaches, as 0/1 row masks.
-nash_check asks each policy once at every history of the table, so a
-policy it certifies must be defined at all of them.
+arrays. A game builds its table once, on first use (ToyGame.table), and
+every exact oracle reads that one. Each scores profiles on the table with
+the walk's arithmetic in the walk's order, so every probability, moment
+and objective equals the walk's bit for bit; tests and perfbench compare
+the two. The trainer side (training.GameTree, exact_policy_gradient,
+exact_ascent) scores a controller's profile; optimal_policy and
+training.nash_check score deterministic policies, which
+TrajectoryTable.deterministic_picks enumerates over the histories each one
+reaches, as 0/1 row masks. nash_check asks each policy for its
+distribution at every history of the table, so a policy it certifies must
+be defined at all of them. A policy may carry a batched form,
+`at(histories)`, returning the (n_histories, n_actions) stack of its
+calls; nash_check then asks it once for all of them (a controller's
+policy_fn answers with one forward of its net), and a plain callable once
+per history.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -48,7 +55,10 @@ class ToyGame:
 
     rates[(state, joint)] is the shared reward; transitions[(state, joint)]
     lists (probability, next_state); initial lists (probability, state).
-    Joint actions are tuples (beam, phase_1, ..., phase_G).
+    Joint actions are tuples (beam, phase_1, ..., phase_G). The game's
+    trajectory table is built on first use and kept (so a game is not
+    edited after construction; build a new one instead, e.g. with
+    dataclasses.replace).
     """
 
     n_beams: int
@@ -88,6 +98,11 @@ class ToyGame:
                 * (math.prod(map(len, self.action_sets)) * fan_out) ** self.horizon)
         if size > ENUMERABILITY_BOUND:
             raise EnumerabilityError(f"{size} trajectories exceed the bound")
+
+    @cached_property
+    def table(self) -> TrajectoryTable:
+        """The game's TrajectoryTable: one walk per game, whoever asks."""
+        return TrajectoryTable(self)
 
     def rate(self, state, joint) -> float:
         return self.rates[(state, joint)]
@@ -251,6 +266,8 @@ class TrajectoryTable:
         `agent`'s probabilities with k deterministic policies, or, with
         all-ones dists for the others, set k deterministic joint policies;
         the result is then (k, trajectories)."""
+        if len(dists) != len(self.actions):
+            raise ValueError(f"{len(dists)} dists arrays for {len(self.actions)} agents")
         factors = [d[self.hist, a] for d, a in zip(dists, self.actions)]
         if masks is not None:
             factors[agent] = masks
@@ -353,7 +370,7 @@ def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> Optim
     plays, so every j_star is the walk's enumerate_exact_J bit for bit.
     """
     closed_loop = closed_loop and not game.frozen
-    table = TrajectoryTable(game)
+    table = game.table
     joints = game.joint_actions
     index = {joint: k for k, joint in enumerate(joints)}
     plays = np.array([index[joint] for _, joint in table.nodes])

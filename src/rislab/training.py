@@ -25,7 +25,7 @@ import numpy as np
 
 from . import policy as pol
 from .environment import ActionProfile, HistoryBuffer
-from .oracle import ToyGame, TrajectoryTable, own_history, walk_sum
+from .oracle import ToyGame, own_history, walk_sum
 from .risk import gradient_weight, surrogate_return
 
 
@@ -95,6 +95,13 @@ class Controller:
             window[1][-kept:] = rates[-kept:]
         return window
 
+    def windows(self, histories):
+        """The stacked windows of global (joint, rate) history tuples, each
+        unzipped into window(joints, rates): (n, H, M) actions and (n, H)
+        rates, in the order given."""
+        actions, rates = zip(*(self.window(*zip(*hist)) for hist in histories))
+        return np.stack(actions), np.stack(rates)
+
     def encode(self, actions, rates, net: int) -> np.ndarray:
         """Input of net `net` for windows of any batch shape, (..., H, M)
         actions and (..., H) rates: per group agent in group order, one
@@ -127,7 +134,9 @@ class Controller:
         """Oracle-compatible callable: global (joint, rate) history tuple,
         unzipped into window(joints, rates), to this agent's distribution.
         Runs only the net that computes the agent's head, so it equals
-        distributions(...)[agent] bitwise."""
+        distributions(...)[agent] bitwise. Its batched form `at(histories)`
+        returns the (n_histories, n_actions) distributions from one eval
+        forward over the stacked windows, equal to stacking the calls."""
         net = next(k for k, group in enumerate(self.groups) if agent in group)
         arch, params = self.nets[net]
         head = self.groups[net].index(agent)
@@ -137,6 +146,12 @@ class Controller:
             dists, _ = pol.forward(params, arch, feats, mode="eval")
             return dists[head]
 
+        def at(histories):
+            dists, _ = pol.forward(params, arch, self.encode(*self.windows(histories), net),
+                                   mode="eval")
+            return dists[head]
+
+        fn.at = at
         return fn
 
 
@@ -329,18 +344,18 @@ def estimate_gradient(controller: Controller, batch, mu: float,
 
 
 class GameTree:
-    """An enumerable game's trajectory table (oracle.TrajectoryTable) with
-    each of a controller's nets' inputs at every row, encoded once from the
-    stacked node windows. Softmax policies reach every node, so one eval
-    forward per net over the rows gives the policy at every history of the
-    table, and its cache serves the gradient's backward too. The rows
-    depend on the game and the controller's encoding, not on its
-    parameters, so one tree serves every step of an ascent."""
+    """An enumerable game's trajectory table (game.table, an
+    oracle.TrajectoryTable) with each of a controller's nets' inputs at
+    every row, encoded once from the stacked node windows. Softmax
+    policies reach every node, so one eval forward per net over the rows
+    gives the policy at every history of the table, and its cache serves
+    the gradient's backward too. The rows depend on the game and the
+    controller's encoding, not on its parameters, so one tree serves every
+    step of an ascent."""
 
     def __init__(self, game: ToyGame, controller: Controller):
-        self.table = TrajectoryTable(game)
-        actions, rates = zip(*(controller.window(*zip(*hist)) for hist, _ in self.table.nodes))
-        actions, rates = np.stack(actions), np.stack(rates)
+        self.table = game.table
+        actions, rates = controller.windows(hist for hist, _ in self.table.nodes)
         self.feats = [controller.encode(actions, rates, net)
                       for net in range(len(controller.nets))]
 
@@ -643,13 +658,21 @@ def nash_check(game: ToyGame, policy_fns, mu: float) -> NashReport:
     improvement. Callers judge the certificate themselves, typically
     best_improvement <= eps * |j_current| for a tolerance eps of their own.
 
-    Every profile is scored on the game's trajectory table. Each callable
-    is asked once at every history of the table, in first-visit order, so
-    it must be defined at all of them. A deviation is a 0/1 mask over the
-    rows, and one batched evaluation scores all of an agent's deviations."""
-    table = TrajectoryTable(game)
-    asked = [[fn(hist) for fn in policy_fns] for hist in table.histories]
-    dists = [np.array(col, dtype=float) for col in zip(*asked)]
+    Every profile is scored on the game's trajectory table (game.table,
+    built once per game). A policy with a batched form `at`, such as
+    Controller.policy_fn's, is asked once, over all of the table's
+    histories: one eval forward of its net. Plain callables are asked once
+    at every history, in first-visit order, so each policy must be defined
+    at all of them. A deviation is a 0/1 mask over the rows, and one
+    batched evaluation scores all of an agent's deviations."""
+    if len(policy_fns) != game.n_agents:
+        raise ValueError(f"{len(policy_fns)} policies for {game.n_agents} agents")
+    table = game.table
+    plain = [m for m, fn in enumerate(policy_fns) if not hasattr(fn, "at")]
+    asked = [[policy_fns[m](hist) for m in plain] for hist in table.histories]
+    dists = [fn.at(table.histories) if hasattr(fn, "at") else None for fn in policy_fns]
+    for m, col in zip(plain, zip(*asked)):
+        dists[m] = np.array(col, dtype=float)
     j_now = table.objective(dists, mu)
     per_agent = []
     for m, actions in enumerate(game.action_sets):

@@ -380,6 +380,13 @@ def test_compare_walks_the_game_at_most_twice(tmp_path, monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def test_compare_walks_the_game_once(tmp_path, monkeypatch):
+    # the controller's GameTree and the optimum read the game's one table
+    calls = counted_walks(monkeypatch)
+    assert main(["compare", "--profile", "toy", "--out", str(tmp_path / "cmp")]) == 0
+    assert len(calls) == 1
+
+
 def test_compare_round_trip_identical(tmp_path):
     cfg = toy_cfg(seed=14)
     run = tmp_path / "toyrun"

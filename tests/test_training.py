@@ -3,6 +3,7 @@ enumeration oracle, replay uniformity, the training loop's contracts, and
 both theorem harnesses."""
 
 import copy
+import dataclasses
 import math
 import pickle
 from itertools import product
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import (
+    counted_walks,
     desk_controller,
     fd_gradient,
     reference_exact_ascent,
@@ -34,6 +36,7 @@ from rislab.oracle import (
     joint_onehot_policies,
     optimal_policy,
     own_history,
+    uniform_policies,
 )
 from rislab.risk import gradient_weight
 from rislab.training import (
@@ -1027,3 +1030,77 @@ def test_nash_check_certifies_a_closed_loop_optimum():
         assert report.j_current == best.j_star
         assert report.best_improvement == 0.0
         assert report == reference_nash_check(game, policies, mu)
+
+
+def certificate_games():
+    return {"toy": toy_game(), **{f"st{seed}": stochastic_toy_game(seed)
+                                  for seed in (500, 501, 502)}}
+
+
+@pytest.mark.parametrize("mode", ["distributed", "centralized"])
+@pytest.mark.parametrize("name", list(certificate_games()))
+def test_policy_fn_at_equals_stacked_calls(mode, name):
+    # the batched ask is one forward over the stacked windows, bit for bit
+    # the per-history calls stacked in the same order
+    game = certificate_games()[name]
+    histories = game.table.histories
+    for seed in (6, 11, 16):
+        for fn in controller_policies(game, mode, seed):
+            stacked = np.stack([fn(hist) for hist in histories])
+            got = fn.at(histories)
+            assert got.shape == stacked.shape
+            assert got.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("mode,seed", [("distributed", 6), ("centralized", 11),
+                                       ("distributed", 16)])
+@pytest.mark.parametrize("name", list(certificate_games()))
+def test_nash_check_batched_ask_equals_walk_reference(mode, seed, name):
+    # unwrapped controller policies take the batched ask
+    game = certificate_games()[name]
+    policies = controller_policies(game, mode, seed)
+    for mu in (0.0, 0.7):
+        assert nash_check(game, policies, mu) == reference_nash_check(game, policies, mu)
+
+
+@pytest.mark.parametrize("mode", ["distributed", "centralized"])
+def test_certificate_asks_each_agent_in_one_forward(mode, monkeypatch):
+    # the toy has 5 histories: per-history asks made 10 forwards
+    game = toy_game()
+    policies = controller_policies(game, mode, 6)
+    game.table  # built before counting; the table runs no forward
+    calls = []
+    forward = pol.forward
+    monkeypatch.setattr(pol, "forward",
+                        lambda *args, **kw: calls.append(args[2].shape) or forward(*args, **kw))
+    nash_check(game, policies, 0.0)
+    assert len(calls) == 2
+    assert all(shape[0] == len(game.table.histories) for shape in calls)
+
+
+def test_nash_check_names_a_missing_agent():
+    game = stochastic_toy_game(500)
+    with pytest.raises(ValueError, match="1 policies for 2 agents"):
+        nash_check(game, uniform_policies(game)[:1], 0.0)
+    dists = [np.full((len(game.table.histories), 2), 0.5)]
+    with pytest.raises(ValueError, match="1 dists arrays for 2 agents"):
+        game.table.objective(dists, 0.0)
+
+
+def test_one_walk_per_game(monkeypatch):
+    # GameTree, the certificates and the optimum share the game's table;
+    # a replaced copy is a new game with a table of its own
+    calls = counted_walks(monkeypatch)
+    game = stochastic_toy_game(501)
+    ctrl = make_controller(toy_config(), (2, 2), np.random.default_rng(6))
+    tree = tr.GameTree(game, ctrl)
+    policies = [ctrl.policy_fn(m) for m in range(2)]
+    for mu in (0.0, 0.3, 0.7, 0.9):
+        nash_check(game, policies, mu)
+    optimal_policy(game, 0.8, closed_loop=True)
+    assert len(calls) == 1
+    assert tree.table is game.table
+    twin = dataclasses.replace(game)
+    assert twin.table is not game.table
+    assert len(calls) == 2
+    assert twin.table.histories == game.table.histories
