@@ -58,7 +58,6 @@ from .oracle import (
 from .policy import load_checkpoint, save_checkpoint
 from .training import (
     DivergenceError,
-    GameTree,
     ToyGameEnvironment,
     collect_episode,
     exact_ascent,
@@ -509,7 +508,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
     write_gnuplot(os.path.join(out_dir, "policy_hist.gp"), "average policy",
                   "policy_hist.csv", "2:3", "action index", "mean probability")
 
-    rob_rows = []
+    rob_rows, skipped = [], []
     if cfg.profile != "toy" and cfg.obstacle_counts:
         # common random numbers across obstacle counts: same env seed and
         # same rollout stream, so the deviation isolates the obstacle effect
@@ -517,7 +516,12 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
         for k in cfg.obstacle_counts:
             grid = build_grid(cfg)
             if k > 0:
-                grid = add_random_obstacles(grid, k, np.random.default_rng([cfg.seed, 5, k]))
+                try:
+                    grid = add_random_obstacles(grid, k,
+                                                np.random.default_rng([cfg.seed, 5, k]))
+                except ValueError:  # the grid has no room for k blocks: no row
+                    skipped.append(k)
+                    continue
             scn = build_scenario(cfg, grid=grid)
             env_k = Environment(scn, seed=cfg.seed + 1000)
             rn, _rb, _h = _rollout_stats(env_k, controller, cfg,
@@ -533,7 +537,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
         write_gnuplot(os.path.join(out_dir, "robustness.gp"),
                       "rate deviation vs obstacles", "robustness.csv", "1:3",
                       "number of 3x3 obstacles", "deviation (%)")
-    print(f"wrote evaluation tables to {out_dir}")
+    unfit = f"; skipped obstacle counts {','.join(map(str, skipped))}: the blocks do not fit"
+    print(f"wrote evaluation tables to {out_dir}{unfit if skipped else ''}")
     return 0
 
 
@@ -546,14 +551,11 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
             controller = make_controller(cfg, heads, np.random.default_rng(cfg.seed))
         else:
             controller = load_controller(cfg, checkpoint_dir, heads)
-    # one eval forward per net prices every history the readouts ask about
-    tree = GameTree(game, controller)
-    _, dists = tree.forward(controller)
-    policies = [dict(zip(tree.table.histories, d)).__getitem__ for d in dists]
+    histories = game.table.histories
+    policies = [controller.policy_fn(m) for m in range(game.n_agents)]
     best = optimal_policy(game, cfg.mu)
-    rmse = policy_rmse_multi(policies, best.policy_fns(game),
-                             [tree.table.histories] * game.n_agents)
-    j_policy = tree.table.objective(dists, cfg.mu)
+    rmse = policy_rmse_multi(policies, best.policy_fns(game), [histories] * game.n_agents)
+    j_policy = game.table.objective([fn.at(histories) for fn in policies], cfg.mu)
     gap = 0.0 if best.j_star == 0 else 100.0 * (best.j_star - j_policy) / abs(best.j_star)
     greedy = greedy_sequence(game, policies)
     rows = [(f"{rmse:.6g}", f"{j_policy:.10g}", f"{best.j_star:.10g}",

@@ -869,10 +869,11 @@ def robustness_grid() -> OccupancyGrid:
 def add_random_obstacles(grid: OccupancyGrid, n_blocks: int,
                          rng: np.random.Generator, block: int = 3) -> OccupancyGrid:
     """Place n 3x3 obstacle blocks uniformly on free cells, keeping the AP,
-    RIS, and at least one free cell intact."""
+    RIS, and at least one free cell intact; ValueError if a block does not
+    fit in 500 draws."""
     obstacles = grid.obstacles.copy()
     keep = {grid.ap_cell, *grid.ris_cells}
-    for _ in range(n_blocks):
+    for k in range(n_blocks):
         for _attempt in range(500):
             x = int(rng.integers(0, grid.width - block + 1))
             y = int(rng.integers(0, grid.height - block + 1))
@@ -888,6 +889,8 @@ def add_random_obstacles(grid: OccupancyGrid, n_blocks: int,
                 continue
             obstacles = trial
             break
+        else:
+            raise ValueError(f"obstacle block {k + 1} of {n_blocks} does not fit")
     presence = np.where(obstacles, 0.0, grid.presence)
     if presence.sum() <= 0:
         presence = np.where(obstacles, 0.0, 1.0)

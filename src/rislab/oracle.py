@@ -15,17 +15,16 @@ arrays. A game builds its table once, on first use (ToyGame.table), and
 every exact oracle reads that one. Each scores profiles on the table with
 the walk's arithmetic in the walk's order, so every probability, moment
 and objective equals the walk's bit for bit; tests and perfbench compare
-the two. The trainer side (training.GameTree, exact_policy_gradient,
+the two. A profile is one form, per agent its distribution at every
+history of the table; a deterministic policy is the one-hot distribution
+of its pick. The trainer side (training.GameTree, exact_policy_gradient,
 exact_ascent) scores a controller's profile; optimal_policy and
-training.nash_check score deterministic policies, which
-TrajectoryTable.deterministic_picks enumerates over the histories each one
-reaches, as 0/1 row masks. nash_check asks each policy for its
-distribution at every history of the table, so a policy it certifies must
-be defined at all of them. A policy may carry a batched form,
-`at(histories)`, returning the (n_histories, n_actions) stack of its
-calls; nash_check then asks it once for all of them (a controller's
-policy_fn answers with one forward of its net), and a plain callable once
-per history.
+training.nash_check score the deterministic policies that
+TrajectoryTable.deterministic_picks enumerates as one batch of one-hot
+profiles. nash_check asks each policy at every history of the table, so a
+policy it certifies must be defined at all of them: once if it has a
+batched form `at(histories)`, the (n_histories, n_actions) stack of its
+calls (a controller's policy_fn: one forward of its net), else per history.
 """
 
 from __future__ import annotations
@@ -73,9 +72,10 @@ class ToyGame:
     def __post_init__(self):
         if min(self.n_beams, self.horizon) < 1 or self.n_phases < 1 or self.n_ris < 0:
             raise ValueError("bad toy-game dimensions")
-        total = sum(p for p, _ in self.initial)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("initial state probabilities must sum to 1")
+        for name, row in [("initial state", self.initial), *(
+                (f"transition {key}", row) for key, row in self.transitions.items())]:
+            if not all(p >= 0.0 for p, _ in row) or abs(sum(p for p, _ in row) - 1.0) > 1e-9:
+                raise ValueError(f"{name} probabilities must be nonnegative and sum to 1")
 
     @property
     def n_agents(self) -> int:
@@ -229,11 +229,13 @@ class TrajectoryTable:
     slot along each trajectory). Uniform policies reach every node that
     any profile reaches.
 
-    A profile enters as `dists`, per agent an (n_histories, n_actions)
-    array: its distribution at each history, histories in first-visit
-    order. The table repeats the walk's arithmetic in the walk's order, so
-    its probabilities, sums and objective equal the walk's bit for bit; a
-    trajectory the profile does not reach gets probability exactly 0."""
+    A profile enters as `dists`, per agent an (..., n_histories, n_actions)
+    array: its distribution at each history, in first-visit order; batch
+    axes broadcast across agents, so k deterministic policies are a one-hot
+    stack np.eye(n + 1, n)[picks], -1 picking the all-zero row. The table
+    repeats the walk's arithmetic in the walk's order, so its probabilities,
+    sums and objective equal the walk's bit for bit; a trajectory the
+    profile does not reach gets probability exactly 0."""
 
     def __init__(self, game: ToyGame):
         trajs = enumerate_trajectories(game, uniform_policies(game))
@@ -255,23 +257,18 @@ class TrajectoryTable:
         self.actions = np.array([joint for _, joint in self.nodes]).T  # (agents, rows)
         self.path = np.array([[rows[hist, joint] for _s, joint, _r, hist in traj.steps]
                               for traj in trajs])             # (trajectories, slots)
+        self.path_hist, self.path_actions = self.hist[self.path], self.actions[:, self.path]
         self.chance = np.array([traj.chance for traj in trajs])
         self.ret = np.array([traj.ret for traj in trajs])
         self.ret_sq = np.array([traj.ret ** 2 for traj in trajs])  # pow(), as the walk squares
 
-    def probabilities(self, dists, agent: int = 0, masks=None) -> np.ndarray:
+    def probabilities(self, dists) -> np.ndarray:
         """Each trajectory's probability, multiplied left to right as the
         walk does: the initial state's, then per slot each agent's of its
-        action and the transition's. `masks`, (k, rows) of 0/1, replace
-        `agent`'s probabilities with k deterministic policies, or, with
-        all-ones dists for the others, set k deterministic joint policies;
-        the result is then (k, trajectories)."""
+        action and the transition's. Shape (batch axes..., trajectories)."""
         if len(dists) != len(self.actions):
             raise ValueError(f"{len(dists)} dists arrays for {len(self.actions)} agents")
-        factors = [d[self.hist, a] for d, a in zip(dists, self.actions)]
-        if masks is not None:
-            factors[agent] = masks
-        factors = [f[..., self.path] for f in factors]
+        factors = [d[..., self.path_hist, a] for d, a in zip(dists, self.path_actions)]
         prob = self.chance[:, 0]
         for t in range(self.path.shape[1]):
             for f in factors:
@@ -279,12 +276,12 @@ class TrajectoryTable:
             prob = prob * self.chance[:, t + 1]
         return prob
 
-    def objective(self, dists, mu: float, agent: int = 0, masks=None):
+    def objective(self, dists, mu: float):
         """E[R] - (mu/2) Var[R] under the profile: enumerate_exact_J's
-        float, or one per mask when `masks` is given."""
-        prob = self.probabilities(dists, agent, masks)
+        float, or a list of k floats for a profile with one batch axis of k."""
+        prob = self.probabilities(dists)
         mean, second = walk_sum(prob * self.ret), walk_sum(prob * self.ret_sq)
-        if masks is None:
+        if prob.ndim == 1:
             return _surrogate(mean, second, mu)
         return [_surrogate(m, s, mu) for m, s in zip(mean, second)]
 
@@ -366,8 +363,8 @@ def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> Optim
     Closed-loop (stochastic toys): a joint action per reachable global
     (joint action, rate) history. The game's trajectory table enumerates
     the candidates (TrajectoryTable.deterministic_picks) and scores them all
-    at once, each as a 0/1 mask over the rows with the joint action it
-    plays, so every j_star is the walk's enumerate_exact_J bit for bit.
+    at once, each as the one-hot profile of the joint action it plays at
+    each history, so every j_star is the walk's enumerate_exact_J bit for bit.
     """
     closed_loop = closed_loop and not game.frozen
     table = game.table
@@ -376,9 +373,9 @@ def optimal_policy(game: ToyGame, mu: float, closed_loop: bool = False) -> Optim
     plays = np.array([index[joint] for _, joint in table.nodes])
     keys = table.histories if closed_loop else [len(hist) for hist in table.histories]
     picks = np.array(list(table.deterministic_picks(keys, plays, len(joints))))
-    masks = (picks[:, table.hist] == plays).astype(float)
-    ones = [np.ones((len(table.histories), len(actions))) for actions in game.action_sets]
-    scores = table.objective(ones, mu, masks=masks)
+    acts = np.array(joints + [(-1,) * game.n_agents])[picks]  # pick -1 -> all -1
+    scores = table.objective([np.eye(len(actions) + 1, len(actions))[acts[..., m]]
+                              for m, actions in enumerate(game.action_sets)], mu)
     best = 0
     for k, j in enumerate(scores):
         if j > scores[best] + 1e-15:

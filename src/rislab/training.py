@@ -131,25 +131,22 @@ class Controller:
         return [params.values for _, params in self.nets]
 
     def policy_fn(self, agent: int):
-        """Oracle-compatible callable: global (joint, rate) history tuple,
-        unzipped into window(joints, rates), to this agent's distribution.
-        Runs only the net that computes the agent's head, so it equals
-        distributions(...)[agent] bitwise. Its batched form `at(histories)`
-        returns the (n_histories, n_actions) distributions from one eval
-        forward over the stacked windows, equal to stacking the calls."""
+        """Oracle-compatible callable: global (joint, rate) history tuple to
+        this agent's distribution, asked as the one-history batch of `at`.
+        `at(histories)` returns the (n_histories, n_actions) distributions
+        from one eval forward, over the stacked windows, of only the net with
+        the agent's head, so each row equals distributions(...)[agent] bitwise."""
         net = next(k for k, group in enumerate(self.groups) if agent in group)
         arch, params = self.nets[net]
         head = self.groups[net].index(agent)
-
-        def fn(history):
-            feats = self.encode(*self.window(*zip(*history)), net)
-            dists, _ = pol.forward(params, arch, feats, mode="eval")
-            return dists[head]
 
         def at(histories):
             dists, _ = pol.forward(params, arch, self.encode(*self.windows(histories), net),
                                    mode="eval")
             return dists[head]
+
+        def fn(history):
+            return at((history,))[0]
 
         fn.at = at
         return fn
@@ -663,8 +660,8 @@ def nash_check(game: ToyGame, policy_fns, mu: float) -> NashReport:
     Controller.policy_fn's, is asked once, over all of the table's
     histories: one eval forward of its net. Plain callables are asked once
     at every history, in first-visit order, so each policy must be defined
-    at all of them. A deviation is a 0/1 mask over the rows, and one
-    batched evaluation scores all of an agent's deviations."""
+    at all of them. An agent's deviations are its one-hot stack beside the
+    others' dists, all scored in one batched evaluation."""
     if len(policy_fns) != game.n_agents:
         raise ValueError(f"{len(policy_fns)} policies for {game.n_agents} agents")
     table = game.table
@@ -678,8 +675,8 @@ def nash_check(game: ToyGame, policy_fns, mu: float) -> NashReport:
     for m, actions in enumerate(game.action_sets):
         own = [own_history(hist, m) for hist in table.histories]
         picks = np.array(list(table.deterministic_picks(own, table.actions[m], len(actions))))
-        masks = (picks[:, table.hist] == table.actions[m]).astype(float)
-        per_agent.append(max(table.objective(dists, mu, m, masks)) - j_now)
+        deviations = dists[:m] + [np.eye(len(actions) + 1, len(actions))[picks]] + dists[m + 1:]
+        per_agent.append(max(table.objective(deviations, mu)) - j_now)
     best_improvement = max(per_agent)
     return NashReport(j_current=j_now, best_improvement=best_improvement,
                       per_agent=per_agent)

@@ -372,18 +372,14 @@ def test_compare_after_toy_training(tmp_path):
     assert greedy_ok == "True"
 
 
-def test_compare_walks_the_game_at_most_twice(tmp_path, monkeypatch):
-    # the controller's GameTree and the optimum's table; the readout's
-    # histories come from the tree
+def test_compare_walks_the_game_once(tmp_path, monkeypatch):
+    # the controller's objective, the readouts' histories and the optimum
+    # all read the game's one table, whichever entry point builds the game
     calls = counted_walks(monkeypatch)
     assert cmd_compare(toy_cfg(seed=3), tmp_path / "cmp", None) == 0
-    assert 1 <= len(calls) <= 2
-
-
-def test_compare_walks_the_game_once(tmp_path, monkeypatch):
-    # the controller's GameTree and the optimum read the game's one table
-    calls = counted_walks(monkeypatch)
-    assert main(["compare", "--profile", "toy", "--out", str(tmp_path / "cmp")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["compare", "--profile", "toy", "--out", str(tmp_path / "main")]) == 0
     assert len(calls) == 1
 
 
@@ -543,3 +539,16 @@ def test_main_trains_a_scenario_without_ris(tmp_path):
     lines = (tmp_path / "run" / "curves.csv").read_text().splitlines()
     assert lines[1].startswith("update,") and len(lines) > 2
     assert build_scenario(load_config(cfgfile, base=profile_config("desk"))).n_agents == 1
+
+
+def test_evaluate_skips_obstacle_counts_that_do_not_fit(tmp_path, capsys):
+    # the desk grid has room for one 3x3 block: counts 2 and 3 write no row
+    cfg = small_cfg(seed=8, eval_episodes=4, obstacle_counts=(0, 1, 2, 3))
+    run = tmp_path / "run"
+    cmd_train(cfg, run)
+    capsys.readouterr()
+    assert cmd_evaluate(cfg, tmp_path / "eval", run) == 0
+    rows = (tmp_path / "eval" / "robustness.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    assert capsys.readouterr().out.rstrip().endswith(
+        "; skipped obstacle counts 2,3: the blocks do not fit")

@@ -878,6 +878,19 @@ def test_robustness_grid_obstacle_injection():
     bumped = add_random_obstacles(grid, 2, rng)
     added = int(bumped.obstacles.sum()) - before
     assert added == 18  # two full 3x3 blocks
+    # blocks draw from the stream in turn: one block is the first of two
+    one = add_random_obstacles(grid, 1, np.random.default_rng(6))
+    assert np.all(bumped.obstacles[one.obstacles])
     assert not bumped.is_obstacle(bumped.ap_cell)
     for cell in bumped.ris_cells:
         assert not bumped.is_obstacle(cell)
+
+
+def test_obstacle_block_that_does_not_fit_is_named():
+    # the desk grid holds one 3x3 block beside the AP, the wall and the RIS
+    grid = desk_grid()
+    one = add_random_obstacles(grid, 1, np.random.default_rng(3))
+    assert int(one.obstacles.sum()) - int(grid.obstacles.sum()) == 9
+    for n_blocks in (2, 3):
+        with pytest.raises(ValueError, match=f"obstacle block 2 of {n_blocks} "):
+            add_random_obstacles(grid, n_blocks, np.random.default_rng(3))

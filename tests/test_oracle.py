@@ -74,6 +74,30 @@ def test_trajectory_probabilities_sum_to_one():
     assert sum(t.prob for t in trajs) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_toy_game_rejects_a_negative_initial_probability():
+    # it sums to 1, but the walk would skip the negative state
+    with pytest.raises(ValueError, match="initial state probabilities must be nonnegative"):
+        replace(two_arm_game(), initial=((1.5, "up"), (-0.5, "down")))
+
+
+def test_toy_game_rejects_a_negative_transition_probability():
+    game = two_arm_game()
+    transitions = {**game.transitions, ("down", (1,)): ((1.5, "up"), (-0.5, "down"))}
+    with pytest.raises(ValueError, match=r"transition \('down', \(1,\)\) probabilities "
+                                         "must be nonnegative and sum to 1"):
+        replace(game, transitions=transitions)
+
+
+def test_toy_game_rejects_a_transition_row_off_one():
+    game = two_arm_game()
+    transitions = {**game.transitions, ("up", (0,)): ((0.5, "up"), (0.4, "down"))}
+    with pytest.raises(ValueError, match=r"transition \('up', \(0,\)\) probabilities "
+                                         "must be nonnegative and sum to 1"):
+        replace(game, transitions=transitions)
+    near = {**game.transitions, ("up", (0,)): ((0.5, "up"), (0.5 + 1e-12, "down"))}
+    assert replace(game, transitions=near).transitions == near
+
+
 def test_exact_J_deterministic_policies():
     game = two_by_two_game()
 

@@ -242,7 +242,8 @@ def test_one_encoder_behind_every_entry_point(kind, monkeypatch):
     # distributions(buffers), policy_fn(m)(hist) and the gathered slot-t
     # windows of an estimate_gradient batch feed their nets the same
     # encoding of one history, bit for bit, and all equal a plain loop; the
-    # 6-slot history overruns H = 4
+    # per-history ask feeds it as a one-row batch; the 6-slot history
+    # overruns H = 4
     from rislab import policy as pol
 
     heads, history_len, horizon = (3, 2, 2), 4, 3
@@ -270,8 +271,10 @@ def test_one_encoder_behind_every_entry_point(kind, monkeypatch):
         policy_nets = [next(k for k, g in enumerate(ctrl.groups) if m in g)
                        for m in range(ctrl.n_agents)]
         assert len(inputs) == len(ctrl.groups) + ctrl.n_agents
-        for net_input, net in zip(inputs, list(range(len(ctrl.groups))) + policy_nets):
+        for net_input, net in zip(inputs[:len(ctrl.groups)], range(len(ctrl.groups))):
             np.testing.assert_array_equal(net_input, want[net])
+        for net_input, net in zip(inputs[len(ctrl.groups):], policy_nets):
+            np.testing.assert_array_equal(net_input, want[net][None])
         # a sample whose slot-`slot` window is this history: the start window
         # holds all but its last `slot` entries, the episode the rest
         slot = min(cut, 2)
@@ -1050,6 +1053,32 @@ def test_policy_fn_at_equals_stacked_calls(mode, name):
             got = fn.at(histories)
             assert got.shape == stacked.shape
             assert got.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("name", list(certificate_games()))
+def test_one_hot_stack_scores_as_separate_profiles(name):
+    # k deterministic policies of one agent, its (k, n_histories, n_actions)
+    # one-hot stack beside the other agent's dists, score bit for bit as k
+    # separate objective calls and as the walk of k plain one-hot callables;
+    # a -1 pick takes the all-zero row, so its subtree scores 0
+    game = certificate_games()[name]
+    table = game.table
+    index = {hist: h for h, hist in enumerate(table.histories)}
+    rng = np.random.default_rng(len(name))
+    dists = [rng.dirichlet(np.ones(len(a)), size=len(index)) for a in game.action_sets]
+    for m, actions in enumerate(game.action_sets):
+        picks = rng.integers(-1, len(actions), size=(6, len(index)))
+        stack = np.eye(len(actions) + 1, len(actions))[picks]
+        profile = dists[:m] + [stack] + dists[m + 1:]
+        assert table.probabilities(profile).shape == (len(picks), len(table.ret))
+        for mu in (0.0, 0.7):
+            scores = table.objective(profile, mu)
+            assert len(scores) == len(picks)
+            for onehots, score in zip(stack, scores):
+                single = dists[:m] + [onehots] + dists[m + 1:]
+                assert score == table.objective(single, mu)
+                fns = [lambda hist, d=d: d[index[hist]] for d in single]
+                assert score == enumerate_exact_J(game, fns, mu)
 
 
 @pytest.mark.parametrize("mode,seed", [("distributed", 6), ("centralized", 11),

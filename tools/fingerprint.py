@@ -12,8 +12,9 @@ Prints one `<output> <sha256 prefix>` line per output:
   fixed non-frozen two-state game, so state transitions are pinned too;
 - `theorem1_harness` on the toy at seed 31, as acceptance criterion c03 runs it;
 - every file `rislab train` / `evaluate` / `compare` writes, for the toy
-  profile and a reduced desk budget in both modes, with the manifest lines
-  (which carry the config hash) stripped;
+  profile and a reduced desk budget in both modes, and `rislab train` /
+  `compare` on the toy profile with a centralized controller and a short
+  budget, with the manifest lines (which carry the config hash) stripped;
 - `config_hash()` of the desk, paper and toy profiles, so a config change
   that would alter every manifest shows;
 - channel-layer streams: a 300-step paper-profile `Environment` run
@@ -64,6 +65,11 @@ train.max_updates 12
 eval.episodes 20
 eval.warmup 4
 eval.obstacle_counts 0,1
+"""
+CLI_TOY_CENTRALIZED_CONFIG = """version 1
+train.mode centralized
+train.max_updates 100
+train.polish_steps 100
 """
 
 
@@ -238,15 +244,19 @@ def cli_lines(cli, workdir: Path):
     for kind in KINDS:
         config[kind] = workdir / f"desk_{kind}.cfg"
         config[kind].write_text(CLI_DESK_CONFIG + f"train.mode {kind}\n")
-    runs = [("toy", ["--profile", "toy", "--seed", "3"], ["compare"])]
+    toy_centralized = workdir / "toy_centralized.cfg"
+    toy_centralized.write_text(CLI_TOY_CENTRALIZED_CONFIG)
+    runs = [("toy", ["--profile", "toy", "--seed", "3"], ["evaluate", "compare"])]
     runs += [(f"desk.{kind}", ["--profile", "desk", "--config", str(config[kind]),
-                               "--seed", "9"], []) for kind in KINDS]
-    for tag, args, extra in runs:
+                               "--seed", "9"], ["evaluate"]) for kind in KINDS]
+    runs += [("toy_centralized", ["--profile", "toy", "--config", str(toy_centralized),
+                                  "--seed", "3"], ["compare"])]
+    for tag, args, commands in runs:
         ckpt = workdir / tag / "train"
         outs = {"train": ckpt}
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(["train", *args, "--out", str(ckpt)])]
-            for command in ["evaluate", *extra]:
+            for command in commands:
                 outs[command] = workdir / tag / command
                 codes.append(cli.main([command, *args, "--out", str(outs[command]),
                                        "--checkpoint", str(ckpt)]))
