@@ -372,6 +372,14 @@ def test_compare_after_toy_training(tmp_path):
     assert greedy_ok == "True"
 
 
+def test_compare_walks_the_game_at_most_twice(tmp_path, monkeypatch):
+    # the bound the optimum's table and the controller's objective once held;
+    # both now read one table, which test_compare_walks_the_game_once pins
+    calls = counted_walks(monkeypatch)
+    assert cmd_compare(toy_cfg(seed=3), tmp_path / "cmp", None) == 0
+    assert 1 <= len(calls) <= 2
+
+
 def test_compare_walks_the_game_once(tmp_path, monkeypatch):
     # the controller's objective, the readouts' histories and the optimum
     # all read the game's one table, whichever entry point builds the game
