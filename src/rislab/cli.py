@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -49,7 +50,6 @@ from .environment import (
     Scenario,
 )
 from .oracle import (
-    complexity_bench,
     frozen_toy_game,
     greedy_sequence,
     optimal_policy,
@@ -566,6 +566,64 @@ def cmd_compare(cfg: ExperimentConfig, out_dir, checkpoint_dir) -> int:
     print(f"wrote {os.path.join(out_dir, 'compare.csv')} "
           f"(rmse {rmse:.3g}%, gap {gap:.3g}%)")
     return 0
+
+
+@dataclass
+class BenchRow:
+    kind: str
+    param: str
+    value: int
+    seconds: float
+
+
+@dataclass
+class BenchReport:
+    rows: list
+    exponents: dict      # (kind, param) -> fitted log-log slope
+
+
+def complexity_bench(kinds=("centralized", "distributed"),
+                     horizons=(1, 2, 4, 8), history_lens=(8, 16, 32),
+                     action_counts=(4, 8, 16), agent_counts=(2, 3, 5),
+                     repeats: int = 8, seed: int = 0) -> BenchReport:
+    """Measure the per-episode cost of a fresh controller against each driver
+    parameter and fit log-log growth exponents. A point's episode is T calls
+    of Controller.distributions, the step collect_episode makes in every
+    slot: window, encode and one eval forward per net. The history buffers
+    stay empty, since the cost does not depend on what they hold. Each point
+    is the best of 5 timings, and the 5 rounds run every point of a sweep in
+    turn, so a drift in host speed reaches every point alike instead of
+    bending the fit."""
+    rng = np.random.default_rng(seed)
+    base = dict(history_len=16, n_agents=3, n_actions=8, horizon=2)
+    sweeps = [("T", "horizon", horizons), ("H", "history_len", history_lens),
+              ("B", "n_actions", action_counts), ("M", "n_agents", agent_counts)]
+    rows = []
+    exponents = {}
+    for kind in kinds:
+        for label, key, values in sweeps:
+            points = []
+            for v in values:
+                point = {**base, key: v}
+                ctrl = make_controller(
+                    replace(ExperimentConfig(), mode=kind, history_len=point["history_len"]),
+                    (point["n_actions"],) * point["n_agents"], rng)
+                buffers = [HistoryBuffer(ctrl.history_len) for _ in range(ctrl.n_agents)]
+                points.append((point["horizon"], ctrl, buffers))
+            times = [math.inf] * len(values)
+            for _ in range(5):
+                for k, (horizon, ctrl, buffers) in enumerate(points):
+                    start = time.perf_counter()
+                    for _ in range(repeats * horizon):
+                        ctrl.distributions(buffers)
+                    times[k] = min(times[k], (time.perf_counter() - start) / repeats)
+            rows += [BenchRow(kind=kind, param=label, value=v, seconds=secs)
+                     for v, secs in zip(values, times)]
+            if len(values) >= 2:
+                slope = np.polyfit(np.log(np.asarray(values, dtype=float)),
+                                   np.log(np.asarray(times)), 1)[0]
+                exponents[(kind, label)] = float(slope)
+    return BenchReport(rows=rows, exponents=exponents)
 
 
 def cmd_bench(cfg: ExperimentConfig, out_dir) -> int:

@@ -677,20 +677,25 @@ def ingest_dataset(path, grid: OccupancyGrid) -> TrajectoryDataset:
     """Parse a trajectory CSV onto grid cells.
 
     Out-of-grid or on-obstacle coordinates are clamped to the nearest free
-    cell and counted; malformed rows abort with their row number.
+    cell and counted; malformed rows abort with their row number, the file
+    line the row starts on, counting the header and '#' comment lines.
     """
     trajectories: dict[int, list] = {}
     n_rows = 0
     n_clamped = 0
     with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
+        # (file line number, text) of each line that is not a comment
+        numbered = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+        reader = csv.reader(line for _, line in numbered)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetFormatError(f"{path}: empty file") from None
         if header != DATASET_HEADER:
             raise DatasetFormatError(f"{path}: bad header {header!r}")
-        for i, row in enumerate(reader, start=2):
+        start = reader.line_num      # lines read so far; a row may span several
+        for row in reader:
+            i, start = numbered[start][0], reader.line_num
             if len(row) != 4:
                 raise DatasetFormatError(f"row {i}: expected 4 fields, got {len(row)}")
             try:
@@ -749,6 +754,10 @@ def load_scenario(path) -> OccupancyGrid:
     Rejected with ScenarioFormatError: a cell_size that is not positive and
     finite, presence values that are negative or not finite, presence rows
     of unequal length, and AP or RIS cells off the grid or on an obstacle.
+
+    A line whose first non-blank character is '#' is a comment, except in
+    the mask section: there a line made only of '.' and '#' is a mask row,
+    so a row whose first cell is an obstacle stays a row.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -761,13 +770,13 @@ def load_scenario(path) -> OccupancyGrid:
     section = None
     for lineno, line in enumerate(raw, start=1):
         stripped = line.strip()
+        if section == "mask" and stripped and not set(stripped) - {".", "#"}:
+            mask_rows.append(stripped)
+            continue
         if not stripped or stripped.startswith("#"):
             continue
         if section == "mask":
-            if set(stripped) - {".", "#"}:
-                raise ScenarioFormatError(f"line {lineno}: mask rows use only '.' and '#'")
-            mask_rows.append(stripped)
-            continue
+            raise ScenarioFormatError(f"line {lineno}: mask rows use only '.' and '#'")
         if section == "presence":
             if stripped in ("mask",):
                 section = "mask"

@@ -1,7 +1,6 @@
 """Brute-force ground truth on desk-scale games: exhaustive trajectory
 enumeration for the exact risk-sensitive objective, open- and closed-loop
-optimal policies, the greedy readout of a trained profile, policy RMSE, and
-forward-cost benchmarks.
+optimal policies, the greedy readout of a trained profile, and policy RMSE.
 
 Toy games carry explicit rate/transition tables, so every probability here
 is computed by full enumeration, independent of the training stack. Policies
@@ -30,7 +29,6 @@ calls (a controller's policy_fn: one forward of its net), else per history.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -416,78 +414,3 @@ def policy_rmse_multi(policies_a, policies_b, histories_per_agent) -> float:
             deltas.append(da - db)
     stacked = np.concatenate(deltas)
     return 100.0 * float(np.sqrt(np.mean(stacked ** 2)))
-
-
-# ---------------------------------------------------------------------------
-# complexity benchmarks
-
-
-@dataclass
-class BenchRow:
-    kind: str
-    param: str
-    value: int
-    seconds: float
-
-
-@dataclass
-class BenchReport:
-    rows: list
-    exponents: dict      # (kind, param) -> fitted log-log slope
-
-
-def _episode_nets(kind: str, history_len: int, n_agents: int, n_actions: int,
-                  rng: np.random.Generator) -> list:
-    """(arch, params, history) per net of a fresh controller."""
-    from .training import CentralizedController, DistributedController
-
-    cls = CentralizedController if kind == "centralized" else DistributedController
-    nets = cls((n_actions,) * n_agents, history_len, rng,
-               dropout_lstm=0.0, dropout_dense=0.0).nets
-    return [(a, p, rng.normal(size=(a.history_len, a.input_size))) for a, p in nets]
-
-
-def _episode_seconds(nets: list, horizon: int, repeats: int) -> float:
-    from .policy import forward
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for _slot in range(horizon):
-            for a, p, h in nets:
-                forward(p, a, h, mode="eval")
-    return (time.perf_counter() - start) / repeats
-
-
-def complexity_bench(kinds=("centralized", "distributed"),
-                     horizons=(1, 2, 4, 8), history_lens=(8, 16, 32),
-                     action_counts=(4, 8, 16), agent_counts=(2, 3, 5),
-                     repeats: int = 8, seed: int = 0) -> BenchReport:
-    """Measure per-episode feedforward cost against each driver parameter and
-    fit log-log growth exponents. Each point is the best of 5 timings, and
-    the 5 rounds run every point of a sweep in turn, so a drift in host
-    speed reaches every point alike instead of bending the fit."""
-    rng = np.random.default_rng(seed)
-    base = dict(history_len=16, n_agents=3, n_actions=8, horizon=2)
-    sweeps = [("T", "horizon", horizons), ("H", "history_len", history_lens),
-              ("B", "n_actions", action_counts), ("M", "n_agents", agent_counts)]
-    rows = []
-    exponents = {}
-    for kind in kinds:
-        for label, key, values in sweeps:
-            points = []
-            for v in values:
-                cfg = dict(base)
-                cfg[key] = v
-                horizon = cfg.pop("horizon")
-                points.append((horizon, _episode_nets(kind=kind, rng=rng, **cfg)))
-            times = [math.inf] * len(values)
-            for _ in range(5):
-                for k, (horizon, nets) in enumerate(points):
-                    times[k] = min(times[k], _episode_seconds(nets, horizon, repeats))
-            rows += [BenchRow(kind=kind, param=label, value=v, seconds=secs)
-                     for v, secs in zip(values, times)]
-            if len(values) >= 2:
-                slope = np.polyfit(np.log(np.asarray(values, dtype=float)),
-                                   np.log(np.asarray(times)), 1)[0]
-                exponents[(kind, label)] = float(slope)
-    return BenchReport(rows=rows, exponents=exponents)

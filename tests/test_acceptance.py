@@ -23,11 +23,11 @@ from rislab.cli import (
     cmd_evaluate,
     cmd_generate,
     cmd_train,
+    complexity_bench,
     profile_config,
     _rollout_stats,
 )
 from rislab.oracle import (
-    complexity_bench,
     enumerate_exact_J,
     greedy_sequence,
     optimal_policy,

@@ -26,6 +26,7 @@ from rislab.cli import (
     cmd_evaluate,
     cmd_generate,
     cmd_train,
+    complexity_bench,
     dbm,
     load_config,
     load_controller,
@@ -35,7 +36,8 @@ from rislab.cli import (
 )
 from rislab.cli import _rollout_stats
 from rislab.environment import HistoryBuffer
-from rislab.training import collect_episode, make_controller
+from rislab.training import (CentralizedController, DistributedController,
+                             collect_episode, make_controller)
 from dataclasses import replace
 
 
@@ -389,6 +391,23 @@ def test_compare_walks_the_game_once(tmp_path, monkeypatch):
     calls.clear()
     assert main(["compare", "--profile", "toy", "--out", str(tmp_path / "main")]) == 0
     assert len(calls) == 1
+
+
+def test_complexity_bench_times_the_controllers_slot_step(monkeypatch):
+    # a point is 5 rounds of `repeats` episodes, each T slot steps of the
+    # swept kind's controller; the subclasses' attribute is wrapped, as the
+    # benchmark's tracer wraps it
+    calls = {}
+    for cls in (CentralizedController, DistributedController):
+        def counted(self, buffers, step=cls.__dict__["distributions"], kind=cls.kind):
+            calls[kind] = calls.get(kind, 0) + 1
+            return step(self, buffers)
+        monkeypatch.setattr(cls, "distributions", counted)
+    report = complexity_bench(kinds=("distributed",), horizons=(1, 3), history_lens=(),
+                              action_counts=(), agent_counts=(), repeats=2, seed=0)
+    assert calls == {"distributed": 5 * 2 * (1 + 3)}
+    assert [(r.kind, r.param, r.value) for r in report.rows] == [
+        ("distributed", "T", 1), ("distributed", "T", 3)]
 
 
 def test_compare_round_trip_identical(tmp_path):

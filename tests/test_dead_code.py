@@ -1,5 +1,7 @@
-"""Dead-code guard: every public top-level function and class of the package
-is used by the package itself or by the benchmark, not only by tests."""
+"""Dead-code and import-graph guards: every public top-level function and
+class of the package is used by the package itself or by the benchmark, not
+only by tests; every import sits at module level; and the package's modules
+import each other without a cycle."""
 
 import ast
 from pathlib import Path
@@ -70,6 +72,51 @@ def unreferenced_public_definitions(package: Path, benchmark: Path) -> list:
     return unused
 
 
+def nested_imports(package: Path) -> list:
+    """`module:line` of each import statement inside a function or class body."""
+    nested = set()
+    for path in sorted(package.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested |= {f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted(nested)
+
+
+def import_graph(package: Path) -> dict:
+    """Module -> the set of package modules it imports, in any of the forms
+    `from .m import x`, `from . import m`, `from <package>.m import x`,
+    `from <package> import m` and `import <package>.m`."""
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                top, _, rest = (node.module or "").partition(".")
+                if node.level:
+                    rest = node.module or ""
+                elif top != package.name:
+                    continue
+                head = rest.split(".")[0]
+                targets |= {head} if head else {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                targets |= {alias.name.split(".")[1] for alias in node.names
+                            if alias.name.startswith(package.name + ".")}
+        graph[path.stem] = (targets & modules) - {path.stem}
+    return graph
+
+
+def modules_on_import_cycles(graph: dict) -> list:
+    """What is left after repeatedly removing the modules that import no
+    remaining module: empty exactly when the graph has no cycle."""
+    left = dict(graph)
+    while leaves := [m for m, deps in left.items() if not deps & left.keys()]:
+        for m in leaves:
+            del left[m]
+    return sorted(left)
+
+
 def test_every_public_definition_is_used_outside_tests():
     unused = unreferenced_public_definitions(PACKAGE, BENCHMARK)
     flagged = [u for u in unused if u.split(":")[1] not in ALLOWED]
@@ -81,3 +128,11 @@ def test_every_public_definition_is_used_outside_tests():
 def test_every_import_is_used():
     unused = unused_imports(PACKAGE)
     assert unused == [], f"imported but never used: {unused}"
+
+
+def test_imports_sit_at_module_level_and_form_no_cycle():
+    assert nested_imports(PACKAGE) == [], "imports inside a function or class body"
+    graph = import_graph(PACKAGE)
+    # a graph with no edges would pass the cycle check without looking
+    assert graph["cli"] >= {"environment", "oracle", "training"}
+    assert modules_on_import_cycles(graph) == [], f"import cycle among {graph}"

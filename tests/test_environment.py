@@ -718,6 +718,18 @@ def test_ingest_empty_file(tmp_path):
         ingest_dataset(path, desk_grid())
 
 
+def test_ingest_names_the_file_line_after_comment_lines(tmp_path):
+    path = tmp_path / "commented.csv"
+    path.write_text("# two comment lines\n"
+                    "# precede the header\n"
+                    "traj_id,t,x,y\n"
+                    "0,0,1.5,1.5\n"
+                    "# and one sits between rows\n"
+                    "0,1,x,1.5\n")
+    with pytest.raises(DatasetFormatError, match="^row 6: "):
+        ingest_dataset(path, desk_grid())
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 
@@ -732,6 +744,33 @@ def test_scenario_round_trip(tmp_path):
     assert loaded.ris_cells == grid.ris_cells
     np.testing.assert_array_equal(loaded.obstacles, grid.obstacles)
     np.testing.assert_allclose(loaded.presence, grid.presence, rtol=1e-8)
+
+
+@pytest.mark.parametrize("blocked", [[(0, 1)], [(0, 2), (1, 2)], [(0, 0), (0, 1), (2, 1)]],
+                         ids=["left-middle", "bottom-left-pair", "left-column"])
+def test_scenario_round_trip_with_obstacles_in_column_0(tmp_path, blocked):
+    # a mask row whose first cell is an obstacle starts with '#'
+    obstacles = np.zeros((3, 4), dtype=bool)
+    for x, y in blocked:
+        obstacles[y, x] = True
+    presence = np.where(obstacles, 0.0, np.arange(1.0, 13.0).reshape(3, 4))
+    grid = OccupancyGrid(cell_size=0.5, obstacles=obstacles, presence=presence,
+                         ap_cell=(1, 0), ris_cells=((3, 2),))
+    path = tmp_path / "left.scn"
+    save_scenario(grid, path)
+    loaded = load_scenario(path)
+    np.testing.assert_array_equal(loaded.obstacles, obstacles)
+    np.testing.assert_allclose(loaded.presence, grid.presence, rtol=1e-8)
+    assert (loaded.ap_cell, loaded.ris_cells) == (grid.ap_cell, grid.ris_cells)
+
+
+def test_scenario_mask_keeps_rows_that_start_with_an_obstacle(tmp_path):
+    path = tmp_path / "uniform.scn"
+    path.write_text("version 1\ncell_size 1\nap 3 0\npresence uniform\nmask\n"
+                    "....\n# a comment stays a comment\n#...\n##..\n")
+    grid = load_scenario(path)
+    assert grid.obstacles.tolist() == [[False] * 4, [True, False, False, False],
+                                       [True, True, False, False]]
 
 
 def test_scenario_parser_reports_line_numbers(tmp_path):

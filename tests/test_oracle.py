@@ -11,12 +11,12 @@ import pytest
 from helpers import (counted_walks, fd_gradient, policy_table, reference_optimal_policy,
                      revealed_state_game, stochastic_toy_game, walk_coefficients)
 
+from rislab.cli import complexity_bench
 from rislab.oracle import (
     EnumerabilityError,
     OptimalPolicy,
     ToyGame,
     TrajectoryTable,
-    complexity_bench,
     enumerate_exact_J,
     enumerate_trajectories,
     frozen_toy_game,
